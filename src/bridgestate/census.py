@@ -14,16 +14,17 @@ Wire formats, fixed here and documented in the README:
 * JSON is rendered with sorted keys and two-space indentation, so parsing
   and re-dumping a report reproduces it byte for byte.
 
-The census fans per-knot work out to a process pool; rows are emitted in
-(alpha, beta) order regardless of worker count, so output bytes do not
-depend on --jobs.
+The census fans per-knot work out to a process pool of at most one worker
+per usable CPU; rows are emitted in (alpha, beta) order regardless of
+worker count, so output bytes do not depend on --jobs.
 """
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .checks import iter_knots
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InvalidInputError
 from .invariants import InvariantReport, StatePolynomial, full_report
 from .surfaces import make_knot
 
@@ -35,20 +36,8 @@ SURFACE_CSV_HEADER = (
 )
 
 
-def poly_coeffs_2k(sp: StatePolynomial) -> list:
-    """Integer coefficients of 2**k * canonical, lowest degree first."""
-    scale = 1 << sp.k
-    out = []
-    for c in sp.canonical.coeffs:
-        v = c * scale
-        if v.denominator != 1:
-            raise ConsistencyError(f"coefficient {c} not a multiple of 2^-{sp.k}")
-        out.append(v.numerator)
-    return out
-
-
 def poly_to_dict(sp: StatePolynomial) -> dict:
-    return {"min_degree": 0, "k": sp.k, "coeffs_2k": poly_coeffs_2k(sp)}
+    return {"min_degree": 0, "k": sp.k, "coeffs_2k": list(sp.coeffs_2k)}
 
 
 def report_to_dict(report: InvariantReport) -> dict:
@@ -90,47 +79,26 @@ def dumps_canonical(obj) -> str:
 
 
 def _join(values) -> str:
-    return ";".join(str(v) for v in values)
+    return ";".join(map(str, values))
 
 
 def knot_csv_row(row: dict) -> str:
-    return ",".join(
-        str(v)
-        for v in (
-            row["alpha"],
-            row["beta"],
-            row["surface_count"],
-            row["signature"],
-            row["genus2"],
-            row["crosscap_genus2"],
-            _join(row["slopes"]),
-            _join(row["alexander"]["coeffs_2k"]),
-        )
+    return (
+        f"{row['alpha']},{row['beta']},{row['surface_count']},"
+        f"{row['signature']},{row['genus2']},{row['crosscap_genus2']},"
+        f"{_join(row['slopes'])},{_join(row['alexander']['coeffs_2k'])}"
     )
 
 
 def surface_csv_rows(row: dict) -> list:
-    out = []
-    for s in row["surfaces"]:
-        out.append(
-            ",".join(
-                str(v)
-                for v in (
-                    row["alpha"],
-                    row["beta"],
-                    _join(s["terms"]),
-                    s["r"],
-                    "true" if s["orientable"] else "false",
-                    s["genus2"],
-                    s["n_plus"],
-                    s["n_minus"],
-                    s["signature"],
-                    s["slope"],
-                    _join(s["poly"]["coeffs_2k"]),
-                )
-            )
-        )
-    return out
+    knot = f"{row['alpha']},{row['beta']}"
+    return [
+        f"{knot},{_join(s['terms'])},{s['r']},"
+        f"{'true' if s['orientable'] else 'false'},{s['genus2']},"
+        f"{s['n_plus']},{s['n_minus']},{s['signature']},{s['slope']},"
+        f"{_join(s['poly']['coeffs_2k'])}"
+        for s in row["surfaces"]
+    ]
 
 
 def census_row(alpha: int, beta: int) -> dict:
@@ -148,9 +116,20 @@ def _census_row_star(pair) -> dict:
     return census_row(*pair)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def census_rows(max_alpha: int, jobs: int = 1) -> list:
     """Serialized reports for every knot with determinant <= max_alpha,
-    sorted by (alpha, beta).  Output is independent of ``jobs``."""
+    sorted by (alpha, beta).  Output is independent of ``jobs`` (>= 1;
+    more workers than usable CPUs only add cost, so it is clamped)."""
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, usable_cpus())
     pairs = list(iter_knots(max_alpha))
     if jobs <= 1:
         return [census_row(a, b) for a, b in pairs]

@@ -34,9 +34,13 @@ from .continued_fractions import Expansion, surfaces_expansions
 from .errors import ConsistencyError
 from .laurent import LaurentPolynomial
 from .invariants import (
+    _canonical_from_scaled,
+    _check_identities,
     _det_scaled,
+    _fail,
     _minor_signature,
     canonical_representative,
+    laurent_from_scaled,
     poly_equivalent,
     state_polynomial,
     state_polynomial_det,
@@ -74,16 +78,13 @@ class CheckStats:
         return self
 
 
-def _fail(what: str, knot, e, detail: str):
-    raise ConsistencyError(f"{what} failed for {e} of {knot}: {detail}")
-
-
 def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
-                        sigma_k_minors: int) -> CheckStats:
-    """The exact integer checks for one surface; returns the check tallies."""
+                        sigma_k_minors: int, det: tuple) -> CheckStats:
+    """The exact integer checks for one surface, given its ``_det_scaled``
+    result ``det``; returns the check tallies."""
     terms = e.terms
     k = len(terms)
-    coeffs, scale = _det_scaled(terms)
+    coeffs, scale = det
 
     if len(coeffs) != k + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
         _fail("degree = k", knot, e, f"scaled coefficients {coeffs}")
@@ -95,36 +96,21 @@ def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
     if at_one != expected_at_one:
         _fail("p(1) by parity of k", knot, e,
               f"got {Fraction(at_one, 1 << scale)}")
-    at_minus_one = sum(-c if i % 2 else c for i, c in enumerate(coeffs))
-    if abs(at_minus_one) != alpha << scale:
-        _fail("determinant identity |p(-1)| = alpha", knot, e,
-              f"got {Fraction(abs(at_minus_one), 1 << scale)}")
+    if scale > k:
+        _fail("2^k-integrality", knot, e, f"denominator exponent {scale} > k")
     prod = 1
     for n in terms:
         prod *= abs(n)
     if abs(coeffs[-1]) << (k - scale) != prod:
         _fail("leading coefficient |n1...nk| / 2^k", knot, e,
               f"got {Fraction(abs(coeffs[-1]), 1 << scale)}")
-    if scale > k:
-        _fail("2^k-integrality", knot, e, f"denominator exponent {scale} > k")
     if all(n % 2 == 0 for n in terms) and scale != 0:
         _fail("integrality of all-even polynomials", knot, e,
               f"denominator exponent {scale}")
 
-    plus, minus = sign_counts(e)
-    sigma = plus - minus
-    sigma_minors = _minor_signature(terms)
-    if sigma_minors != sigma:
-        _fail("minor-recurrence signature = N+ - N-", knot, e,
-              f"minors give {sigma_minors}, counts give {sigma}")
+    sigma = _check_identities(knot, e, det, alpha, sigma_k, sigma_k_minors)
     if abs(sigma) > k:
         _fail("|sigma| <= 2g", knot, e, f"sigma = {sigma}, k = {k}")
-    # slope along the matrix route (signature difference, both signatures
-    # from principal minors) against the pure sign-count formula
-    if 2 * (sigma_minors - sigma_k_minors) != 2 * (plus - minus) - 2 * sigma_k:
-        _fail("slope agreement", knot, e,
-              f"signature route gives {2 * (sigma_minors - sigma_k_minors)}, "
-              f"sign counts give {2 * (plus - minus) - 2 * sigma_k}")
     return CheckStats(
         surfaces=1,
         checks=9,
@@ -173,11 +159,14 @@ def apply_random_transformations(v: StateMatrix, rng: random.Random):
 
 
 def check_transformation_invariance(e: Expansion, rng: random.Random,
-                                    samples: int) -> int:
-    """Transformed matrices keep the polynomial class and the signature."""
+                                    samples: int,
+                                    target: LaurentPolynomial = None) -> int:
+    """Transformed matrices keep the signature and the polynomial class of
+    ``target`` (by default the state polynomial of ``e``)."""
     k = len(e.terms)
     base = standard_state_matrix(e)
-    target = state_polynomial(e).canonical
+    if target is None:
+        target = state_polynomial_det(e)
     plus, minus = sign_counts(e)
     sigma = plus - minus
     checks = 0
@@ -202,10 +191,9 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     return checks
 
 
-def _check_surface_oracle(knot, e) -> int:
-    """Recurrence determinant against the cofactor oracle, exactly."""
+def _check_surface_oracle(knot, e, want: LaurentPolynomial) -> int:
+    """Recurrence determinant ``want`` against the cofactor oracle, exactly."""
     got = state_polynomial_oracle(standard_state_matrix(e), max_size=len(e.terms))
-    want = state_polynomial_det(e)
     if got != want:
         _fail("recurrence = cofactor determinant", knot, e,
               f"recurrence {want}, cofactor {got}")
@@ -215,36 +203,15 @@ def _check_surface_oracle(knot, e) -> int:
     return 2
 
 
-def _surface_key(coeffs, scale: int):
-    """Canonical hashable form of a scaled polynomial, for multisets."""
-    if coeffs[0] < 0:
-        coeffs = [-c for c in coeffs]
-    while scale > 0 and all(c % 2 == 0 for c in coeffs):
-        coeffs = [c // 2 for c in coeffs]
-        scale -= 1
-    return tuple(coeffs), scale
-
-
 def invariant_multiset(knot) -> tuple:
     """Sorted multiset of (polynomial, signature, slope) over all surfaces.
 
     Equal for every presentation of the same knot; mirror presentations
     (beta -> alpha - beta) get the same polynomials with negated
-    signatures and slopes.
+    signatures and slopes.  Computed alongside the fast checks of
+    ``check_knot``, from the same determinants.
     """
-    expansions = surfaces_expansions(knot)
-    sigma_k = None
-    rows = []
-    for e in expansions:
-        plus, minus = sign_counts(e)
-        if all(n % 2 == 0 for n in e.terms):
-            sigma_k = plus - minus
-        rows.append((e, plus - minus))
-    out = []
-    for e, sigma in rows:
-        coeffs, scale = _det_scaled(e.terms)
-        out.append((_surface_key(coeffs, scale), sigma, 2 * (sigma - sigma_k)))
-    return tuple(sorted(out))
+    return _check_knot(knot)[1]
 
 
 def check_negative_control() -> int:
@@ -277,6 +244,13 @@ def check_knot(knot, *, oracle_max_k: int = 0, invariance_samples: int = 0,
                rng: random.Random = None) -> CheckStats:
     """Run every per-knot identity; raise ConsistencyError on the first
     failure, with witness values in the message."""
+    return _check_knot(knot, oracle_max_k, invariance_samples, rng)[0]
+
+
+def _check_knot(knot, oracle_max_k: int = 0, invariance_samples: int = 0,
+                rng: random.Random = None) -> tuple:
+    """``check_knot``'s tallies and the knot's ``invariant_multiset``, all
+    from one run of the determinant recurrence per surface."""
     expansions = surfaces_expansions(knot)
     alpha = knot.alpha
     evens = [e for e in expansions if all(n % 2 == 0 for n in e.terms)]
@@ -294,15 +268,21 @@ def check_knot(knot, *, oracle_max_k: int = 0, invariance_samples: int = 0,
     sigma_k = plus0 - minus0
     sigma_k_minors = _minor_signature(evens[0].terms)
     stats = CheckStats(knots=1)
+    multiset = []
     for e in expansions:
-        stats += _check_surface_fast(knot, e, alpha, sigma_k, sigma_k_minors)
+        det = _det_scaled(e.terms)
+        stats += _check_surface_fast(knot, e, alpha, sigma_k, sigma_k_minors, det)
+        plus, minus = sign_counts(e)
+        multiset.append((_canonical_from_scaled(*det, len(e.terms)).coeffs_2k,
+                         plus - minus, 2 * (plus - minus - sigma_k)))
         if oracle_max_k and len(e.terms) <= oracle_max_k:
-            stats.checks += _check_surface_oracle(knot, e)
+            poly = laurent_from_scaled(*det)
+            stats.checks += _check_surface_oracle(knot, e, poly)
             if invariance_samples and rng is not None:
                 stats.checks += check_transformation_invariance(
-                    e, rng, invariance_samples
+                    e, rng, invariance_samples, poly
                 )
-    return stats
+    return stats, tuple(sorted(multiset))
 
 
 def iter_knots(max_alpha: int):
@@ -326,15 +306,12 @@ def check_range(max_alpha: int, *, oracle_max_k: int = 0,
         if presentation and alpha != current_alpha:
             _check_presentations(current_alpha, multisets)
             current_alpha, multisets = alpha, {}
-        knot = make_knot(alpha, beta)
-        stats += check_knot(
-            knot,
-            oracle_max_k=oracle_max_k,
-            invariance_samples=invariance_samples,
-            rng=rng,
+        knot_stats, multiset = _check_knot(
+            make_knot(alpha, beta), oracle_max_k, invariance_samples, rng
         )
+        stats += knot_stats
         if presentation:
-            multisets[beta] = invariant_multiset(knot)
+            multisets[beta] = multiset
             stats.checks += 1
     if presentation:
         _check_presentations(current_alpha, multisets)

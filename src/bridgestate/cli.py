@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a mathematical consistency check failed,
 """
 
 import argparse
+import os
 import random
 import sys
 
@@ -151,19 +152,18 @@ def cmd_verify(args) -> int:
 def cmd_census(args) -> int:
     if args.max_alpha < 3:
         raise InvalidInputError("--max-alpha must be at least 3")
+    if args.out_surfaces and (
+        os.path.abspath(args.out) == os.path.abspath(args.out_surfaces)
+    ):
+        raise InvalidInputError("--out and --out-surfaces must be different files")
     rows = census_rows(args.max_alpha, jobs=args.jobs)
     surface_total = sum(r["surface_count"] for r in rows)
-    if args.json:
-        payload = rows_to_json(rows)
-    else:
-        payload = rows_to_knot_csv(rows)
+    files = []
+    payload = rows_to_json(rows) if args.json else rows_to_knot_csv(rows)
     if args.out == "-":
         sys.stdout.write(payload)
-        summary_stream = sys.stderr
     else:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-        summary_stream = sys.stdout
+        files.append((args.out, payload))
     if args.out_surfaces:
         if args.json:
             surf_payload = rows_to_json(
@@ -171,14 +171,33 @@ def cmd_census(args) -> int:
             )
         else:
             surf_payload = rows_to_surface_csv(rows)
-        with open(args.out_surfaces, "w") as fh:
-            fh.write(surf_payload)
+        files.append((args.out_surfaces, surf_payload))
+    _write_files(files)
     print(
         f"census: {len(rows)} knots, {surface_total} surfaces "
         f"(alpha <= {args.max_alpha}, {'json' if args.json else 'csv'})",
-        file=summary_stream,
+        file=sys.stderr if args.out == "-" else sys.stdout,
     )
     return 0
+
+
+def _write_files(files) -> None:
+    """Write each (path, text) pair so that on any failure no target is
+    created or changed: every text first goes to a temporary file beside
+    its target, and the targets are replaced only once all are written."""
+    temps = []
+    try:
+        for path, text in files:
+            tmp = f"{path}.tmp{os.getpid()}"
+            with open(tmp, "x") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _surface_records(row: dict) -> list:

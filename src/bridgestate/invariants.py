@@ -18,7 +18,10 @@ Conventions, fixed once here:
 The tridiagonal determinant is computed by the three-term recurrence
 d_0 = 1, d_1 = (n1/2)(1-t), d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1}
 + t * d_{j-2}, carried out on 2**s-scaled integer coefficient lists (s grows
-only at odd terms), which keeps the whole census exact and fast.  A plain
+only at odd terms, so s <= k).  A ``StatePolynomial`` keeps them as the
+integer coefficients of 2**k times the canonical representative, so reports
+never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
+built only for display, the oracle and invariance sampling.  A plain
 cofactor expansion over Laurent arithmetic is kept as a bounded,
 structurally independent oracle.
 """
@@ -80,11 +83,15 @@ def _det_scaled(terms) -> tuple:
     return cur, s_cur
 
 
-def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
-    """det(V - t*V^T) for the standard state matrix, uncanonicalized."""
-    coeffs, scale = _det_scaled(e.terms)
+def laurent_from_scaled(coeffs, scale: int) -> LaurentPolynomial:
+    """The polynomial sum_i coeffs[i] / 2**scale * t**i."""
     den = 1 << scale
     return LaurentPolynomial(0, tuple(Fraction(c, den) for c in coeffs))
+
+
+def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
+    """det(V - t*V^T) for the standard state matrix, uncanonicalized."""
+    return laurent_from_scaled(*_det_scaled(e.terms))
 
 
 def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
@@ -107,24 +114,34 @@ def poly_equivalent(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
 class StatePolynomial:
     """Canonical state polynomial of a surface with k bands.
 
-    ``canonical`` has min degree 0 and degree exactly k; its coefficient
-    sequence is palindromic for even k and anti-palindromic for odd k.
+    ``coeffs_2k`` holds the integer coefficients of 2**k times the canonical
+    representative, lowest degree first: k + 1 of them, the first positive
+    and the last nonzero, palindromic for even k and anti-palindromic for
+    odd k.  ``canonical`` is the same polynomial with exact Fraction
+    coefficients, built on each access.
     """
 
-    canonical: LaurentPolynomial
     k: int
+    coeffs_2k: tuple
+
+    @property
+    def canonical(self) -> LaurentPolynomial:
+        return laurent_from_scaled(self.coeffs_2k, self.k)
 
 
 def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:
-    if coeffs[0] < 0:
-        coeffs = [-c for c in coeffs]
+    """StatePolynomial of a ``_det_scaled`` result, with its degree and
+    2**k-integrality checked."""
     if coeffs[-1] == 0 or len(coeffs) != k + 1:
         raise ConsistencyError(
             f"state polynomial of a k={k} expansion must have degree {k}"
         )
-    den = 1 << scale
-    poly = LaurentPolynomial(0, tuple(Fraction(c, den) for c in coeffs))
-    return StatePolynomial(canonical=poly, k=k)
+    if scale > k:
+        raise ConsistencyError(
+            f"2^k-integrality failed: denominator exponent {scale} > k = {k}"
+        )
+    mult = (-1 if coeffs[0] < 0 else 1) << (k - scale)
+    return StatePolynomial(k, tuple([mult * c for c in coeffs]))
 
 
 def state_polynomial(e: Expansion) -> StatePolynomial:
@@ -133,8 +150,7 @@ def state_polynomial(e: Expansion) -> StatePolynomial:
     >>> str(state_polynomial(Expansion((2, 3))).canonical)
     '3/2 - 4*t + 3/2*t^2'
     """
-    coeffs, scale = _det_scaled(e.terms)
-    return _canonical_from_scaled(coeffs, scale, len(e.terms))
+    return _canonical_from_scaled(*_det_scaled(e.terms), len(e.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +358,7 @@ def alexander_polynomial(knot: TwoBridgeKnot) -> StatePolynomial:
     """State polynomial of the Seifert surface; integer coefficients."""
     seifert = find_seifert(essential_surfaces(knot))
     poly = state_polynomial(seifert.expansion)
-    if any(c.denominator != 1 for c in poly.canonical.coeffs):
+    if any(c % (1 << poly.k) for c in poly.coeffs_2k):
         raise ConsistencyError(
             f"all-even expansion {seifert.expansion} gave non-integer coefficients"
         )
@@ -363,7 +379,10 @@ def nonorientable_genus_twice(knot: TwoBridgeKnot) -> int:
     crosscap added to a minimal Seifert surface.
     """
     surfaces = essential_surfaces(knot)
-    g2 = find_seifert(surfaces).genus_twice
+    return _crosscap_twice(surfaces, find_seifert(surfaces).genus_twice)
+
+
+def _crosscap_twice(surfaces, g2: int) -> int:
     candidates = [s.genus_twice for s in surfaces if not s.orientable]
     return min(min(candidates, default=g2 + 1), g2 + 1)
 
@@ -401,62 +420,65 @@ class InvariantReport:
         return sorted({r.slope for r in self.surfaces})
 
 
+def _fail(what: str, knot, e, detail: str):
+    raise ConsistencyError(f"{what} failed for {e} of {knot}: {detail}")
+
+
+def _check_identities(knot, e, det, alpha: int, sigma_k: int,
+                      sigma_k_minors: int) -> int:
+    """Checks the report identities of surface ``e`` from its ``_det_scaled``
+    result ``det`` and the knot signature from sign counts (sigma_k) and
+    from principal minors (sigma_k_minors); returns the surface signature."""
+    coeffs, scale = det
+    at_minus_one = abs(sum(coeffs[::2]) - sum(coeffs[1::2]))
+    if at_minus_one != alpha << scale:
+        _fail("determinant identity |p(-1)| = alpha", knot, e,
+              f"got {Fraction(at_minus_one, 1 << scale)}")
+    plus, minus = sign_counts(e)
+    sigma = plus - minus
+    sigma_minors = _minor_signature(e.terms)
+    if sigma_minors != sigma:
+        _fail("minor recurrence signature = N+ - N-", knot, e,
+              f"minors give {sigma_minors}, counts give {sigma}")
+    # slope along the matrix route (signature difference, both signatures
+    # from principal minors) against the pure sign-count formula
+    if 2 * (sigma_minors - sigma_k_minors) != 2 * sigma - 2 * sigma_k:
+        _fail("slope agreement", knot, e,
+              f"signature route gives {2 * (sigma_minors - sigma_k_minors)}, "
+              f"sign counts give {2 * sigma - 2 * sigma_k}")
+    return sigma
+
+
 def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     """Everything this package computes for one knot, cross-checked.
 
     Before returning, every surface is verified against the identities
     that must hold for it: |p(-1)| equals the determinant alpha, the
-    sign-count signature equals the minor-recurrence signature, and the
-    signature-difference slope equals the sign-count slope formula.
+    sign-count signature equals the minor-recurrence signature, the
+    signature-difference slope equals the sign-count slope formula, and
+    the polynomial has degree k and integral 2**k-scaled coefficients.
     """
     surfaces = essential_surfaces(knot)
     seifert = find_seifert(surfaces)
     sigma_k = seifert.n_plus - seifert.n_minus
     sigma_k_minors = _minor_signature(seifert.expansion.terms)
-    alpha = knot.alpha
     reports = []
     alexander = None
     for s in surfaces:
-        terms = s.expansion.terms
-        coeffs, scale = _det_scaled(terms)
-        at_minus_one = sum(-c if i % 2 else c for i, c in enumerate(coeffs))
-        if abs(at_minus_one) != alpha << scale:
-            raise ConsistencyError(
-                f"determinant identity |p(-1)| = alpha failed for "
-                f"{s.expansion} of {knot}: got {Fraction(abs(at_minus_one), 1 << scale)}"
-            )
-        sigma = s.n_plus - s.n_minus
-        sigma_minors = _minor_signature(terms)
-        if sigma_minors != sigma:
-            raise ConsistencyError(
-                f"sign-count signature disagrees with minor recurrence for "
-                f"{s.expansion} of {knot}"
-            )
-        slope = 2 * (sigma - sigma_k)
-        # recompute along the matrix route: both signatures from minors
-        if 2 * (sigma_minors - sigma_k_minors) != boundary_slope_ht(
-            s.expansion, seifert.expansion
-        ):
-            raise ConsistencyError(
-                f"signature-difference slope disagrees with sign-count "
-                f"formula for {s.expansion} of {knot}"
-            )
-        poly = _canonical_from_scaled(coeffs, scale, len(terms))
-        reports.append(
-            SurfaceReport(surface=s, polynomial=poly, signature=sigma, slope=slope)
-        )
+        e = s.expansion
+        det = _det_scaled(e.terms)
+        sigma = _check_identities(knot, e, det, knot.alpha, sigma_k,
+                                  sigma_k_minors)
+        poly = _canonical_from_scaled(*det, len(e.terms))
+        reports.append(SurfaceReport(s, poly, sigma, 2 * (sigma - sigma_k)))
         if s is seifert:
             alexander = poly
     return InvariantReport(
         knot=knot,
         surfaces=tuple(reports),
-        determinant=alpha,
+        determinant=knot.alpha,
         signature=sigma_k,
         alexander=alexander,
         genus_twice=seifert.genus_twice,
-        nonorientable_genus_twice=min(
-            min((s.genus_twice for s in surfaces if not s.orientable),
-                default=seifert.genus_twice + 1),
-            seifert.genus_twice + 1,
-        ),
+        nonorientable_genus_twice=_crosscap_twice(surfaces, seifert.genus_twice),
     )

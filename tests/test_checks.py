@@ -12,6 +12,7 @@ from bridgestate.checks import (
     iter_knots,
     random_expansion,
 )
+from bridgestate.invariants import _det_scaled
 
 
 def test_iter_knots_small():
@@ -76,17 +77,20 @@ def test_surface_checks_catch_a_wrong_determinant():
     knot = make_knot(5, 2)
     e = Expansion((2, 2))
     with pytest.raises(ConsistencyError, match="determinant identity"):
-        _check_surface_fast(knot, e, alpha=7, sigma_k=0, sigma_k_minors=0)
+        _check_surface_fast(knot, e, alpha=7, sigma_k=0, sigma_k_minors=0,
+                            det=_det_scaled(e.terms))
 
 
 def test_surface_checks_catch_an_inconsistent_reference_signature():
     knot = make_knot(5, 2)
     e = Expansion((2, 2))
     # correct run for contrast
-    _check_surface_fast(knot, e, alpha=5, sigma_k=0, sigma_k_minors=0)
+    _check_surface_fast(knot, e, alpha=5, sigma_k=0, sigma_k_minors=0,
+                        det=_det_scaled(e.terms))
     # a reference signature whose two routes disagree breaks the slope check
     with pytest.raises(ConsistencyError, match="slope agreement"):
-        _check_surface_fast(knot, e, alpha=5, sigma_k=0, sigma_k_minors=2)
+        _check_surface_fast(knot, e, alpha=5, sigma_k=0, sigma_k_minors=2,
+                            det=_det_scaled(e.terms))
 
 
 def test_invariant_multiset_shape():

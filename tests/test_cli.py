@@ -178,6 +178,71 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--max-alpha", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exit_2(self, capsys, jobs):
+        code, _, err = run(capsys, "census", "--max-alpha", "5", "--jobs", jobs)
+        assert code == 2
+        assert "jobs must be at least 1" in err
+
+    def test_jobs_clamped_to_usable_cpus(self, capsys, tmp_path, monkeypatch):
+        import bridgestate.census as census
+
+        cpus = census.usable_cpus()
+        real_pool = census.ProcessPoolExecutor
+        sizes = []
+
+        def pool(max_workers):
+            # refuse before starting a worker if the clamp is missing
+            assert max_workers <= cpus
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", pool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(capsys, "census", "--max-alpha", "19", "--out", str(a),
+                   "--jobs", "1")[0] == 0
+        assert run(capsys, "census", "--max-alpha", "19", "--out", str(b),
+                   "--jobs", "64")[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert sizes == ([cpus] if cpus > 1 else [])
+
+    def test_failed_write_leaves_targets_untouched(self, capsys, tmp_path):
+        # the knot file is written first; the surface file then cannot be
+        # created, so neither target may be created or changed
+        knots = tmp_path / "knots.csv"
+        knots.write_text("previous run\n")
+        surfaces = tmp_path / "no-such-dir" / "surfaces.csv"
+        code, _, err = run(capsys, "census", "--max-alpha", "9",
+                           "--out", str(knots), "--out-surfaces", str(surfaces))
+        assert code == 2
+        assert "error" in err
+        assert knots.read_text() == "previous run\n"
+        assert not surfaces.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["knots.csv"]
+
+    def test_one_path_for_both_files_exits_2(self, capsys, tmp_path):
+        target = str(tmp_path / "census.csv")
+        code, _, err = run(capsys, "census", "--max-alpha", "5",
+                           "--out", target, "--out-surfaces", target)
+        assert code == 2
+        assert "different files" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_before_write_creates_no_file(self, capsys, tmp_path,
+                                                   monkeypatch):
+        import bridgestate.cli as cli
+        from bridgestate import ConsistencyError
+
+        def broken(rows):
+            raise ConsistencyError("injected")
+
+        monkeypatch.setattr(cli, "rows_to_surface_csv", broken)
+        knots, surfaces = tmp_path / "k.csv", tmp_path / "s.csv"
+        code, _, _ = run(capsys, "census", "--max-alpha", "9",
+                         "--out", str(knots), "--out-surfaces", str(surfaces))
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

@@ -400,6 +400,47 @@ class TestFullReport:
         assert r.genus_twice == seifert.surface.genus_twice
 
 
+class TestScaledRepresentation:
+    """``StatePolynomial.coeffs_2k`` against the Fraction route."""
+
+    def test_coeffs_2k_match_fraction_route_and_oracle_to_49(self):
+        from bridgestate.checks import iter_knots
+
+        for alpha, beta in iter_knots(49):
+            for x in full_report(make_knot(alpha, beta)).surfaces:
+                e = x.surface.expansion
+                sp = x.polynomial
+                assert sp.k == len(e.terms)
+                assert all(type(c) is int for c in sp.coeffs_2k)
+                canon = canonical_representative(state_polynomial_det(e))
+                assert list(sp.coeffs_2k) == [c * 2**sp.k for c in canon.coeffs]
+                assert sp.canonical == canon
+                if sp.k <= 6:
+                    oracle = canonical_representative(
+                        state_polynomial_oracle(standard_state_matrix(e),
+                                                max_size=6)
+                    )
+                    assert list(sp.coeffs_2k) == [
+                        c * 2**sp.k for c in oracle.coeffs
+                    ]
+
+    def test_integrality_check_catches_a_coarse_scale(self, monkeypatch):
+        # the same polynomial over denominator 2^(k+1): only the
+        # 2^k-integrality check can notice
+        import bridgestate.invariants as inv
+
+        real = inv._det_scaled
+
+        def coarse(terms):
+            coeffs, scale = real(terms)
+            k = len(terms)
+            return [c << (k + 1 - scale) for c in coeffs], k + 1
+
+        monkeypatch.setattr(inv, "_det_scaled", coarse)
+        with pytest.raises(ConsistencyError, match="2\\^k-integrality"):
+            inv.full_report(make_knot(5, 2))
+
+
 class TestInvariance:
     def test_random_transformations(self):
         rng = random.Random(28)
