@@ -16,9 +16,10 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
 * 2**k * p has integer coefficients; all terms even => p itself integral;
 * sign-count signature = minor-recurrence signature, and |sigma| <= k;
 * signature-difference slope = sign-count slope formula;
-* (optional, bounded k) recurrence determinant = cofactor-oracle
-  determinant, and random normal/orientation/renumbering transformations
-  leave the polynomial class and the signature unchanged.
+* (with ``oracle``, every surface) recurrence determinant =
+  elimination-oracle determinant, and random normal, orientation and
+  renumbering transformations leave the polynomial class and the
+  signature unchanged.
 
 Across presentations, K(alpha, beta) and K(alpha, beta') with
 beta * beta' = 1 mod alpha present the same knot and must produce equal
@@ -78,10 +79,21 @@ class CheckStats:
         return self
 
 
+# tallies of the fast checks, per surface
+_FAST_STATS = CheckStats(
+    surfaces=1,
+    checks=9,
+    polynomial_checks=6,
+    signature_checks=2,
+    slope_checks=1,
+)
+
+
 def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
-                        sigma_k_minors: int, det: tuple) -> CheckStats:
+                        sigma_k_minors: int, det: tuple) -> int:
     """The exact integer checks for one surface, given its ``_det_scaled``
-    result ``det``; returns the check tallies."""
+    result ``det``; ``_FAST_STATS`` tallies them.  Returns the surface's
+    signature N+ - N-."""
     terms = e.terms
     k = len(terms)
     coeffs, scale = det
@@ -111,13 +123,7 @@ def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
     sigma = _check_identities(knot, e, det, alpha, sigma_k, sigma_k_minors)
     if abs(sigma) > k:
         _fail("|sigma| <= 2g", knot, e, f"sigma = {sigma}, k = {k}")
-    return CheckStats(
-        surfaces=1,
-        checks=9,
-        polynomial_checks=6,
-        signature_checks=2,
-        slope_checks=1,
-    )
+    return sigma
 
 
 def random_expansion(rng: random.Random, max_k: int = 8, max_abs: int = 9) -> Expansion:
@@ -160,19 +166,23 @@ def apply_random_transformations(v: StateMatrix, rng: random.Random):
 
 def check_transformation_invariance(e: Expansion, rng: random.Random,
                                     samples: int,
-                                    target: LaurentPolynomial = None) -> int:
-    """Transformed matrices keep the signature and the polynomial class of
-    ``target`` (by default the state polynomial of ``e``)."""
-    k = len(e.terms)
-    base = standard_state_matrix(e)
+                                    target: LaurentPolynomial = None, *,
+                                    base: StateMatrix = None,
+                                    sigma: int = None) -> int:
+    """Transformed matrices keep the signature ``sigma`` and the polynomial
+    class of ``target``; by default these are the state signature and
+    state polynomial of ``e``, and ``base`` its standard state matrix."""
+    if base is None:
+        base = standard_state_matrix(e)
     if target is None:
         target = state_polynomial_det(e)
-    plus, minus = sign_counts(e)
-    sigma = plus - minus
+    if sigma is None:
+        plus, minus = sign_counts(e)
+        sigma = plus - minus
     checks = 0
     for _ in range(samples):
         v, permuted = apply_random_transformations(base, rng)
-        got = state_polynomial_oracle(v, max_size=k)
+        got = state_polynomial_oracle(v)
         if not poly_equivalent(got, target):
             raise ConsistencyError(
                 f"transformed matrix of {e} gave inequivalent polynomial "
@@ -191,12 +201,14 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     return checks
 
 
-def _check_surface_oracle(knot, e, want: LaurentPolynomial) -> int:
-    """Recurrence determinant ``want`` against the cofactor oracle, exactly."""
-    got = state_polynomial_oracle(standard_state_matrix(e), max_size=len(e.terms))
+def _check_surface_oracle(knot, e, want: LaurentPolynomial,
+                          v: StateMatrix) -> int:
+    """Recurrence determinant ``want`` against the elimination oracle on the
+    standard state matrix ``v`` of ``e``, exactly."""
+    got = state_polynomial_oracle(v)
     if got != want:
-        _fail("recurrence = cofactor determinant", knot, e,
-              f"recurrence {want}, cofactor {got}")
+        _fail("recurrence = oracle determinant", knot, e,
+              f"recurrence {want}, oracle {got}")
     canon = canonical_representative(want)
     if canon != canonical_representative(want.reciprocal_substitute()):
         _fail("canonical symmetry", knot, e, f"canonical {canon}")
@@ -223,7 +235,7 @@ def check_negative_control() -> int:
     3/2 - 4t + (3/2)t^2 of [2, 3].
     """
     wrong = state_matrix([[Fraction(1, 2), 1], [1, Fraction(-3, 2)]])
-    wrong_poly = state_polynomial_oracle(wrong, max_size=2)
+    wrong_poly = state_polynomial_oracle(wrong)
     degenerate = LaurentPolynomial(
         0, (Fraction(-7, 4), Fraction(7, 2), Fraction(-7, 4))
     )
@@ -240,14 +252,16 @@ def check_negative_control() -> int:
     return 2
 
 
-def check_knot(knot, *, oracle_max_k: int = 0, invariance_samples: int = 0,
+def check_knot(knot, *, oracle: bool = False, invariance_samples: int = 0,
                rng: random.Random = None) -> CheckStats:
     """Run every per-knot identity; raise ConsistencyError on the first
-    failure, with witness values in the message."""
-    return _check_knot(knot, oracle_max_k, invariance_samples, rng)[0]
+    failure, with witness values in the message.  With ``oracle``, every
+    surface is also checked against the elimination oracle and, given
+    ``rng``, under ``invariance_samples`` random transformations."""
+    return _check_knot(knot, oracle, invariance_samples, rng)[0]
 
 
-def _check_knot(knot, oracle_max_k: int = 0, invariance_samples: int = 0,
+def _check_knot(knot, oracle: bool = False, invariance_samples: int = 0,
                 rng: random.Random = None) -> tuple:
     """``check_knot``'s tallies and the knot's ``invariant_multiset``, all
     from one run of the determinant recurrence per surface."""
@@ -271,16 +285,18 @@ def _check_knot(knot, oracle_max_k: int = 0, invariance_samples: int = 0,
     multiset = []
     for e in expansions:
         det = _det_scaled(e.terms)
-        stats += _check_surface_fast(knot, e, alpha, sigma_k, sigma_k_minors, det)
-        plus, minus = sign_counts(e)
+        sigma = _check_surface_fast(knot, e, alpha, sigma_k, sigma_k_minors,
+                                    det)
+        stats += _FAST_STATS
         multiset.append((_canonical_from_scaled(*det, len(e.terms)).coeffs_2k,
-                         plus - minus, 2 * (plus - minus - sigma_k)))
-        if oracle_max_k and len(e.terms) <= oracle_max_k:
+                         sigma, 2 * (sigma - sigma_k)))
+        if oracle:
             poly = laurent_from_scaled(*det)
-            stats.checks += _check_surface_oracle(knot, e, poly)
+            v = standard_state_matrix(e)
+            stats.checks += _check_surface_oracle(knot, e, poly, v)
             if invariance_samples and rng is not None:
                 stats.checks += check_transformation_invariance(
-                    e, rng, invariance_samples, poly
+                    e, rng, invariance_samples, poly, base=v, sigma=sigma
                 )
     return stats, tuple(sorted(multiset))
 
@@ -293,7 +309,7 @@ def iter_knots(max_alpha: int):
                 yield alpha, beta
 
 
-def check_range(max_alpha: int, *, oracle_max_k: int = 0,
+def check_range(max_alpha: int, *, oracle: bool = False,
                 invariance_samples: int = 0, seed: int = 0,
                 presentation: bool = True) -> CheckStats:
     """Sweep every knot with determinant up to max_alpha."""
@@ -307,7 +323,7 @@ def check_range(max_alpha: int, *, oracle_max_k: int = 0,
             _check_presentations(current_alpha, multisets)
             current_alpha, multisets = alpha, {}
         knot_stats, multiset = _check_knot(
-            make_knot(alpha, beta), oracle_max_k, invariance_samples, rng
+            make_knot(alpha, beta), oracle, invariance_samples, rng
         )
         stats += knot_stats
         if presentation:

@@ -29,7 +29,7 @@ from .census import (
 )
 from .checks import check_knot, check_negative_control, check_range
 from .errors import ConsistencyError, InvalidInputError
-from .invariants import full_report, oracle_size_bound
+from .invariants import full_report
 from .surfaces import essential_surfaces, make_knot
 
 
@@ -119,12 +119,11 @@ def cmd_verify(args) -> int:
         raise InvalidInputError(
             "verify needs either ALPHA BETA or --max-alpha N (not both)"
         )
-    bound = oracle_size_bound()
     if have_knot:
         knot = make_knot(args.alpha, args.beta)
         stats = check_knot(
             knot,
-            oracle_max_k=bound,
+            oracle=True,
             invariance_samples=2,
             rng=random.Random(0),
         )
@@ -137,7 +136,7 @@ def cmd_verify(args) -> int:
             raise InvalidInputError("--max-alpha must be at least 3")
         stats = check_range(
             args.max_alpha,
-            oracle_max_k=bound,
+            oracle=True,
             invariance_samples=1,
             seed=0,
             presentation=True,

@@ -21,12 +21,12 @@ d_0 = 1, d_1 = (n1/2)(1-t), d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1}
 only at odd terms, so s <= k).  A ``StatePolynomial`` keeps them as the
 integer coefficients of 2**k times the canonical representative, so reports
 never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
-built only for display, the oracle and invariance sampling.  A plain
-cofactor expansion over Laurent arithmetic is kept as a bounded,
-structurally independent oracle.
+built only for display, the oracle and invariance sampling.  The oracle,
+structurally independent of the recurrence, is exact sparse elimination of
+V - t*V^T at t = 2**B, polynomial in k, so it checks every surface.
 """
 
-import os
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,10 +41,6 @@ from .surfaces import (
     find_seifert,
     sign_counts,
 )
-
-ORACLE_MAX_K_ENV = "BRIDGESTATE_ORACLE_MAX_K"
-DEFAULT_ORACLE_MAX_K = 8
-
 
 # ---------------------------------------------------------------------------
 # state polynomial
@@ -97,12 +93,11 @@ def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
 def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
     """The representative of {+-t^j * p} with min degree 0 and positive
     lowest coefficient."""
-    if p.is_zero:
+    if p.is_zero or (p.min_degree == 0 and p.coeffs[0] > 0):
         return p
-    q = LaurentPolynomial(0, p.coeffs)
-    if q.coeffs[0] < 0:
-        q = -q
-    return q
+    if p.coeffs[0] < 0:
+        return LaurentPolynomial(0, tuple(-c for c in p.coeffs))
+    return LaurentPolynomial(0, p.coeffs)
 
 
 def poly_equivalent(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
@@ -154,65 +149,141 @@ def state_polynomial(e: Expansion) -> StatePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# cofactor oracle
+# elimination oracle
 
 
-def oracle_size_bound() -> int:
-    """Largest matrix size the cofactor oracle will accept.
+def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
+    """det(V - t*V^T) by exact sparse elimination, uncanonicalized.
 
-    Controlled by the BRIDGESTATE_ORACLE_MAX_K environment variable
-    (default 8); the oracle's cost grows exponentially with size.
+    Shares no code with the recurrence and assumes no structure of V, so it
+    also checks transformed and renumbered state matrices.  With D the lcm
+    of the entry denominators, A = D*V is an integer matrix, and every
+    coefficient of det(A - t*A^T) is smaller in absolute value than
+    prod_i sum_j (|A_ij| + |A_ji|) < 2**(B-1).  Substituting t = 2**B
+    (Kronecker) turns the polynomial determinant into one integer
+    determinant, computed by fraction-free Bareiss elimination (Math. Comp.
+    22, 1968) on sparse rows in Cuthill-McKee order; its k + 1 signed
+    base-2**B digits are the coefficients of det(A - t*A^T) =
+    D**k * det(V - t*V^T).  Polynomial time in k and the entry sizes.
     """
-    raw = os.environ.get(ORACLE_MAX_K_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_MAX_K
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"{ORACLE_MAX_K_ENV} must be an integer, got {raw!r}"
-        ) from None
+    ent = v.entries
+    k = len(ent)
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in ent]
+    den = math.lcm(*{x.denominator for row in nonzero for _, x in row})
+    a = [{j: x.numerator * (den // x.denominator) for j, x in row}
+         for row in nonzero]
 
+    # coefficient bound, and the sparse rows of A - 2**B * A^T
+    sums = [sum(map(abs, row.values())) for row in a]
+    for row in a:
+        for j, x in row.items():
+            sums[j] += abs(x)
+    bound = math.prod(sums)
+    if not bound:
+        return ZERO  # a zero row and column
+    bits = bound.bit_length() + 1
+    m = [dict(row) for row in a]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            m[j][i] = m[j].get(i, 0) - (x << bits)
 
-def characteristic_matrix(v: StateMatrix) -> tuple:
-    """V - t*V^T as a matrix of Laurent polynomials.
-
-    For a standard state matrix this is tridiagonal with diagonal
-    (-1)**(j+1) * (nj/2) * (1 - t) and off-diagonal pairs {1, -t};
-    specializing t = -1 gives the Gordon-Litherland matrix V + V^T.
-    """
-    t = v.transpose_entries()
-    return tuple(
-        tuple(LaurentPolynomial(0, (a, -b)) for a, b in zip(row, trow))
-        for row, trow in zip(v.entries, t)
-    )
-
-
-def _cofactor_det(m) -> LaurentPolynomial:
-    if len(m) == 1:
-        return m[0][0]
-    total = ZERO
-    for j, entry in enumerate(m[0]):
-        if entry.is_zero:
+    # Cuthill-McKee order of the symmetric sparsity pattern; a simultaneous
+    # row and column permutation leaves the determinant unchanged
+    degree = [len(row) - (i in row) for i, row in enumerate(m)]
+    order, seen = [], [False] * k
+    for start in sorted(range(k), key=degree.__getitem__):
+        if seen[start]:
             continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = entry * _cofactor_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        seen[start] = True
+        queue = [start]
+        for u in queue:
+            nbrs = [j for j in m[u] if not seen[j]]
+            nbrs.sort(key=degree.__getitem__)
+            for j in nbrs:
+                seen[j] = True
+            queue.extend(nbrs)
+        order.extend(queue)
+    pos = [0] * k
+    for idx, i in enumerate(order):
+        pos[i] = idx
+    rows = [{pos[j]: x for j, x in m[i].items()} for i in order]
+    cols = [set() for _ in range(k)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
 
+    def exact_div(x, d):
+        q, r = divmod(x, d)
+        if r:
+            raise ConsistencyError(f"inexact Bareiss division in a size-{k} "
+                                   "elimination")
+        return q
 
-def state_polynomial_oracle(v: StateMatrix, max_size: int = None) -> LaurentPolynomial:
-    """det(V - t*V^T) by full cofactor expansion, uncanonicalized.
+    # sparse Bareiss elimination with row pivoting: rows[i] holds the
+    # Bareiss values of the step last[i] at which row i last changed
+    last = [0] * k
+    pivots = [1]
+    perm = []
+    for step in range(1, k + 1):
+        c = step - 1
+        cand = cols[c]
+        if not cand:
+            return ZERO
+        r = c if c in cand else min(cand)
+        cand.discard(r)
+        prow = rows[r]
+        if last[r] != c:
+            # a row that steps skipped: scale it up to step c
+            f, g = pivots[c], pivots[last[r]]
+            prow = {j: exact_div(x * f, g) for j, x in prow.items()}
+        p = prow.pop(c)
+        for j in prow:
+            cols[j].discard(r)
+        pivots.append(p)
+        perm.append(r)
+        for i in cand:
+            row = rows[i]
+            x_ic = row.pop(c)
+            g = pivots[last[i]]
+            for j in prow:
+                if j not in row:
+                    row[j] = 0
+                    cols[j].add(i)
+            for j, x in row.items():
+                x = p * x - x_ic * prow.get(j, 0)
+                row[j] = x if g == 1 else exact_div(x, g)
+            for j in [j for j, x in row.items() if not x]:
+                del row[j]
+                cols[j].discard(i)
+            last[i] = step
+        cand.clear()
+    det = pivots[k]
+    seen = [False] * k
+    for i in range(k):
+        if not seen[i]:
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+            det = -det  # one sign per cycle: sign(perm) = (-1)**(k - cycles)
+    if k % 2:
+        det = -det
 
-    Exists purely to cross-check the recurrence path, so it refuses
-    matrices larger than the configured bound rather than grind.
-    """
-    bound = oracle_size_bound() if max_size is None else max_size
-    if v.size > bound:
-        raise InvalidInputError(
-            f"cofactor oracle refuses size {v.size} > bound {bound}"
+    # signed base-2**B digits, lowest degree first
+    base, half = 1 << bits, 1 << (bits - 1)
+    coeffs = []
+    for _ in range(k + 1):
+        digit = det & (base - 1)
+        if digit >= half:
+            digit -= base
+        coeffs.append(digit)
+        det = (det - digit) >> bits
+    if det:
+        raise ConsistencyError(
+            f"elimination determinant of a size-{k} matrix exceeds degree {k}"
         )
-    return _cofactor_det(characteristic_matrix(v))
+    scale = den ** k
+    return LaurentPolynomial(0, tuple(Fraction(x, scale) for x in coeffs))
 
 
 # ---------------------------------------------------------------------------

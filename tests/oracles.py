@@ -1,8 +1,9 @@
 """Independent reference computations the tests check the package against.
 
 Nothing here shares code paths with the package internals it verifies:
-expansions are found by exhaustive search over term sequences, and Laurent
-arithmetic is redone on degree->coefficient dictionaries.
+expansions are found by exhaustive search over term sequences, Laurent
+arithmetic is redone on degree->coefficient dictionaries, and determinants
+of small matrices are expanded by cofactors.
 """
 
 from fractions import Fraction
@@ -85,3 +86,40 @@ def random_laurent(rng, max_span: int = 5, max_num: int = 6) -> LaurentPolynomia
         for _ in range(rng.randint(1, max_span))
     ]
     return LaurentPolynomial(lo, tuple(coeffs))
+
+
+def characteristic_matrix(v) -> tuple:
+    """V - t*V^T as a matrix of Laurent polynomials.
+
+    For a standard state matrix this is tridiagonal with diagonal
+    (-1)**(j+1) * (nj/2) * (1 - t) and off-diagonal pairs {1, -t};
+    specializing t = -1 gives the Gordon-Litherland matrix V + V^T.
+    """
+    t = v.transpose_entries()
+    return tuple(
+        tuple(LaurentPolynomial(0, (a, -b)) for a, b in zip(row, trow))
+        for row, trow in zip(v.entries, t)
+    )
+
+
+def cofactor_det(m) -> LaurentPolynomial:
+    """Determinant of a square matrix of Laurent polynomials by full
+    cofactor expansion along the first row; exponential in the size."""
+    if not m:
+        return LaurentPolynomial(0, (1,))
+    if len(m) == 1:
+        return m[0][0]
+    total = LaurentPolynomial(0, ())
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero:
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
+        term = entry * cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def cofactor_state_polynomial(v) -> LaurentPolynomial:
+    """det(V - t*V^T) by cofactor expansion, uncanonicalized: the reference
+    the package's elimination oracle is tested against, for small sizes."""
+    return cofactor_det(characteristic_matrix(v))

@@ -41,7 +41,7 @@ def poly_value(coeffs_2k, k, x):
 def theorem_sweep_499():
     """Shared single-worker sweep used by criteria 5 and 6."""
     t0 = time.perf_counter()
-    stats = check_range(499, oracle_max_k=0, invariance_samples=0,
+    stats = check_range(499, oracle=False, invariance_samples=0,
                         presentation=False)
     return stats, time.perf_counter() - t0
 
@@ -157,7 +157,7 @@ def test_criterion_08_negative_control():
     wrong = __import__("bridgestate").state_matrix(
         [[Fraction(1, 2), 1], [1, Fraction(-3, 2)]]
     )
-    got = state_polynomial_oracle(wrong, max_size=2)
+    got = state_polynomial_oracle(wrong)
     # -(7/4)(1-t)^2, which is NOT +-t^j times 3/2 - 4t + (3/2)t^2
     assert got.coeffs == (Fraction(-7, 4), Fraction(7, 2), Fraction(-7, 4))
     from bridgestate import poly_equivalent, state_polynomial
@@ -183,24 +183,21 @@ def test_criterion_09_oracle_equivalence_to_60():
                 assert got == brute_force_expansions(x, alpha, alpha)
                 expansions_checked += len(got)
             for e in surfaces_expansions(knot):
-                if len(e.terms) <= 8:
-                    oracle = state_polynomial_oracle(
-                        standard_state_matrix(e), max_size=8
-                    )
-                    assert oracle == state_polynomial_det(e)
-                    dets_checked += 1
+                oracle = state_polynomial_oracle(standard_state_matrix(e))
+                assert oracle == state_polynomial_det(e)
+                dets_checked += 1
     rng = random.Random(60)
     for _ in range(200):
         e = random_expansion(rng, max_k=8)
         assert state_polynomial_oracle(
-            standard_state_matrix(e), max_size=8
+            standard_state_matrix(e)
         ) == state_polynomial_det(e)
         dets_checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(
         f"ACCEPTANCE 09 PASS ({elapsed:.1f} s): {expansions_checked} expansions "
-        f"vs brute force, {dets_checked} determinants vs cofactor oracle"
+        f"vs brute force, {dets_checked} determinants vs elimination oracle"
     )
 
 

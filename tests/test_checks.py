@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from bridgestate import ConsistencyError, Expansion, make_knot
+from bridgestate import (
+    ConsistencyError,
+    Expansion,
+    make_knot,
+    surfaces_expansions,
+)
 from bridgestate.checks import (
     _check_surface_fast,
     check_knot,
@@ -44,7 +49,7 @@ def test_check_knot_counts():
 def test_check_knot_with_oracle_and_invariance():
     stats = check_knot(
         make_knot(7, 3),
-        oracle_max_k=8,
+        oracle=True,
         invariance_samples=2,
         rng=random.Random(1),
     )
@@ -53,7 +58,7 @@ def test_check_knot_with_oracle_and_invariance():
 
 
 def test_check_range_small_sweep():
-    stats = check_range(31, oracle_max_k=6, invariance_samples=1, seed=2)
+    stats = check_range(31, oracle=True, invariance_samples=1, seed=2)
     assert stats.knots == sum(1 for _ in iter_knots(31))
     assert stats.surfaces > stats.knots
     assert stats.checks == (
@@ -67,6 +72,22 @@ def test_presentation_independence_to_99():
     # beta and beta^-1 mod alpha present the same knot
     stats = check_range(99, presentation=True)
     assert stats.knots == sum(1 for _ in iter_knots(99))
+
+
+def test_oracle_checks_surfaces_above_size_8(oracle_negated_above_size_8):
+    # K(11,1) has a surface with k = 10; a fault seen only there is caught
+    assert max(len(e.terms) for e in surfaces_expansions(make_knot(11, 1))) == 10
+    check_knot(make_knot(11, 1))  # without the oracle nothing is compared
+    with pytest.raises(ConsistencyError,
+                       match="recurrence = oracle determinant"):
+        check_knot(make_knot(11, 1), oracle=True)
+
+
+def test_oracle_covers_every_surface_in_a_sweep():
+    stats = check_range(15, oracle=True, presentation=False)
+    plain = check_range(15, presentation=False)
+    # two oracle checks (exact determinant, canonical symmetry) per surface
+    assert stats.checks == plain.checks + 2 * stats.surfaces
 
 
 def test_negative_control():

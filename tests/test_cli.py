@@ -104,6 +104,12 @@ class TestVerifyCommand:
         assert out.startswith("pass:")
         assert "48 knots" in out
 
+    def test_oracle_fault_above_size_8_exits_1(self, capsys,
+                                               oracle_negated_above_size_8):
+        code, _, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "recurrence = oracle determinant" in err
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2

@@ -107,7 +107,7 @@ class TestStatePolynomial:
 
 class TestCharacteristicMatrix:
     def test_pair_products_and_specialization(self):
-        from bridgestate.invariants import characteristic_matrix
+        from oracles import characteristic_matrix
 
         minus_t = laurent([-1], min_degree=1)
         rng = random.Random(19)
@@ -144,19 +144,50 @@ class TestOracle:
         assert got == laurent([F(-7, 4), F(7, 2), F(-7, 4)])  # -(7/4)(1-t)^2
         assert not poly_equivalent(got, state_polynomial(Expansion((2, 3))).canonical)
 
-    def test_refuses_sizes_above_bound(self):
-        v = standard_state_matrix(Expansion((2, 3, 2)))
-        with pytest.raises(InvalidInputError, match="refuses"):
-            state_polynomial_oracle(v, max_size=2)
+    @pytest.mark.parametrize("seed", [198, 199])
+    def test_k_198_standard_and_renumbered(self, seed):
+        rng = random.Random(seed)
+        e = Expansion(tuple(
+            rng.choice((-1, 1)) * rng.randint(2, 9) for _ in range(198)
+        ))
+        want = state_polynomial_det(e)
+        v = standard_state_matrix(e)
+        renumbered = permuted_state_matrix(v, rng.sample(range(198), 198))
+        for m in (v, renumbered):
+            got = state_polynomial_oracle(m)
+            assert poly_equivalent(got, want)
+            # a simultaneous permutation leaves the determinant itself alone
+            assert got == want
 
-    def test_bound_from_environment(self, monkeypatch):
-        monkeypatch.setenv("BRIDGESTATE_ORACLE_MAX_K", "2")
-        v = standard_state_matrix(Expansion((2, 3, 2)))
-        with pytest.raises(InvalidInputError):
-            state_polynomial_oracle(v)
-        monkeypatch.setenv("BRIDGESTATE_ORACLE_MAX_K", "not-a-number")
-        with pytest.raises(InvalidInputError):
-            state_polynomial_oracle(v)
+    def test_matches_cofactor_reference_on_random_matrices(self):
+        from oracles import cofactor_state_polynomial
+
+        rng = random.Random(30)
+        singular = 0
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            den = rng.choice((1, 2, 3, 6))
+            rows = [
+                [F(rng.randint(-6, 6), rng.randint(1, den)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            if k > 1 and rng.random() < 0.3:
+                # a repeated row and column, or a zero row and column, make
+                # two rows of V - t*V^T equal or zero: singular
+                i, j = rng.sample(range(k), 2)
+                if rng.random() < 0.5:
+                    rows[i] = list(rows[j])
+                    for row in rows:
+                        row[i] = row[j]
+                else:
+                    rows[i] = [F(0)] * k
+                    for row in rows:
+                        row[i] = F(0)
+            v = state_matrix(rows)
+            want = cofactor_state_polynomial(v)
+            singular += want.is_zero
+            assert state_polynomial_oracle(v) == want
+        assert singular > 0
 
     def test_matches_recurrence_random(self):
         rng = random.Random(22)
@@ -415,14 +446,12 @@ class TestScaledRepresentation:
                 canon = canonical_representative(state_polynomial_det(e))
                 assert list(sp.coeffs_2k) == [c * 2**sp.k for c in canon.coeffs]
                 assert sp.canonical == canon
-                if sp.k <= 6:
-                    oracle = canonical_representative(
-                        state_polynomial_oracle(standard_state_matrix(e),
-                                                max_size=6)
-                    )
-                    assert list(sp.coeffs_2k) == [
-                        c * 2**sp.k for c in oracle.coeffs
-                    ]
+                oracle = canonical_representative(
+                    state_polynomial_oracle(standard_state_matrix(e))
+                )
+                assert list(sp.coeffs_2k) == [
+                    c * 2**sp.k for c in oracle.coeffs
+                ]
 
     def test_integrality_check_catches_a_coarse_scale(self, monkeypatch):
         # the same polynomial over denominator 2^(k+1): only the
@@ -461,7 +490,7 @@ class TestInvariance:
             v = flip_normal(standard_state_matrix(e), i)
             for j in range(i + 1, k + 1):
                 v = flip_orientation(v, j)
-            assert state_polynomial_oracle(v, max_size=k) == state_polynomial_det(e)
+            assert state_polynomial_oracle(v) == state_polynomial_det(e)
             assert state_signature_minors(v) == state_signature(e)
 
 
