@@ -19,7 +19,10 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
 * (with ``oracle``, every surface) recurrence determinant =
   elimination-oracle determinant, and random normal, orientation and
   renumbering transformations leave the polynomial class and the
-  signature unchanged.
+  signature unchanged.  These compare integer coefficient lists: the
+  oracle's, of D**k * p for the integer matrix D*V, times 2**s against the
+  recurrence's, of 2**s * p, times D**k; no Fraction is built unless a
+  check fails.
 
 Across presentations, K(alpha, beta) and K(alpha, beta') with
 beta * beta' = 1 mod alpha present the same knot and must produce equal
@@ -40,11 +43,11 @@ from .invariants import (
     _det_scaled,
     _fail,
     _minor_signature,
+    _oracle_scaled,
     canonical_representative,
-    laurent_from_scaled,
+    laurent_over,
     poly_equivalent,
     state_polynomial,
-    state_polynomial_det,
     state_polynomial_oracle,
     state_signature_minors,
     symmetric_signature,
@@ -138,10 +141,10 @@ def random_expansion(rng: random.Random, max_k: int = 8, max_abs: int = 9) -> Ex
 
 def permuted_state_matrix(v: StateMatrix, perm) -> StateMatrix:
     """Simultaneous row/column permutation (a curve renumbering)."""
-    ent = v.entries
-    return state_matrix(
-        [[ent[i][j] for j in perm] for i in perm]
-    )
+    rows = v.scaled
+    return StateMatrix(v.den, tuple(
+        tuple(map(rows[i].__getitem__, perm)) for i in perm
+    ))
 
 
 def apply_random_transformations(v: StateMatrix, rng: random.Random):
@@ -164,32 +167,50 @@ def apply_random_transformations(v: StateMatrix, rng: random.Random):
     return v, permuted
 
 
+def _unit_class(coeffs) -> list:
+    """Integer coefficients with zero ends stripped and the lowest one made
+    positive: equal for p and +-t^j * p, and scaling commutes with it."""
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    if not nonzero:
+        return []
+    body = list(coeffs[nonzero[0]:nonzero[-1] + 1])
+    return body if body[0] > 0 else [-c for c in body]
+
+
 def check_transformation_invariance(e: Expansion, rng: random.Random,
-                                    samples: int,
-                                    target: LaurentPolynomial = None, *,
+                                    samples: int, det: tuple = None, *,
                                     base: StateMatrix = None,
                                     sigma: int = None) -> int:
     """Transformed matrices keep the signature ``sigma`` and the polynomial
-    class of ``target``; by default these are the state signature and
-    state polynomial of ``e``, and ``base`` its standard state matrix."""
+    class of the ``_det_scaled`` result ``det``; by default these are the
+    state signature and state polynomial of ``e``, and ``base`` its
+    standard state matrix.  The oracle coefficients of den * V and the
+    2**s-scaled recurrence coefficients are compared in integers, as
+    oracle * 2**s against recurrence * den**k."""
     if base is None:
         base = standard_state_matrix(e)
-    if target is None:
-        target = state_polynomial_det(e)
+    if det is None:
+        det = _det_scaled(e.terms)
     if sigma is None:
         plus, minus = sign_counts(e)
         sigma = plus - minus
+    coeffs, scale = det
+    k = base.size
+    want = _unit_class(coeffs)
     checks = 0
     for _ in range(samples):
         v, permuted = apply_random_transformations(base, rng)
-        got = state_polynomial_oracle(v)
-        if not poly_equivalent(got, target):
+        got, den = _oracle_scaled(v)
+        den_k = den ** k
+        if ([x << scale for x in _unit_class(got)]
+                != [x * den_k for x in want]):
             raise ConsistencyError(
                 f"transformed matrix of {e} gave inequivalent polynomial "
-                f"{got} (expected class of {target})"
+                f"{laurent_over(got, den_k)} (expected class of "
+                f"{laurent_over(coeffs, 1 << scale)})"
             )
         if permuted:
-            sig = symmetric_signature(gl_matrix(v).entries)
+            sig = symmetric_signature(gl_matrix(v).scaled)
         else:
             sig = state_signature_minors(v)
         if sig != sigma:
@@ -201,16 +222,19 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     return checks
 
 
-def _check_surface_oracle(knot, e, want: LaurentPolynomial,
-                          v: StateMatrix) -> int:
-    """Recurrence determinant ``want`` against the elimination oracle on the
-    standard state matrix ``v`` of ``e``, exactly."""
-    got = state_polynomial_oracle(v)
-    if got != want:
+def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix) -> int:
+    """The recurrence's ``_det_scaled`` result ``det`` against the
+    elimination oracle on the standard state matrix ``v`` of ``e``,
+    exactly: oracle * 2**s = recurrence * den**k."""
+    coeffs, scale = det
+    got, den = _oracle_scaled(v)
+    den_k = den ** v.size
+    if [x << scale for x in got] != [x * den_k for x in coeffs]:
         _fail("recurrence = oracle determinant", knot, e,
-              f"recurrence {want}, oracle {got}")
-    canon = canonical_representative(want)
-    if canon != canonical_representative(want.reciprocal_substitute()):
+              f"recurrence {laurent_over(coeffs, 1 << scale)}, "
+              f"oracle {laurent_over(got, den_k)}")
+    if _unit_class(coeffs) != _unit_class(coeffs[::-1]):
+        canon = canonical_representative(laurent_over(coeffs, 1 << scale))
         _fail("canonical symmetry", knot, e, f"canonical {canon}")
     return 2
 
@@ -291,12 +315,11 @@ def _check_knot(knot, oracle: bool = False, invariance_samples: int = 0,
         multiset.append((_canonical_from_scaled(*det, len(e.terms)).coeffs_2k,
                          sigma, 2 * (sigma - sigma_k)))
         if oracle:
-            poly = laurent_from_scaled(*det)
             v = standard_state_matrix(e)
-            stats.checks += _check_surface_oracle(knot, e, poly, v)
+            stats.checks += _check_surface_oracle(knot, e, det, v)
             if invariance_samples and rng is not None:
                 stats.checks += check_transformation_invariance(
-                    e, rng, invariance_samples, poly, base=v, sigma=sigma
+                    e, rng, invariance_samples, det, base=v, sigma=sigma
                 )
     return stats, tuple(sorted(multiset))
 

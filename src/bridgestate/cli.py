@@ -115,7 +115,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     have_knot = args.alpha is not None and args.beta is not None
-    if have_knot == (args.max_alpha is not None):
+    have_any = args.alpha is not None or args.beta is not None
+    if have_knot == (args.max_alpha is not None) or have_any != have_knot:
         raise InvalidInputError(
             "verify needs either ALPHA BETA or --max-alpha N (not both)"
         )

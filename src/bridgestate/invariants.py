@@ -21,9 +21,12 @@ d_0 = 1, d_1 = (n1/2)(1-t), d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1}
 only at odd terms, so s <= k).  A ``StatePolynomial`` keeps them as the
 integer coefficients of 2**k times the canonical representative, so reports
 never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
-built only for display, the oracle and invariance sampling.  The oracle,
-structurally independent of the recurrence, is exact sparse elimination of
-V - t*V^T at t = 2**B, polynomial in k, so it checks every surface.
+built only for display, the public oracle wrapper and failure messages.
+The oracle, structurally independent of the recurrence, is exact sparse
+elimination of D*(V - t*V^T) at t = 2**B on the integer matrix D*V a
+``StateMatrix`` stores, polynomial in k, so it checks every surface.
+Signatures of transformed matrices come from exact sparse integer
+elimination as well (``symmetric_signature``).
 """
 
 import math
@@ -79,15 +82,15 @@ def _det_scaled(terms) -> tuple:
     return cur, s_cur
 
 
-def laurent_from_scaled(coeffs, scale: int) -> LaurentPolynomial:
-    """The polynomial sum_i coeffs[i] / 2**scale * t**i."""
-    den = 1 << scale
+def laurent_over(coeffs, den: int) -> LaurentPolynomial:
+    """The polynomial sum_i coeffs[i] / den * t**i."""
     return LaurentPolynomial(0, tuple(Fraction(c, den) for c in coeffs))
 
 
 def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
     """det(V - t*V^T) for the standard state matrix, uncanonicalized."""
-    return laurent_from_scaled(*_det_scaled(e.terms))
+    coeffs, scale = _det_scaled(e.terms)
+    return laurent_over(coeffs, 1 << scale)
 
 
 def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
@@ -121,7 +124,7 @@ class StatePolynomial:
 
     @property
     def canonical(self) -> LaurentPolynomial:
-        return laurent_from_scaled(self.coeffs_2k, self.k)
+        return laurent_over(self.coeffs_2k, 1 << self.k)
 
 
 def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:
@@ -152,44 +155,15 @@ def state_polynomial(e: Expansion) -> StatePolynomial:
 # elimination oracle
 
 
-def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
-    """det(V - t*V^T) by exact sparse elimination, uncanonicalized.
+def _cuthill_mckee(rows) -> list:
+    """The sparse rows (dicts column -> value) of a matrix with a symmetric
+    sparsity pattern, rows and columns relabelled in Cuthill-McKee order.
 
-    Shares no code with the recurrence and assumes no structure of V, so it
-    also checks transformed and renumbered state matrices.  With D the lcm
-    of the entry denominators, A = D*V is an integer matrix, and every
-    coefficient of det(A - t*A^T) is smaller in absolute value than
-    prod_i sum_j (|A_ij| + |A_ji|) < 2**(B-1).  Substituting t = 2**B
-    (Kronecker) turns the polynomial determinant into one integer
-    determinant, computed by fraction-free Bareiss elimination (Math. Comp.
-    22, 1968) on sparse rows in Cuthill-McKee order; its k + 1 signed
-    base-2**B digits are the coefficients of det(A - t*A^T) =
-    D**k * det(V - t*V^T).  Polynomial time in k and the entry sizes.
-    """
-    ent = v.entries
-    k = len(ent)
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in ent]
-    den = math.lcm(*{x.denominator for row in nonzero for _, x in row})
-    a = [{j: x.numerator * (den // x.denominator) for j, x in row}
-         for row in nonzero]
-
-    # coefficient bound, and the sparse rows of A - 2**B * A^T
-    sums = [sum(map(abs, row.values())) for row in a]
-    for row in a:
-        for j, x in row.items():
-            sums[j] += abs(x)
-    bound = math.prod(sums)
-    if not bound:
-        return ZERO  # a zero row and column
-    bits = bound.bit_length() + 1
-    m = [dict(row) for row in a]
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            m[j][i] = m[j].get(i, 0) - (x << bits)
-
-    # Cuthill-McKee order of the symmetric sparsity pattern; a simultaneous
-    # row and column permutation leaves the determinant unchanged
-    degree = [len(row) - (i in row) for i, row in enumerate(m)]
+    A simultaneous row and column permutation is a congruence by a
+    permutation matrix: it keeps the determinant and the signature, and it
+    keeps the fill-in of a (near-)banded matrix small."""
+    k = len(rows)
+    degree = [len(row) - (i in row) for i, row in enumerate(rows)]
     order, seen = [], [False] * k
     for start in sorted(range(k), key=degree.__getitem__):
         if seen[start]:
@@ -197,7 +171,7 @@ def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
         seen[start] = True
         queue = [start]
         for u in queue:
-            nbrs = [j for j in m[u] if not seen[j]]
+            nbrs = [j for j in rows[u] if not seen[j]]
             nbrs.sort(key=degree.__getitem__)
             for j in nbrs:
                 seen[j] = True
@@ -206,7 +180,38 @@ def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
     pos = [0] * k
     for idx, i in enumerate(order):
         pos[i] = idx
-    rows = [{pos[j]: x for j, x in m[i].items()} for i in order]
+    return [{pos[j]: x for j, x in rows[i].items()} for i in order]
+
+
+def _oracle_scaled(v: StateMatrix) -> tuple:
+    """(coefficients of det(A - t*A^T), den) for A = v.scaled = den * V,
+    lowest degree first: k + 1 ints, all zero for a singular matrix.
+
+    Every coefficient of det(A - t*A^T) is smaller in absolute value than
+    prod_i sum_j (|A_ij| + |A_ji|) < 2**(B-1).  Substituting t = 2**B
+    (Kronecker) turns the polynomial determinant into one integer
+    determinant, computed by fraction-free Bareiss elimination (Math. Comp.
+    22, 1968) on sparse rows in Cuthill-McKee order; its k + 1 signed
+    base-2**B digits are the coefficients.
+    """
+    k = v.size
+    a = [{j: x for j, x in enumerate(row) if x} for row in v.scaled]
+    zero = [0] * (k + 1), v.den
+
+    # coefficient bound, and the sparse rows of A - 2**B * A^T
+    sums = [sum(map(abs, row.values())) for row in a]
+    for row in a:
+        for j, x in row.items():
+            sums[j] += abs(x)
+    bound = math.prod(sums)
+    if not bound:
+        return zero  # a zero row and column
+    bits = bound.bit_length() + 1
+    m = [dict(row) for row in a]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            m[j][i] = m[j].get(i, 0) - (x << bits)
+    rows = _cuthill_mckee(m)
     cols = [set() for _ in range(k)]
     for i, row in enumerate(rows):
         for j in row:
@@ -228,7 +233,7 @@ def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
         c = step - 1
         cand = cols[c]
         if not cand:
-            return ZERO
+            return zero
         r = c if c in cand else min(cand)
         cand.discard(r)
         prow = rows[r]
@@ -282,8 +287,20 @@ def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
         raise ConsistencyError(
             f"elimination determinant of a size-{k} matrix exceeds degree {k}"
         )
-    scale = den ** k
-    return LaurentPolynomial(0, tuple(Fraction(x, scale) for x in coeffs))
+    return coeffs, v.den
+
+
+def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
+    """det(V - t*V^T) by exact sparse elimination, uncanonicalized.
+
+    Shares no code with the recurrence and assumes no structure of V, so it
+    also checks transformed and renumbered state matrices.  The elimination
+    runs on the integer matrix A = v.scaled = D*V, whose determinant
+    det(A - t*A^T) is D**k * det(V - t*V^T); it is exact and polynomial
+    in k and the entry sizes.
+    """
+    coeffs, den = _oracle_scaled(v)
+    return laurent_over(coeffs, den ** v.size)
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +341,26 @@ def state_signature_minors(v: StateMatrix) -> int:
 
     Valid for any matrix produced by the constructors in state_matrices
     (V + V^T is then tridiagonal with off-diagonal pairs multiplying to 1);
-    anything else is rejected.
+    anything else is rejected.  Runs on the integer matrix D*(V + V^T),
+    whose minors D**j * D_j satisfy the recurrence with the pair product
+    D**2 and have the signs of the D_j.
     """
     gl = gl_matrix(v)
-    k = gl.size
-    ent = gl.entries
-    for i in range(k):
-        for j in range(i + 2, k):
-            if ent[i][j] != 0:
-                raise InvalidInputError(
-                    "minor recurrence needs a tridiagonal V + V^T"
-                )
+    ent = gl.scaled
+    k = len(ent)
+    if any(any(row[i + 2:]) for i, row in enumerate(ent)):
+        raise InvalidInputError("minor recurrence needs a tridiagonal V + V^T")
+    pair = gl.den ** 2
     for i in range(k - 1):
-        if ent[i][i + 1] * ent[i + 1][i] != 1:
+        if ent[i][i + 1] * ent[i + 1][i] != pair:
             raise InvalidInputError(
                 "minor recurrence needs off-diagonal pairs with product 1"
             )
     sig = 0
-    dm, d = None, Fraction(1)
+    dm, d = None, 1
     for idx in range(k):
         a = ent[idx][idx]
-        new = a * d if idx == 0 else a * d - dm
+        new = a * d if idx == 0 else a * d - pair * dm
         if new == 0:
             raise ConsistencyError(
                 f"zero leading principal minor at size {idx + 1}"
@@ -355,41 +371,86 @@ def state_signature_minors(v: StateMatrix) -> int:
 
 
 def symmetric_signature(rows) -> int:
-    """Signature of an arbitrary symmetric matrix of Fractions.
+    """Signature of an arbitrary symmetric matrix of ints or Fractions.
 
-    Exact congruence diagonalization (Schur-complement elimination with the
-    standard zero-diagonal repair move).  General-purpose and slower than
-    the minor recurrence; used to check transformed matrices that are no
-    longer tridiagonal, e.g. after a simultaneous row/column permutation.
+    Scaled to integers by the lcm of the denominators, then eliminated by
+    exact sparse fraction-free (Bareiss) symmetric elimination in
+    Cuthill-McKee order.  Its pivots are leading principal minors, and by
+    Jacobi's rule each adds +1 if it has the sign of the one before and -1
+    otherwise.  A zero pivot is met by a symmetric swap with a nonzero
+    diagonal entry, else by the zero-diagonal repair move (add row and
+    column r to row and column i: the diagonal entry becomes 2*a_ir), and
+    a zero row is skipped; all are congruences.  For matrices that are no
+    longer tridiagonal, e.g. after a renumbering of the curves.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    rows = [tuple(row) for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise InvalidInputError("matrix must be square")
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    den = math.lcm(*{x.denominator for row in nonzero for _, x in row})
+    m = [{j: x.numerator * (den // x.denominator) for j, x in row}
+         for row in nonzero]
+    if any(m[j].get(i) != x for i, row in enumerate(m) for j, x in row.items()):
+        raise InvalidInputError("matrix must be symmetric")
+    m = _cuthill_mckee(m)
+
+    def exact_div(x, d):
+        q, r = divmod(x, d)
+        if r:
+            raise ConsistencyError(f"inexact Bareiss division in a size-{n} "
+                                   "symmetric elimination")
+        return q
+
+    # m[i] holds the Bareiss values of the step last[i] at which row i last
+    # changed; lift brings a row up to the current step
+    last = [0] * n
+    pivots = [1]
+
+    def lift(i):
+        row, c = m[i], len(pivots) - 1
+        if last[i] != c:
+            f, g = pivots[c], pivots[last[i]]
+            for j, x in row.items():
+                row[j] = exact_div(x * f, g)
+            last[i] = c
+        return row
+
     sig = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            r = next((r for r in range(i + 1, n) if m[r][r] != 0), None)
-            if r is not None:
-                m[i], m[r] = m[r], m[i]
-                for row in m:
-                    row[i], row[r] = row[r], row[i]
-            else:
-                r = next((r for r in range(i + 1, n) if m[i][r] != 0), None)
-                if r is None:
-                    continue  # zero row/column: contributes nothing
-                for c in range(n):
-                    m[i][c] += m[r][c]
-                for rr in range(n):
-                    m[rr][i] += m[rr][r]
-        p = m[i][i]
-        sig += 1 if p > 0 else -1
-        for r in range(i + 1, n):
-            f = m[r][i] / p
-            if f == 0:
+    todo = list(range(n))
+    while todo:
+        i = next((i for i in todo if i in m[i]), None)  # symmetric swap
+        if i is None:  # every diagonal entry is zero
+            i = todo[0]
+            if not m[i]:
+                del todo[0]  # a zero row and column
                 continue
-            for c in range(i + 1, n):
-                m[r][c] -= f * m[i][c]
+            # repair: add row and column r to row and column i
+            r = min(m[i])
+            row, row_r = lift(i), lift(r)
+            for j, x in row_r.items():
+                row[j] = row.get(j, 0) + x
+            for j in row_r:  # zeros this leaves go with the pivot on i
+                m[j][i] = m[j].get(i, 0) + m[j][r]
+        todo.remove(i)
+        prow = lift(i)
+        p = prow.pop(i)
+        sig += 1 if (p > 0) == (pivots[-1] > 0) else -1
+        step = len(pivots)
+        for j in prow:
+            row = m[j]
+            x_ji = row.pop(i)
+            g = pivots[last[j]]
+            for l in prow:
+                if l not in row:
+                    row[l] = 0
+            for l, x in row.items():
+                x = p * x - x_ji * prow.get(l, 0)
+                row[l] = x if g == 1 else exact_div(x, g)
+            for l in [l for l, x in row.items() if not x]:
+                del row[l]
+            last[j] = step
+        pivots.append(p)
     return sig
 
 

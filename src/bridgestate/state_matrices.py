@@ -8,51 +8,61 @@ exchanges the (i, i+1)/(i+1, i) pair, and reversing a curve orientation
 negates a row and column.  V + V^T is independent of the normal choices and
 presents the Gordon-Litherland form (it is a Goeritz matrix of the knot).
 
+Matrices are integer-native: a rational matrix V is stored as ``den`` and
+``scaled``, the rows of the integer matrix den * V, with den the lcm of the
+entry denominators.  den is minimal, so the representation is canonical and
+equal matrices compare equal: a state matrix has den 2 if some term is odd
+and 1 otherwise, and its V + V^T has den 1.  ``entries`` is the exact
+Fraction view, built on each access.
+
 Indices follow the band numbering: 1-based, as in the n_i themselves.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .continued_fractions import Expansion
 from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
-class StateMatrix:
-    """k x k matrix of Fractions; rows are tuples, entries[i][j] is 0-based."""
+class _ScaledMatrix:
+    """k x k rational matrix M as ``scaled``, the int rows of den * M, with
+    den minimal; ``entries[i][j]`` is the Fraction at 0-based (i, j)."""
 
-    entries: tuple
+    den: int
+    scaled: tuple
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.scaled)
 
-    def transpose_entries(self) -> tuple:
-        return tuple(zip(*self.entries))
+    @property
+    def entries(self) -> tuple:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.scaled)
 
 
-@dataclass(frozen=True)
-class GLMatrix:
+class StateMatrix(_ScaledMatrix):
+    """A state matrix V."""
+
+
+class GLMatrix(_ScaledMatrix):
     """Symmetric matrix of the Gordon-Litherland form, V + V^T."""
-
-    entries: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def _as_matrix(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def state_matrix(rows) -> StateMatrix:
     """Build a StateMatrix from any nested sequence of ints/Fractions."""
-    m = _as_matrix(rows)
-    if any(len(row) != len(m) for row in m):
+    rows = [tuple(row) for row in rows]
+    if any(len(row) != len(rows) for row in rows):
         raise InvalidInputError("state matrix must be square")
-    return StateMatrix(m)
+    den = math.lcm(*{x.denominator for x in chain.from_iterable(rows)})
+    return StateMatrix(den, tuple(
+        tuple(x.numerator * (den // x.denominator) for x in row)
+        for row in rows
+    ))
 
 
 def standard_state_matrix(e: Expansion) -> StateMatrix:
@@ -61,16 +71,20 @@ def standard_state_matrix(e: Expansion) -> StateMatrix:
     >>> standard_state_matrix(Expansion((2, 3))).entries
     ((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(-3, 2)))
     """
-    k = len(e.terms)
-    half = Fraction(1, 2)
+    terms = e.terms
+    k = len(terms)
+    if any(n % 2 for n in terms):
+        den, diag, sub = 2, list(terms), 2
+    else:
+        den, diag, sub = 1, [n // 2 for n in terms], 1
     rows = []
-    for i, n in enumerate(e.terms):
-        row = [Fraction(0)] * k
-        row[i] = n * half if i % 2 == 0 else -n * half
+    for i, n in enumerate(diag):
+        row = [0] * k
+        row[i] = n if i % 2 == 0 else -n
         if i > 0:
-            row[i - 1] = Fraction(1)
+            row[i - 1] = sub
         rows.append(tuple(row))
-    return StateMatrix(tuple(rows))
+    return StateMatrix(den, tuple(rows))
 
 
 def _check_index(i: int, lo: int, hi: int, what: str):
@@ -86,9 +100,11 @@ def flip_normal(v: StateMatrix, i: int) -> StateMatrix:
     """
     _check_index(i, 1, v.size - 1, "normal flip")
     a, b = i - 1, i  # 0-based row/col positions
-    rows = [list(row) for row in v.entries]
-    rows[a][b], rows[b][a] = rows[b][a], rows[a][b]
-    return StateMatrix(tuple(tuple(row) for row in rows))
+    rows = list(v.scaled)
+    ra, rb = rows[a], rows[b]
+    rows[a] = ra[:b] + (rb[a],) + ra[b + 1:]
+    rows[b] = rb[:a] + (ra[b],) + rb[a + 1:]
+    return StateMatrix(v.den, tuple(rows))
 
 
 def flip_orientation(v: StateMatrix, i: int) -> StateMatrix:
@@ -98,19 +114,18 @@ def flip_orientation(v: StateMatrix, i: int) -> StateMatrix:
     """
     _check_index(i, 1, v.size, "orientation flip")
     a = i - 1
-    rows = [list(row) for row in v.entries]
-    for j in range(v.size):
-        rows[a][j] = -rows[a][j]
-        rows[j][a] = -rows[j][a]
-    return StateMatrix(tuple(tuple(row) for row in rows))
+    rows = [r[:a] + (-r[a],) + r[a + 1:] if r[a] else r for r in v.scaled]
+    rows[a] = tuple(-x for x in rows[a])
+    return StateMatrix(v.den, tuple(rows))
 
 
 def gl_matrix(v: StateMatrix) -> GLMatrix:
     """V + V^T, the matrix of the Gordon-Litherland form."""
-    t = v.transpose_entries()
-    return GLMatrix(
-        tuple(
-            tuple(a + b for a, b in zip(row, trow))
-            for row, trow in zip(v.entries, t)
-        )
-    )
+    rows = [
+        tuple(a + b for a, b in zip(row, col))
+        for row, col in zip(v.scaled, zip(*v.scaled))
+    ]
+    g = math.gcd(v.den, *chain.from_iterable(rows))
+    if g > 1:
+        rows = [tuple(x // g for x in row) for row in rows]
+    return GLMatrix(v.den // g, tuple(rows))

@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the package internals it verifies:
 expansions are found by exhaustive search over term sequences, Laurent
-arithmetic is redone on degree->coefficient dictionaries, and determinants
-of small matrices are expanded by cofactors.
+arithmetic is redone on degree->coefficient dictionaries, determinants
+of small matrices are expanded by cofactors, state matrices are built and
+signatures computed with dense ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
@@ -95,10 +96,10 @@ def characteristic_matrix(v) -> tuple:
     (-1)**(j+1) * (nj/2) * (1 - t) and off-diagonal pairs {1, -t};
     specializing t = -1 gives the Gordon-Litherland matrix V + V^T.
     """
-    t = v.transpose_entries()
+    ent = v.entries
     return tuple(
         tuple(LaurentPolynomial(0, (a, -b)) for a, b in zip(row, trow))
-        for row, trow in zip(v.entries, t)
+        for row, trow in zip(ent, zip(*ent))
     )
 
 
@@ -123,3 +124,51 @@ def cofactor_state_polynomial(v) -> LaurentPolynomial:
     """det(V - t*V^T) by cofactor expansion, uncanonicalized: the reference
     the package's elimination oracle is tested against, for small sizes."""
     return cofactor_det(characteristic_matrix(v))
+
+
+def fraction_state_matrix(terms) -> tuple:
+    """The standard state matrix of ``terms`` as rows of Fractions:
+    diagonal (-1)**(i+1) * ni/2, subdiagonal 1, zero elsewhere."""
+    k = len(terms)
+    rows = []
+    for i, n in enumerate(terms):
+        row = [Fraction(0)] * k
+        row[i] = Fraction(n if i % 2 == 0 else -n, 2)
+        if i > 0:
+            row[i - 1] = Fraction(1)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def fraction_signature(rows) -> int:
+    """Signature of a symmetric matrix by dense Fraction congruence
+    diagonalization: Schur-complement elimination, a symmetric swap with a
+    later nonzero diagonal entry, else the zero-diagonal repair move, and
+    zero rows skipped.  O(n**3) Fraction operations."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    sig = 0
+    for i in range(n):
+        if m[i][i] == 0:
+            r = next((r for r in range(i + 1, n) if m[r][r] != 0), None)
+            if r is not None:
+                m[i], m[r] = m[r], m[i]
+                for row in m:
+                    row[i], row[r] = row[r], row[i]
+            else:
+                r = next((r for r in range(i + 1, n) if m[i][r] != 0), None)
+                if r is None:
+                    continue  # zero row/column: contributes nothing
+                for c in range(n):
+                    m[i][c] += m[r][c]
+                for rr in range(n):
+                    m[rr][i] += m[rr][r]
+        p = m[i][i]
+        sig += 1 if p > 0 else -1
+        for r in range(i + 1, n):
+            f = m[r][i] / p
+            if f == 0:
+                continue
+            for c in range(i + 1, n):
+                m[r][c] -= f * m[i][c]
+    return sig

@@ -83,6 +83,15 @@ def test_oracle_checks_surfaces_above_size_8(oracle_negated_above_size_8):
         check_knot(make_knot(11, 1), oracle=True)
 
 
+def test_invariance_checks_signatures_above_size_8(
+        signature_off_by_one_above_size_8):
+    # the k = 10 surface of K(11,1) is the only one the fault reaches
+    check_knot(make_knot(11, 1), oracle=True)  # no transformed matrices
+    with pytest.raises(ConsistencyError, match="gave signature"):
+        check_knot(make_knot(11, 1), oracle=True, invariance_samples=2,
+                   rng=random.Random(0))
+
+
 def test_oracle_covers_every_surface_in_a_sweep():
     stats = check_range(15, oracle=True, presentation=False)
     plain = check_range(15, presentation=False)

@@ -110,6 +110,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "recurrence = oracle determinant" in err
 
+    def test_signature_fault_above_size_8_exits_1(
+            self, capsys, signature_off_by_one_above_size_8):
+        code, _, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "gave signature" in err
+
+    @pytest.mark.parametrize("knot", [["5"], ["5", "3"]])
+    def test_positional_with_max_alpha_exits_2(self, capsys, knot):
+        code, out, err = run(capsys, "verify", *knot, "--max-alpha", "9")
+        assert code == 2
+        assert "not both" in err
+        assert "pass" not in out
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2

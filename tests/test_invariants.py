@@ -269,6 +269,66 @@ class TestSymmetricSignature:
             == 3
         )
 
+    def test_rejects_non_symmetric_and_non_square(self):
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            symmetric_signature([[1, 2], [3, 4]])
+        with pytest.raises(InvalidInputError, match="square"):
+            symmetric_signature([[1, 2]])
+
+    def test_matches_fraction_reference_on_random_matrices(self):
+        from oracles import fraction_signature
+
+        fixed = [
+            [[0, 1], [1, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 3], [0, 0, 0], [3, 0, F(1, 2)]],
+            [[0, 2, 0], [2, 0, 1], [0, 1, 0]],
+        ]
+        rng = random.Random(31)
+        degenerate = 0
+        matrices = list(fixed)
+        for _ in range(240):
+            n = rng.randint(1, 12)
+            den = rng.randint(1, 6)
+            density = rng.choice((0.2, 0.5, 1.0))
+            m = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < density:
+                        m[i][j] = m[j][i] = F(rng.randint(-6, 6),
+                                              rng.randint(1, den))
+            if rng.random() < 0.3:
+                degenerate += 1
+                kind = rng.choice(("zero diagonal", "zero row", "repeat"))
+                i = rng.randrange(n)
+                if kind == "zero diagonal":
+                    for j in rng.sample(range(n), rng.randint(1, n)):
+                        m[j][j] = F(0)
+                elif kind == "zero row":
+                    for j in range(n):
+                        m[i][j] = m[j][i] = F(0)
+                elif n > 1:
+                    # a repeated row and column: singular
+                    j = rng.choice([j for j in range(n) if j != i])
+                    m[i] = list(m[j])
+                    for row in m:
+                        row[i] = row[j]
+            matrices.append(m)
+        assert degenerate >= 60
+        for m in matrices:
+            assert symmetric_signature(m) == fraction_signature(m)
+
+    @pytest.mark.parametrize("seed", [198, 199])
+    def test_k_198_standard_and_renumbered(self, seed):
+        rng = random.Random(seed)
+        e = Expansion(tuple(
+            rng.choice((-1, 1)) * rng.randint(2, 9) for _ in range(198)
+        ))
+        v = standard_state_matrix(e)
+        renumbered = permuted_state_matrix(v, rng.sample(range(198), 198))
+        for m in (v, renumbered):
+            assert symmetric_signature(gl_matrix(m).scaled) == state_signature(e)
+
     def test_agrees_with_minor_recurrence(self):
         rng = random.Random(26)
         for _ in range(100):

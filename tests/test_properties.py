@@ -46,8 +46,11 @@ def test_oracle_and_signature_survive_random_moves(data):
             v = permuted_state_matrix(v, data.draw(st.permutations(range(k))))
             permuted = True
     assert poly_equivalent(state_polynomial_oracle(v), state_polynomial_det(e))
+    gl = gl_matrix(v)
+    # the Fraction-input and the int-input routes
+    assert symmetric_signature(gl.entries) == symmetric_signature(gl.scaled)
     if permuted:
-        sig = symmetric_signature(gl_matrix(v).entries)
+        sig = symmetric_signature(gl.entries)
     else:
         sig = state_signature_minors(v)
     assert sig == state_signature(e)

@@ -9,10 +9,12 @@ from bridgestate import (
     flip_normal,
     flip_orientation,
     gl_matrix,
+    make_knot,
     standard_state_matrix,
     state_matrix,
+    surfaces_expansions,
 )
-from bridgestate.checks import random_expansion
+from bridgestate.checks import permuted_state_matrix, random_expansion
 
 
 def F(p, q=1):
@@ -143,3 +145,58 @@ def test_flips_never_create_the_symmetric_configuration():
 def test_state_matrix_must_be_square():
     with pytest.raises(InvalidInputError):
         state_matrix([[1, 0], [1]])
+
+
+def _matrices_to_49():
+    """Standard state matrix of every surface of every knot with alpha <= 49."""
+    from bridgestate.checks import iter_knots
+
+    for alpha, beta in iter_knots(49):
+        for e in surfaces_expansions(make_knot(alpha, beta)):
+            yield e, standard_state_matrix(e)
+
+
+class TestScaledRepresentation:
+    """``den`` and ``scaled`` against the Fraction view and builders."""
+
+    def test_den_is_minimal(self):
+        assert state_matrix([[F(1, 3), 1], [2, F(1, 6)]]).den == 6
+        assert state_matrix([[F(4, 2), 1], [0, 3]]).den == 1
+        rng = random.Random(13)
+        for _ in range(200):
+            v = standard_state_matrix(random_expansion(rng))
+            odd = any(x.denominator == 2 for row in v.entries for x in row)
+            assert v.den == (2 if odd else 1)
+            assert all(type(x) is int for row in v.scaled for x in row)
+            assert all(
+                x * v.den == y for row, srow in zip(v.entries, v.scaled)
+                for x, y in zip(row, srow)
+            )
+
+    def test_round_trip_through_entries(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            e = random_expansion(rng)
+            k = len(e.terms)
+            v = standard_state_matrix(e)
+            moved = [v, flip_orientation(v, rng.randint(1, k))]
+            if k > 1:
+                moved.append(flip_normal(v, rng.randint(1, k - 1)))
+                moved.append(permuted_state_matrix(v, rng.sample(range(k), k)))
+            for m in moved:
+                assert state_matrix(m.entries) == m
+
+    def test_entries_match_fraction_builder_to_49(self):
+        from oracles import fraction_state_matrix
+
+        for e, v in _matrices_to_49():
+            want = fraction_state_matrix(e.terms)
+            assert v.entries == want
+            assert gl_matrix(v).entries == tuple(
+                tuple(a + b for a, b in zip(row, col))
+                for row, col in zip(want, zip(*want))
+            )
+
+    def test_gl_den_is_one_to_49(self):
+        for _, v in _matrices_to_49():
+            assert gl_matrix(v).den == 1
