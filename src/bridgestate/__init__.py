@@ -21,23 +21,16 @@ from .invariants import (
     InvariantReport,
     StatePolynomial,
     SurfaceReport,
-    alexander_polynomial,
-    boundary_slope,
-    boundary_slope_ht,
     canonical_representative,
     full_report,
-    knot_genus_twice,
-    knot_signature,
-    nonorientable_genus_twice,
     poly_equivalent,
     state_polynomial,
     state_polynomial_det,
     state_polynomial_oracle,
-    state_signature,
     state_signature_minors,
     symmetric_signature,
 )
-from .laurent import LaurentPolynomial, frac, laurent
+from .laurent import LaurentPolynomial
 from .state_matrices import (
     GLMatrix,
     StateMatrix,

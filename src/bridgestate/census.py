@@ -1,5 +1,12 @@
 """Report serialization and the census sweep.
 
+This module owns the record schema: every record any command writes is
+built here, and every CSV row is rendered here from a record.
+``surface_record`` holds the combinatorial fields of a surface (terms, r,
+orientable, genus2, n_plus, n_minus) for the ``surfaces`` command, and
+``report_to_dict`` adds each surface's signature, slope and polynomial to
+them for ``invariants`` and ``census``.
+
 Wire formats, fixed here and documented in the README:
 
 * A polynomial serializes as the integer coefficient list of 2**k times its
@@ -10,7 +17,10 @@ Wire formats, fixed here and documented in the README:
   ``alpha,beta,surface_count,signature,genus2,crosscap_genus2,slopes,alexander``
   with ';'-joined lists inside single columns.
 * Per-surface CSV (the census companion file) header:
-  ``alpha,beta,terms,r,orientable,genus2,n_plus,n_minus,signature,slope,poly``.
+  ``alpha,beta,terms,r,orientable,genus2,n_plus,n_minus,signature,slope,poly``;
+  ``surfaces --csv`` writes its first eight columns.
+* The JSON companion file is one list of surface records, each with its
+  knot's alpha and beta.
 * JSON is rendered with sorted keys and two-space indentation, so parsing
   and re-dumping a report reproduces it byte for byte.
 
@@ -26,18 +36,39 @@ from concurrent.futures import ProcessPoolExecutor
 from .checks import iter_knots
 from .errors import ConsistencyError, InvalidInputError
 from .invariants import InvariantReport, StatePolynomial, full_report
-from .surfaces import make_knot
+from .surfaces import EssentialSurface, TwoBridgeKnot, make_knot
 
 KNOT_CSV_HEADER = (
     "alpha,beta,surface_count,signature,genus2,crosscap_genus2,slopes,alexander"
 )
-SURFACE_CSV_HEADER = (
-    "alpha,beta,terms,r,orientable,genus2,n_plus,n_minus,signature,slope,poly"
-)
+SURFACE_LIST_CSV_HEADER = "alpha,beta,terms,r,orientable,genus2,n_plus,n_minus"
+SURFACE_CSV_HEADER = SURFACE_LIST_CSV_HEADER + ",signature,slope,poly"
 
 
 def poly_to_dict(sp: StatePolynomial) -> dict:
     return {"min_degree": 0, "k": sp.k, "coeffs_2k": list(sp.coeffs_2k)}
+
+
+def surface_record(s: EssentialSurface) -> dict:
+    """The combinatorial fields of one surface, the same in every format."""
+    return {
+        "terms": list(s.expansion.terms),
+        "r": s.expansion.r,
+        "orientable": s.orientable,
+        "genus2": s.genus_twice,
+        "n_plus": s.n_plus,
+        "n_minus": s.n_minus,
+    }
+
+
+def surfaces_to_dict(knot: TwoBridgeKnot, surfaces) -> dict:
+    """JSON-ready list of a knot's surfaces (the ``surfaces`` command)."""
+    return {
+        "alpha": knot.alpha,
+        "beta": knot.beta,
+        "surface_count": len(surfaces),
+        "surfaces": [surface_record(s) for s in surfaces],
+    }
 
 
 def report_to_dict(report: InvariantReport) -> dict:
@@ -45,20 +76,11 @@ def report_to_dict(report: InvariantReport) -> dict:
     knot = report.knot
     surfaces = []
     for sr in report.surfaces:
-        s = sr.surface
-        surfaces.append(
-            {
-                "terms": list(s.expansion.terms),
-                "r": s.expansion.r,
-                "orientable": s.orientable,
-                "genus2": s.genus_twice,
-                "n_plus": s.n_plus,
-                "n_minus": s.n_minus,
-                "signature": sr.signature,
-                "slope": sr.slope,
-                "poly": poly_to_dict(sr.polynomial),
-            }
-        )
+        rec = surface_record(sr.surface)
+        rec["signature"] = sr.signature
+        rec["slope"] = sr.slope
+        rec["poly"] = poly_to_dict(sr.polynomial)
+        surfaces.append(rec)
     return {
         "alpha": knot.alpha,
         "beta": knot.beta,
@@ -90,15 +112,30 @@ def knot_csv_row(row: dict) -> str:
     )
 
 
+def _surface_fields(s: dict) -> str:
+    """The CSV columns of a ``surface_record``, terms to n_minus."""
+    return (
+        f"{_join(s['terms'])},{s['r']},"
+        f"{'true' if s['orientable'] else 'false'},{s['genus2']},"
+        f"{s['n_plus']},{s['n_minus']}"
+    )
+
+
 def surface_csv_rows(row: dict) -> list:
     knot = f"{row['alpha']},{row['beta']}"
     return [
-        f"{knot},{_join(s['terms'])},{s['r']},"
-        f"{'true' if s['orientable'] else 'false'},{s['genus2']},"
-        f"{s['n_plus']},{s['n_minus']},{s['signature']},{s['slope']},"
+        f"{knot},{_surface_fields(s)},{s['signature']},{s['slope']},"
         f"{_join(s['poly']['coeffs_2k'])}"
         for s in row["surfaces"]
     ]
+
+
+def surfaces_to_csv(doc: dict) -> str:
+    """CSV form of a ``surfaces_to_dict`` document."""
+    knot = f"{doc['alpha']},{doc['beta']}"
+    lines = [SURFACE_LIST_CSV_HEADER]
+    lines.extend(f"{knot},{_surface_fields(s)}" for s in doc["surfaces"])
+    return "\n".join(lines) + "\n"
 
 
 def census_row(alpha: int, beta: int) -> dict:
@@ -151,3 +188,10 @@ def rows_to_surface_csv(rows) -> str:
 
 def rows_to_json(rows) -> str:
     return dumps_canonical(list(rows))
+
+
+def surface_records(rows) -> list:
+    """One record per surface of the census rows, each with its knot's
+    alpha and beta (the JSON companion file)."""
+    return [dict(s, alpha=r["alpha"], beta=r["beta"])
+            for r in rows for s in r["surfaces"]]

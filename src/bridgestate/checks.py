@@ -1,32 +1,37 @@
-"""Runtime verification of every identity the invariants are built on.
+"""Runtime verification of the reports ``full_report`` builds.
 
-Each check here recomputes a quantity along an independent route and fails
-loudly (ConsistencyError, with the witness values) on any mismatch.  The
-``verify`` CLI command is a thin wrapper over this module; the test suite
-reuses it for the full-census sweeps.
+The checks run on the output of ``full_report``'s own pass over a knot:
+its ``InvariantReport`` and the determinant-recurrence result behind each
+surface.  Each check recomputes a quantity along an independent route and
+fails loudly (ConsistencyError, with the witness values) on any mismatch.
+The ``verify`` CLI command is a thin wrapper over this module; the test
+suite reuses it for the full-census sweeps.
 
 Per surface with expansion [n1, ..., nk] over a knot of determinant alpha,
 writing p for the uncanonicalized determinant det(V - t*V^T):
 
-* degree: p has degree exactly k with nonzero constant term;
+* the report pass itself checks |p(-1)| = alpha, that the sign-count
+  signature equals the minor-recurrence signature, that the
+  signature-difference slope equals the sign-count slope formula, and
+  that p has degree k and 2**k * p integer coefficients;
+* degree: p has a nonzero constant term;
 * symmetry: coefficient j equals (-1)**k * coefficient (k - j);
 * p(1) is 1 for even k and 0 for odd k;
-* |p(-1)| = alpha;
 * |leading coefficient| = |n1 * ... * nk| / 2**k;
-* 2**k * p has integer coefficients; all terms even => p itself integral;
-* sign-count signature = minor-recurrence signature, and |sigma| <= k;
-* signature-difference slope = sign-count slope formula;
+* all terms even => p itself integral;
+* the reported signature has |sigma| <= k;
 * (with ``oracle``, every surface) recurrence determinant =
-  elimination-oracle determinant, and random normal, orientation and
-  renumbering transformations leave the polynomial class and the
-  signature unchanged.  These compare integer coefficient lists: the
-  oracle's, of D**k * p for the integer matrix D*V, times 2**s against the
-  recurrence's, of 2**s * p, times D**k; no Fraction is built unless a
+  elimination-oracle determinant, the reported polynomial is the oracle
+  determinant's canonical representative, and random normal, orientation
+  and renumbering transformations leave the polynomial class and the
+  reported signature unchanged.  These compare integer coefficient lists:
+  the oracle's, of D**k * p for the integer matrix D*V, times 2**s against
+  the recurrence's, of 2**s * p, times D**k; no Fraction is built unless a
   check fails.
 
 Across presentations, K(alpha, beta) and K(alpha, beta') with
-beta * beta' = 1 mod alpha present the same knot and must produce equal
-multisets of (polynomial, signature, slope).
+beta * beta' = 1 mod alpha present the same knot, and their reports must
+have equal multisets of (polynomial, signature, slope).
 """
 
 import math
@@ -34,17 +39,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continued_fractions import Expansion, surfaces_expansions
+from .continued_fractions import Expansion
 from .errors import ConsistencyError
 from .laurent import LaurentPolynomial
 from .invariants import (
-    _canonical_from_scaled,
-    _check_identities,
     _det_scaled,
     _fail,
-    _minor_signature,
     _oracle_scaled,
-    canonical_representative,
+    _report_pass,
     laurent_over,
     poly_equivalent,
     state_polynomial,
@@ -82,7 +84,9 @@ class CheckStats:
         return self
 
 
-# tallies of the fast checks, per surface
+# tallies of the checks on one surface of a report: the fast checks and
+# the identities its report pass ran (|p(-1)| = alpha, minor signature and
+# slope agreement)
 _FAST_STATS = CheckStats(
     surfaces=1,
     checks=9,
@@ -92,16 +96,15 @@ _FAST_STATS = CheckStats(
 )
 
 
-def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
-                        sigma_k_minors: int, det: tuple) -> int:
-    """The exact integer checks for one surface, given its ``_det_scaled``
-    result ``det``; ``_FAST_STATS`` tallies them.  Returns the surface's
-    signature N+ - N-."""
+def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
+    """The exact integer checks on one surface that its report pass does not
+    run, given the pass's ``_det_scaled`` result ``det`` (whose degree and
+    2**k-integrality the pass checked) and the reported signature."""
     terms = e.terms
     k = len(terms)
     coeffs, scale = det
 
-    if len(coeffs) != k + 1 or coeffs[0] == 0 or coeffs[-1] == 0:
+    if coeffs[0] == 0:
         _fail("degree = k", knot, e, f"scaled coefficients {coeffs}")
     if any(coeffs[j] != (coeffs[k - j] if k % 2 == 0 else -coeffs[k - j])
            for j in range(k + 1)):
@@ -111,8 +114,6 @@ def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
     if at_one != expected_at_one:
         _fail("p(1) by parity of k", knot, e,
               f"got {Fraction(at_one, 1 << scale)}")
-    if scale > k:
-        _fail("2^k-integrality", knot, e, f"denominator exponent {scale} > k")
     prod = 1
     for n in terms:
         prod *= abs(n)
@@ -122,21 +123,8 @@ def _check_surface_fast(knot, e, alpha: int, sigma_k: int,
     if all(n % 2 == 0 for n in terms) and scale != 0:
         _fail("integrality of all-even polynomials", knot, e,
               f"denominator exponent {scale}")
-
-    sigma = _check_identities(knot, e, det, alpha, sigma_k, sigma_k_minors)
     if abs(sigma) > k:
         _fail("|sigma| <= 2g", knot, e, f"sigma = {sigma}, k = {k}")
-    return sigma
-
-
-def random_expansion(rng: random.Random, max_k: int = 8, max_abs: int = 9) -> Expansion:
-    """Uniform-ish random valid expansion (any |ni| >= 2 sequence is one)."""
-    k = rng.randint(1, max_k)
-    terms = []
-    for _ in range(k):
-        n = rng.randint(2, max_abs)
-        terms.append(n if rng.random() < 0.5 else -n)
-    return Expansion(tuple(terms))
 
 
 def permuted_state_matrix(v: StateMatrix, perm) -> StateMatrix:
@@ -222,10 +210,13 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     return checks
 
 
-def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix) -> int:
+def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix,
+                          poly) -> int:
     """The recurrence's ``_det_scaled`` result ``det`` against the
     elimination oracle on the standard state matrix ``v`` of ``e``,
-    exactly: oracle * 2**s = recurrence * den**k."""
+    exactly: oracle * 2**s = recurrence * den**k; and the reported
+    ``StatePolynomial`` ``poly`` against the oracle's unit class:
+    2**k * class = coeffs_2k * den**k."""
     coeffs, scale = det
     got, den = _oracle_scaled(v)
     den_k = den ** v.size
@@ -233,21 +224,23 @@ def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix) -> int:
         _fail("recurrence = oracle determinant", knot, e,
               f"recurrence {laurent_over(coeffs, 1 << scale)}, "
               f"oracle {laurent_over(got, den_k)}")
-    if _unit_class(coeffs) != _unit_class(coeffs[::-1]):
-        canon = canonical_representative(laurent_over(coeffs, 1 << scale))
-        _fail("canonical symmetry", knot, e, f"canonical {canon}")
+    if ([x << poly.k for x in _unit_class(got)]
+            != [x * den_k for x in poly.coeffs_2k]):
+        _fail("reported polynomial = oracle class", knot, e,
+              f"reported {poly.canonical}, oracle {laurent_over(got, den_k)}")
     return 2
 
 
-def invariant_multiset(knot) -> tuple:
-    """Sorted multiset of (polynomial, signature, slope) over all surfaces.
+def invariant_multiset(report) -> tuple:
+    """Sorted multiset of (polynomial, signature, slope) over the surfaces
+    of a knot's ``InvariantReport``, the polynomial as its ``coeffs_2k``.
 
     Equal for every presentation of the same knot; mirror presentations
     (beta -> alpha - beta) get the same polynomials with negated
-    signatures and slopes.  Computed alongside the fast checks of
-    ``check_knot``, from the same determinants.
+    signatures and slopes.
     """
-    return _check_knot(knot)[1]
+    return tuple(sorted((r.polynomial.coeffs_2k, r.signature, r.slope)
+                        for r in report.surfaces))
 
 
 def check_negative_control() -> int:
@@ -285,43 +278,29 @@ def check_knot(knot, *, oracle: bool = False, invariance_samples: int = 0,
     return _check_knot(knot, oracle, invariance_samples, rng)[0]
 
 
-def _check_knot(knot, oracle: bool = False, invariance_samples: int = 0,
-                rng: random.Random = None) -> tuple:
-    """``check_knot``'s tallies and the knot's ``invariant_multiset``, all
-    from one run of the determinant recurrence per surface."""
-    expansions = surfaces_expansions(knot)
-    alpha = knot.alpha
-    evens = [e for e in expansions if all(n % 2 == 0 for n in e.terms)]
-    if len(evens) != 1:
-        raise ConsistencyError(
-            f"{knot}: expected exactly one all-even expansion, got "
-            f"{[str(e) for e in evens]}"
-        )
-    if len(evens[0].terms) % 2:
-        raise ConsistencyError(
-            f"{knot}: orientable expansion {evens[0]} has odd length "
-            f"(the Seifert genus must be integral)"
-        )
-    plus0, minus0 = sign_counts(evens[0])
-    sigma_k = plus0 - minus0
-    sigma_k_minors = _minor_signature(evens[0].terms)
+def _check_knot(knot, oracle: bool, invariance_samples: int,
+                rng: random.Random) -> tuple:
+    """``check_knot``'s tallies and the ``InvariantReport`` they check: the
+    checks run on each surface as ``full_report``'s pass reports it, with
+    the determinant-recurrence result behind it."""
     stats = CheckStats(knots=1)
-    multiset = []
-    for e in expansions:
-        det = _det_scaled(e.terms)
-        sigma = _check_surface_fast(knot, e, alpha, sigma_k, sigma_k_minors,
-                                    det)
+
+    def check(r, det):
+        nonlocal stats
+        e = r.surface.expansion
+        _check_surface_fast(knot, e, det, r.signature)
         stats += _FAST_STATS
-        multiset.append((_canonical_from_scaled(*det, len(e.terms)).coeffs_2k,
-                         sigma, 2 * (sigma - sigma_k)))
         if oracle:
             v = standard_state_matrix(e)
-            stats.checks += _check_surface_oracle(knot, e, det, v)
+            stats.checks += _check_surface_oracle(knot, e, det, v,
+                                                  r.polynomial)
             if invariance_samples and rng is not None:
                 stats.checks += check_transformation_invariance(
-                    e, rng, invariance_samples, det, base=v, sigma=sigma
+                    e, rng, invariance_samples, det, base=v, sigma=r.signature
                 )
-    return stats, tuple(sorted(multiset))
+
+    report = _report_pass(knot, check)
+    return stats, report
 
 
 def iter_knots(max_alpha: int):
@@ -333,27 +312,25 @@ def iter_knots(max_alpha: int):
 
 
 def check_range(max_alpha: int, *, oracle: bool = False,
-                invariance_samples: int = 0, seed: int = 0,
-                presentation: bool = True) -> CheckStats:
-    """Sweep every knot with determinant up to max_alpha."""
+                invariance_samples: int = 0, seed: int = 0) -> CheckStats:
+    """Sweep every knot with determinant up to max_alpha, and check that
+    each knot's presentations agree."""
     rng = random.Random(seed) if invariance_samples else None
     stats = CheckStats()
     stats.checks += check_negative_control()
     current_alpha = None
     multisets = {}
     for alpha, beta in iter_knots(max_alpha):
-        if presentation and alpha != current_alpha:
+        if alpha != current_alpha:
             _check_presentations(current_alpha, multisets)
             current_alpha, multisets = alpha, {}
-        knot_stats, multiset = _check_knot(
+        knot_stats, report = _check_knot(
             make_knot(alpha, beta), oracle, invariance_samples, rng
         )
         stats += knot_stats
-        if presentation:
-            multisets[beta] = multiset
-            stats.checks += 1
-    if presentation:
-        _check_presentations(current_alpha, multisets)
+        multisets[beta] = invariant_multiset(report)
+        stats.checks += 1
+    _check_presentations(current_alpha, multisets)
     return stats
 
 

@@ -18,14 +18,15 @@ import random
 import sys
 
 from .census import (
-    KNOT_CSV_HEADER,
     census_rows,
     dumps_canonical,
-    knot_csv_row,
     report_to_dict,
     rows_to_json,
     rows_to_knot_csv,
     rows_to_surface_csv,
+    surface_records,
+    surfaces_to_csv,
+    surfaces_to_dict,
 )
 from .checks import check_knot, check_negative_control, check_range
 from .errors import ConsistencyError, InvalidInputError
@@ -43,33 +44,9 @@ def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
     surfaces = essential_surfaces(knot)
     if args.json:
-        rows = [
-            {
-                "terms": list(s.expansion.terms),
-                "r": s.expansion.r,
-                "orientable": s.orientable,
-                "genus2": s.genus_twice,
-                "n_plus": s.n_plus,
-                "n_minus": s.n_minus,
-            }
-            for s in surfaces
-        ]
-        out = {
-            "alpha": knot.alpha,
-            "beta": knot.beta,
-            "surface_count": len(surfaces),
-            "surfaces": rows,
-        }
-        sys.stdout.write(dumps_canonical(out))
+        sys.stdout.write(dumps_canonical(surfaces_to_dict(knot, surfaces)))
     elif args.csv:
-        print("alpha,beta,terms,r,orientable,genus2,n_plus,n_minus")
-        for s in surfaces:
-            print(
-                f"{knot.alpha},{knot.beta},"
-                f"{';'.join(str(n) for n in s.expansion.terms)},{s.expansion.r},"
-                f"{'true' if s.orientable else 'false'},"
-                f"{s.genus_twice},{s.n_plus},{s.n_minus}"
-            )
+        sys.stdout.write(surfaces_to_csv(surfaces_to_dict(knot, surfaces)))
     else:
         print(f"{knot}: {len(surfaces)} essential spanning surfaces")
         width = max(len(str(s.expansion)) for s in surfaces)
@@ -88,8 +65,7 @@ def cmd_invariants(args) -> int:
     if args.json:
         sys.stdout.write(dumps_canonical(row))
     elif args.csv:
-        print(KNOT_CSV_HEADER)
-        print(knot_csv_row(row))
+        sys.stdout.write(rows_to_knot_csv([row]))
     else:
         knot = report.knot
         print(f"{knot}")
@@ -140,7 +116,6 @@ def cmd_verify(args) -> int:
             oracle=True,
             invariance_samples=1,
             seed=0,
-            presentation=True,
         )
         print(
             f"pass: {stats.knots} knots, {stats.surfaces} surfaces, "
@@ -156,6 +131,9 @@ def cmd_census(args) -> int:
         os.path.abspath(args.out) == os.path.abspath(args.out_surfaces)
     ):
         raise InvalidInputError("--out and --out-surfaces must be different files")
+    for path in (args.out, args.out_surfaces):
+        if path and path != "-" and os.path.isdir(path):
+            raise InvalidInputError(f"{path} is a directory, not a file")
     rows = census_rows(args.max_alpha, jobs=args.jobs)
     surface_total = sum(r["surface_count"] for r in rows)
     files = []
@@ -166,9 +144,7 @@ def cmd_census(args) -> int:
         files.append((args.out, payload))
     if args.out_surfaces:
         if args.json:
-            surf_payload = rows_to_json(
-                [s for r in rows for s in _surface_records(r)]
-            )
+            surf_payload = rows_to_json(surface_records(rows))
         else:
             surf_payload = rows_to_surface_csv(rows)
         files.append((args.out_surfaces, surf_payload))
@@ -198,17 +174,6 @@ def _write_files(files) -> None:
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-
-def _surface_records(row: dict) -> list:
-    """Per-surface JSON records, each carrying its knot's (alpha, beta)."""
-    out = []
-    for s in row["surfaces"]:
-        rec = dict(s)
-        rec["alpha"] = row["alpha"]
-        rec["beta"] = row["beta"]
-        out.append(rec)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,7 @@ alpha/(beta - alpha) together index the essential spanning surfaces of the
 2-bridge knot K(alpha, beta) — one surface per expansion.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,12 @@ class Expansion:
     r: int = 0
 
     def __post_init__(self):
-        terms = tuple(int(n) for n in self.terms)
+        try:
+            terms = tuple(map(operator.index, self.terms))
+        except TypeError:
+            raise InvalidInputError(
+                f"expansion terms must be integers, got {self.terms!r}"
+            ) from None
         if not terms:
             raise InvalidInputError("expansion needs at least one term")
         for n in terms:

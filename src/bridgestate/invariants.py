@@ -1,5 +1,10 @@
 """State polynomials, state signatures, boundary slopes, knot invariants.
 
+``full_report`` is the one place they are computed for a knot: every
+knot-level value (determinant, signature, Alexander polynomial, genus,
+crosscap number) and every per-surface value is a field of its
+``InvariantReport``, which the CLI prints and ``checks`` verifies.
+
 Conventions, fixed once here:
 
 * The state polynomial of a surface is det(V - t*V^T) for any of its state
@@ -33,16 +38,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continued_fractions import Expansion, surfaces_expansions
+from .continued_fractions import Expansion
 from .errors import ConsistencyError, InvalidInputError
-from .laurent import ZERO, LaurentPolynomial
+from .laurent import LaurentPolynomial
 from .state_matrices import StateMatrix, gl_matrix
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
     essential_surfaces,
     find_seifert,
-    sign_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -307,12 +311,6 @@ def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
 # signatures
 
 
-def state_signature(e: Expansion) -> int:
-    """n_plus - n_minus: the signature of V + V^T for any state matrix of e."""
-    plus, minus = sign_counts(e)
-    return plus - minus
-
-
 def _minor_signature(terms) -> int:
     """Signature of the standard V + V^T from its leading principal minors.
 
@@ -455,71 +453,6 @@ def symmetric_signature(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# knot-level invariants
-
-
-def knot_signature(knot: TwoBridgeKnot) -> int:
-    """Signature of the knot: the state signature of its Seifert surface."""
-    seifert = find_seifert(essential_surfaces(knot))
-    return seifert.n_plus - seifert.n_minus
-
-
-def boundary_slope(e: Expansion, knot: TwoBridgeKnot) -> int:
-    """Boundary slope 2 * (sigma_S - sigma_K) of the surface of ``e``."""
-    if e.terms not in {x.terms for x in surfaces_expansions(knot)}:
-        raise InvalidInputError(
-            f"{e} is not an essential-surface expansion of {knot}"
-        )
-    return 2 * (state_signature(e) - knot_signature(knot))
-
-
-def boundary_slope_ht(e: Expansion, seifert: Expansion) -> int:
-    """Boundary slope from sign counts alone:
-    2*(N+ - N-) - 2*(N0+ - N0-), the Seifert expansion giving the N0 terms.
-    """
-    if any(n % 2 for n in seifert.terms):
-        raise InvalidInputError(
-            f"reference expansion {seifert} must be all even (a Seifert surface)"
-        )
-    plus, minus = sign_counts(e)
-    plus0, minus0 = sign_counts(seifert)
-    return 2 * (plus - minus) - 2 * (plus0 - minus0)
-
-
-def alexander_polynomial(knot: TwoBridgeKnot) -> StatePolynomial:
-    """State polynomial of the Seifert surface; integer coefficients."""
-    seifert = find_seifert(essential_surfaces(knot))
-    poly = state_polynomial(seifert.expansion)
-    if any(c % (1 << poly.k) for c in poly.coeffs_2k):
-        raise ConsistencyError(
-            f"all-even expansion {seifert.expansion} gave non-integer coefficients"
-        )
-    return poly
-
-
-def knot_genus_twice(knot: TwoBridgeKnot) -> int:
-    """Twice the genus of the knot: the length of its Seifert expansion
-    (equivalently, the degree of its Alexander polynomial)."""
-    return find_seifert(essential_surfaces(knot)).genus_twice
-
-
-def nonorientable_genus_twice(knot: TwoBridgeKnot) -> int:
-    """Twice the crosscap number of the knot.
-
-    The minimum genus among nonorientable essential surfaces if that
-    minimum is at most g(K) + 1/2; otherwise g(K) + 1/2, realized by a
-    crosscap added to a minimal Seifert surface.
-    """
-    surfaces = essential_surfaces(knot)
-    return _crosscap_twice(surfaces, find_seifert(surfaces).genus_twice)
-
-
-def _crosscap_twice(surfaces, g2: int) -> int:
-    candidates = [s.genus_twice for s in surfaces if not s.orientable]
-    return min(min(candidates, default=g2 + 1), g2 + 1)
-
-
-# ---------------------------------------------------------------------------
 # aggregation
 
 
@@ -556,18 +489,19 @@ def _fail(what: str, knot, e, detail: str):
     raise ConsistencyError(f"{what} failed for {e} of {knot}: {detail}")
 
 
-def _check_identities(knot, e, det, alpha: int, sigma_k: int,
-                      sigma_k_minors: int) -> int:
-    """Checks the report identities of surface ``e`` from its ``_det_scaled``
-    result ``det`` and the knot signature from sign counts (sigma_k) and
-    from principal minors (sigma_k_minors); returns the surface signature."""
+def _check_identities(knot, s: EssentialSurface, det, alpha: int,
+                      sigma_k: int, sigma_k_minors: int) -> int:
+    """Checks the report identities of surface ``s`` from its ``_det_scaled``
+    result ``det``, its sign counts and the knot signature from sign counts
+    (sigma_k) and from principal minors (sigma_k_minors); returns the
+    surface signature."""
+    e = s.expansion
     coeffs, scale = det
     at_minus_one = abs(sum(coeffs[::2]) - sum(coeffs[1::2]))
     if at_minus_one != alpha << scale:
         _fail("determinant identity |p(-1)| = alpha", knot, e,
               f"got {Fraction(at_minus_one, 1 << scale)}")
-    plus, minus = sign_counts(e)
-    sigma = plus - minus
+    sigma = s.n_plus - s.n_minus
     sigma_minors = _minor_signature(e.terms)
     if sigma_minors != sigma:
         _fail("minor recurrence signature = N+ - N-", knot, e,
@@ -590,6 +524,17 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     signature-difference slope equals the sign-count slope formula, and
     the polynomial has degree k and integral 2**k-scaled coefficients.
     """
+    return _report_pass(knot, lambda report, det: None)
+
+
+def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
+    """``full_report``'s pass over the surfaces of ``knot``.
+
+    ``visit(surface_report, det)`` is called with each ``SurfaceReport`` as
+    soon as it is built, together with the ``_det_scaled`` result behind
+    it, so the checks of ``verify`` run on the reported values without the
+    pass keeping every surface's determinant.
+    """
     surfaces = essential_surfaces(knot)
     seifert = find_seifert(surfaces)
     sigma_k = seifert.n_plus - seifert.n_minus
@@ -599,18 +544,24 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     for s in surfaces:
         e = s.expansion
         det = _det_scaled(e.terms)
-        sigma = _check_identities(knot, e, det, knot.alpha, sigma_k,
+        sigma = _check_identities(knot, s, det, knot.alpha, sigma_k,
                                   sigma_k_minors)
         poly = _canonical_from_scaled(*det, len(e.terms))
         reports.append(SurfaceReport(s, poly, sigma, 2 * (sigma - sigma_k)))
+        visit(reports[-1], det)
         if s is seifert:
             alexander = poly
+    g2 = seifert.genus_twice
+    # the crosscap number: the least nonorientable genus, or g(K) + 1/2 (a
+    # crosscap added to a minimal Seifert surface) if that is smaller
+    crosscap = min([g2 + 1] + [s.genus_twice for s in surfaces
+                               if not s.orientable])
     return InvariantReport(
         knot=knot,
         surfaces=tuple(reports),
         determinant=knot.alpha,
         signature=sigma_k,
         alexander=alexander,
-        genus_twice=seifert.genus_twice,
-        nonorientable_genus_twice=_crosscap_twice(surfaces, seifert.genus_twice),
+        genus_twice=g2,
+        nonorientable_genus_twice=crosscap,
     )

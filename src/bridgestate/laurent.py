@@ -1,27 +1,19 @@
-"""Exact rationals and Laurent polynomials over the rationals.
+"""Laurent polynomials over the rationals: the exact display form.
 
-Everything downstream (state matrices, determinants, signatures) is computed
-over these types; no floating point is used anywhere in the package.
-Rationals are stdlib ``fractions.Fraction`` — arbitrary precision, always
-reduced, denominator positive.  Laurent polynomials are stored densely,
-lowest degree first, with the ends trimmed to nonzero coefficients.
+The package computes in integers: a state polynomial is carried as the
+integer coefficients of 2**k times its canonical representative, and a
+state matrix as integer rows over one denominator.  ``LaurentPolynomial``
+is the exact view of such values, with stdlib ``fractions.Fraction``
+coefficients, built on demand for human output, for the public oracle
+wrapper and for failure messages.  No floating point is used anywhere in
+the package.  Laurent polynomials are stored densely, lowest degree first,
+with the ends trimmed to nonzero coefficients.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-
-
-def frac(p: int, q: int = 1) -> Fraction:
-    """Reduced fraction p/q with positive denominator.
-
-    >>> frac(6, 4)
-    Fraction(3, 2)
-    """
-    if q == 0:
-        raise InvalidInputError("fraction denominator must be nonzero")
-    return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -146,10 +138,3 @@ class LaurentPolynomial:
 
 
 ZERO = LaurentPolynomial(0, ())
-ONE = LaurentPolynomial(0, (1,))
-T = LaurentPolynomial(1, (1,))
-
-
-def laurent(coeffs, min_degree: int = 0) -> LaurentPolynomial:
-    """Shorthand constructor from a low-to-high coefficient sequence."""
-    return LaurentPolynomial(min_degree, tuple(coeffs))

@@ -88,8 +88,9 @@ def essential_surfaces(knot: TwoBridgeKnot) -> tuple:
 def find_seifert(surfaces) -> EssentialSurface:
     """The unique orientable (all-even expansion) surface of a knot.
 
-    Anything other than exactly one orientable surface in the full set
-    signals an enumeration bug, not a property of the input.
+    Anything other than exactly one orientable surface in the full set, or
+    one of odd length (its genus k/2 must be an integer), signals an
+    enumeration bug, not a property of the input.
     """
     orientable = [s for s in surfaces if s.orientable]
     if len(orientable) != 1:
@@ -97,4 +98,10 @@ def find_seifert(surfaces) -> EssentialSurface:
             f"expected exactly one all-even expansion, found "
             f"{[str(s.expansion) for s in orientable]}"
         )
-    return orientable[0]
+    seifert = orientable[0]
+    if seifert.genus_twice % 2:
+        raise ConsistencyError(
+            f"orientable expansion {seifert.expansion} has odd length "
+            f"(the Seifert genus must be integral)"
+        )
+    return seifert

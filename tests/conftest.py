@@ -36,3 +36,33 @@ def signature_off_by_one_above_size_8(monkeypatch):
 
     monkeypatch.setattr(checks, "symmetric_signature", symmetric)
     monkeypatch.setattr(checks, "state_signature_minors", minors)
+
+
+@pytest.fixture
+def report_signatures_plus_2(monkeypatch):
+    """Make ``full_report`` report every surface signature 2 too large."""
+    import bridgestate.invariants as inv
+
+    real = inv._check_identities
+
+    def faulty(*args):
+        return real(*args) + 2
+
+    monkeypatch.setattr(inv, "_check_identities", faulty)
+
+
+@pytest.fixture
+def report_polynomial_negated_above_size_8(monkeypatch):
+    """Make ``full_report`` report the negated state polynomial for
+    surfaces with more than 8 bands only."""
+    import bridgestate.invariants as inv
+
+    real = inv._canonical_from_scaled
+
+    def faulty(coeffs, scale, k):
+        sp = real(coeffs, scale, k)
+        if k <= 8:
+            return sp
+        return inv.StatePolynomial(k, tuple(-c for c in sp.coeffs_2k))
+
+    monkeypatch.setattr(inv, "_canonical_from_scaled", faulty)

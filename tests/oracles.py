@@ -3,13 +3,49 @@
 Nothing here shares code paths with the package internals it verifies:
 expansions are found by exhaustive search over term sequences, Laurent
 arithmetic is redone on degree->coefficient dictionaries, determinants
-of small matrices are expanded by cofactors, state matrices are built and
-signatures computed with dense ``Fraction`` arithmetic.
+of small matrices are expanded by cofactors over those dictionaries, state
+matrices are built and signatures computed with dense ``Fraction``
+arithmetic, and signatures and slopes of expansions are counted from the
+signs of their terms.  ``LaurentPolynomial`` serves only as the container
+results are compared in.
 """
 
+import random
 from fractions import Fraction
 
-from bridgestate import LaurentPolynomial
+from bridgestate import Expansion, LaurentPolynomial
+
+
+def laurent(coeffs, min_degree: int = 0) -> LaurentPolynomial:
+    """Shorthand constructor from a low-to-high coefficient sequence."""
+    return LaurentPolynomial(min_degree, tuple(coeffs))
+
+
+def random_expansion(rng: random.Random, max_k: int = 8,
+                     max_abs: int = 9) -> Expansion:
+    """Uniform-ish random valid expansion (any |ni| >= 2 sequence is one)."""
+    k = rng.randint(1, max_k)
+    terms = []
+    for _ in range(k):
+        n = rng.randint(2, max_abs)
+        terms.append(n if rng.random() < 0.5 else -n)
+    return Expansion(tuple(terms))
+
+
+def sign_count_signature(terms) -> int:
+    """N+ - N-: terms whose sign follows the pattern +,-,+,-,... count +1,
+    the others -1."""
+    return sum(1 if (n > 0) == (i % 2 == 0) else -1
+               for i, n in enumerate(terms))
+
+
+def sign_count_slope(terms, seifert_terms) -> int:
+    """Boundary slope from sign counts alone, 2*(N+ - N-) - 2*(N0+ - N0-),
+    with the all-even Seifert expansion giving the N0 terms."""
+    if any(n % 2 for n in seifert_terms):
+        raise ValueError(f"reference {seifert_terms} must be all even")
+    return 2 * sign_count_signature(terms) - 2 * sign_count_signature(
+        seifert_terms)
 
 
 def brute_force_expansions(x: Fraction, max_abs_term: int, max_length: int):
@@ -90,7 +126,7 @@ def random_laurent(rng, max_span: int = 5, max_num: int = 6) -> LaurentPolynomia
 
 
 def characteristic_matrix(v) -> tuple:
-    """V - t*V^T as a matrix of Laurent polynomials.
+    """V - t*V^T as a matrix of degree->coefficient dictionaries.
 
     For a standard state matrix this is tridiagonal with diagonal
     (-1)**(j+1) * (nj/2) * (1 - t) and off-diagonal pairs {1, -t};
@@ -98,32 +134,35 @@ def characteristic_matrix(v) -> tuple:
     """
     ent = v.entries
     return tuple(
-        tuple(LaurentPolynomial(0, (a, -b)) for a, b in zip(row, trow))
+        tuple(dict_add({0: a}, {1: -b}) for a, b in zip(row, trow))
         for row, trow in zip(ent, zip(*ent))
     )
 
 
-def cofactor_det(m) -> LaurentPolynomial:
-    """Determinant of a square matrix of Laurent polynomials by full
-    cofactor expansion along the first row; exponential in the size."""
+def cofactor_det(m) -> dict:
+    """Determinant of a square matrix of degree->coefficient dictionaries
+    by full cofactor expansion along the first row; exponential in the
+    size."""
     if not m:
-        return LaurentPolynomial(0, (1,))
+        return {0: Fraction(1)}
     if len(m) == 1:
         return m[0][0]
-    total = LaurentPolynomial(0, ())
+    total = {}
     for j, entry in enumerate(m[0]):
-        if entry.is_zero:
+        if not entry:
             continue
         minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = entry * cofactor_det(minor)
-        total = total + term if j % 2 == 0 else total - term
+        term = dict_mul(entry, cofactor_det(minor))
+        if j % 2:
+            term = {d: -c for d, c in term.items()}
+        total = dict_add(total, term)
     return total
 
 
 def cofactor_state_polynomial(v) -> LaurentPolynomial:
     """det(V - t*V^T) by cofactor expansion, uncanonicalized: the reference
     the package's elimination oracle is tested against, for small sizes."""
-    return cofactor_det(characteristic_matrix(v))
+    return dict_to_poly(cofactor_det(characteristic_matrix(v)))
 
 
 def fraction_state_matrix(terms) -> tuple:

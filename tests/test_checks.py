@@ -6,6 +6,7 @@ from bridgestate import (
     ConsistencyError,
     Expansion,
     make_knot,
+    make_surface,
     surfaces_expansions,
 )
 from bridgestate.checks import (
@@ -15,9 +16,9 @@ from bridgestate.checks import (
     check_range,
     invariant_multiset,
     iter_knots,
-    random_expansion,
 )
-from bridgestate.invariants import _det_scaled
+from bridgestate.invariants import _check_identities, _det_scaled, full_report
+from oracles import random_expansion
 
 
 def test_iter_knots_small():
@@ -70,7 +71,7 @@ def test_check_range_small_sweep():
 
 def test_presentation_independence_to_99():
     # beta and beta^-1 mod alpha present the same knot
-    stats = check_range(99, presentation=True)
+    stats = check_range(99)
     assert stats.knots == sum(1 for _ in iter_knots(99))
 
 
@@ -93,8 +94,8 @@ def test_invariance_checks_signatures_above_size_8(
 
 
 def test_oracle_covers_every_surface_in_a_sweep():
-    stats = check_range(15, oracle=True, presentation=False)
-    plain = check_range(15, presentation=False)
+    stats = check_range(15, oracle=True)
+    plain = check_range(15)
     # two oracle checks (exact determinant, canonical symmetry) per surface
     assert stats.checks == plain.checks + 2 * stats.surfaces
 
@@ -103,28 +104,45 @@ def test_negative_control():
     assert check_negative_control() == 2
 
 
-def test_surface_checks_catch_a_wrong_determinant():
+def test_identities_catch_a_wrong_determinant():
     knot = make_knot(5, 2)
-    e = Expansion((2, 2))
+    s = make_surface(Expansion((2, 2)))
+    det = _det_scaled(s.expansion.terms)
     with pytest.raises(ConsistencyError, match="determinant identity"):
-        _check_surface_fast(knot, e, alpha=7, sigma_k=0, sigma_k_minors=0,
-                            det=_det_scaled(e.terms))
+        _check_identities(knot, s, det, alpha=7, sigma_k=0, sigma_k_minors=0)
 
 
-def test_surface_checks_catch_an_inconsistent_reference_signature():
+def test_identities_catch_an_inconsistent_reference_signature():
     knot = make_knot(5, 2)
-    e = Expansion((2, 2))
+    s = make_surface(Expansion((2, 2)))
+    det = _det_scaled(s.expansion.terms)
     # correct run for contrast
-    _check_surface_fast(knot, e, alpha=5, sigma_k=0, sigma_k_minors=0,
-                        det=_det_scaled(e.terms))
+    _check_identities(knot, s, det, alpha=5, sigma_k=0, sigma_k_minors=0)
     # a reference signature whose two routes disagree breaks the slope check
     with pytest.raises(ConsistencyError, match="slope agreement"):
-        _check_surface_fast(knot, e, alpha=5, sigma_k=0, sigma_k_minors=2,
-                            det=_det_scaled(e.terms))
+        _check_identities(knot, s, det, alpha=5, sigma_k=0, sigma_k_minors=2)
 
 
 def test_invariant_multiset_shape():
-    ms = invariant_multiset(make_knot(5, 2))
+    ms = invariant_multiset(full_report(make_knot(5, 2)))
     assert len(ms) == 3
     slopes = sorted(slope for _, _, slope in ms)
     assert slopes == [-4, 0, 4]
+
+
+def test_verify_checks_the_reported_signatures(report_signatures_plus_2):
+    # K(11,1) is reported with signatures off by 2: [11] gets 3 > k = 1
+    report = full_report(make_knot(11, 1))
+    assert sorted({r.signature for r in report.surfaces}) == [-8, 3]
+    with pytest.raises(ConsistencyError, match="sigma"):
+        check_knot(make_knot(11, 1))
+
+
+def test_verify_checks_the_reported_polynomials(
+        report_polynomial_negated_above_size_8):
+    # the k = 10 surface of K(11,1) is reported with a negated polynomial,
+    # whose own degree, symmetry and presentation checks still hold
+    check_knot(make_knot(11, 1))  # the fast checks see the determinant
+    with pytest.raises(ConsistencyError,
+                       match="reported polynomial = oracle class"):
+        check_knot(make_knot(11, 1), oracle=True)

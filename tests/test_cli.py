@@ -116,6 +116,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "gave signature" in err
 
+    def test_reported_signature_fault_exits_1(self, capsys,
+                                              report_signatures_plus_2):
+        code, out, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "pass" not in out
+        assert "sigma" in err
+
+    def test_reported_polynomial_fault_exits_1(
+            self, capsys, report_polynomial_negated_above_size_8):
+        code, _, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "reported polynomial = oracle class" in err
+
     @pytest.mark.parametrize("knot", [["5"], ["5", "3"]])
     def test_positional_with_max_alpha_exits_2(self, capsys, knot):
         code, out, err = run(capsys, "verify", *knot, "--max-alpha", "9")
@@ -238,6 +251,22 @@ class TestCensusCommand:
         assert knots.read_text() == "previous run\n"
         assert not surfaces.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["knots.csv"]
+
+    def test_directory_target_exits_2_before_writing(self, capsys, tmp_path):
+        # the knot file could be replaced before renaming onto the
+        # directory failed, so a directory target is refused up front
+        knots = tmp_path / "knots.csv"
+        knots.write_text("previous run\n")
+        (tmp_path / "surf").mkdir()
+        code, _, err = run(capsys, "census", "--max-alpha", "9",
+                           "--out", str(knots),
+                           "--out-surfaces", str(tmp_path / "surf"))
+        assert code == 2
+        assert "is a directory" in err
+        assert knots.read_text() == "previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["knots.csv",
+                                                              "surf"]
+        assert list((tmp_path / "surf").iterdir()) == []
 
     def test_one_path_for_both_files_exits_2(self, capsys, tmp_path):
         target = str(tmp_path / "census.csv")

@@ -23,7 +23,8 @@ class TestExpansion:
         with pytest.raises(InvalidInputError):
             Expansion(())
 
-    @pytest.mark.parametrize("bad", [0, 1, -1])
+    # |n| < 2, and terms that are not integers (never truncated or parsed)
+    @pytest.mark.parametrize("bad", [0, 1, -1, 2.5, "4", Fraction(7, 2)])
     def test_small_terms_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             Expansion((2, bad, 3))

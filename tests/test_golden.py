@@ -1,0 +1,49 @@
+"""Golden bytes: the sha256 of every output format on fixed inputs.
+
+Any change to a record field, its order in CSV, the JSON rendering or the
+human table shows up here, so refactors of the record code keep the exact
+bytes the command line has always written.
+"""
+
+import hashlib
+
+import pytest
+
+from bridgestate.cli import main
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["surfaces", "19", "7", "--json"],
+     "23cb0e5051a4b0f88b200e7b8eb6ca952c6747ea2ffcd07817987fb13d49f4b9"),
+    (["surfaces", "19", "7", "--csv"],
+     "c04f373a99f7653dd1a91379d54f2bfdba79acbbe44fa12dbb775f7a926bed91"),
+    (["invariants", "19", "7", "--json"],
+     "2827446bac6833ccf2c8f7169a91ead3ac33b621d944018217bafff5451ec57a"),
+    (["invariants", "19", "7", "--csv"],
+     "2c9faa71540a1254512af89bc6289c7ea91d348a5678743bad114e972676cd2d"),
+    (["invariants", "19", "7"],
+     "a190b0672ff2064e67d377eae25f3954b30c6b7aa5de33436ec60e4f0de6ca8a"),
+])
+def test_single_knot_output(capsys, argv, digest):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+@pytest.mark.parametrize("fmt,knots,surfaces", [
+    ([], "44a7145fbe1aa04435e089a8076cdaf27eed8585a18e31f0b39fd5fb3c757dca",
+     "9de696a64fecabf1d16498a6bca64bb64315b161400a0c061126ffdd9dfc0167"),
+    (["--json"],
+     "42b3bbf7f13ac70275659543681719deb0cfd89cca46b31156ab57fe3d69fc9d",
+     "abd76c4bcd5883daae6283c27890112199aa2a9f1d6b4e21896f535645be2069"),
+])
+def test_census_files(capsys, tmp_path, fmt, knots, surfaces):
+    k, s = tmp_path / "knots", tmp_path / "surfaces"
+    assert main(["census", "--max-alpha", "25", "--out", str(k),
+                 "--out-surfaces", str(s)] + fmt) == 0
+    capsys.readouterr()
+    assert sha256(k.read_bytes()) == knots
+    assert sha256(s.read_bytes()) == surfaces

@@ -7,27 +7,19 @@ from bridgestate import (
     ConsistencyError,
     Expansion,
     InvalidInputError,
-    alexander_polynomial,
-    boundary_slope,
-    boundary_slope_ht,
     canonical_representative,
     cf_value,
     flip_normal,
     flip_orientation,
     full_report,
     gl_matrix,
-    knot_genus_twice,
-    knot_signature,
-    laurent,
     make_knot,
-    nonorientable_genus_twice,
     poly_equivalent,
     standard_state_matrix,
     state_matrix,
     state_polynomial,
     state_polynomial_det,
     state_polynomial_oracle,
-    state_signature,
     state_signature_minors,
     surfaces_expansions,
     symmetric_signature,
@@ -35,13 +27,30 @@ from bridgestate import (
 from bridgestate.checks import (
     check_transformation_invariance,
     invariant_multiset,
+    iter_knots,
     permuted_state_matrix,
+)
+from oracles import (
+    laurent,
     random_expansion,
+    sign_count_signature,
+    sign_count_slope,
 )
 
 
 def F(p, q=1):
     return Fraction(p, q)
+
+
+def surface_report(terms):
+    """The ``SurfaceReport`` of the expansion ``terms`` in the full report
+    of the knot it is a surface of."""
+    value = cf_value(Expansion(terms))
+    p, q = value.numerator, value.denominator
+    # value alpha/beta (r = 0) or alpha/(beta - alpha) (r = 1)
+    knot = make_knot(p, q) if p > 0 else make_knot(-p, -p - q)
+    return next(r for r in full_report(knot).surfaces
+                if r.surface.expansion.terms == tuple(terms))
 
 
 class TestStatePolynomial:
@@ -107,9 +116,9 @@ class TestStatePolynomial:
 
 class TestCharacteristicMatrix:
     def test_pair_products_and_specialization(self):
-        from oracles import characteristic_matrix
+        from oracles import characteristic_matrix, dict_eval, dict_mul
 
-        minus_t = laurent([-1], min_degree=1)
+        minus_t = {1: -1}
         rng = random.Random(19)
         for _ in range(50):
             e = random_expansion(rng, max_k=6)
@@ -118,10 +127,10 @@ class TestCharacteristicMatrix:
             g = gl_matrix(v).entries
             k = len(m)
             for i in range(k - 1):
-                assert m[i][i + 1] * m[i + 1][i] == minus_t
+                assert dict_mul(m[i][i + 1], m[i + 1][i]) == minus_t
             for i in range(k):
                 for j in range(k):
-                    assert m[i][j].evaluate(-1) == g[i][j]
+                    assert dict_eval(m[i][j], -1) == g[i][j]
 
 
 class TestOracle:
@@ -220,14 +229,14 @@ class TestStateSignature:
     def test_maximal_signature_family(self, m):
         terms = (3,) + (-2, 2) * (m - 1) + (-2,)
         assert len(terms) == 2 * m
-        assert state_signature(Expansion(terms)) == 2 * m
+        assert surface_report(terms).signature == 2 * m
 
     @pytest.mark.parametrize("ell", [1, 2, 5])
     def test_balanced_family(self, ell):
-        assert state_signature(Expansion((3, 2 * ell))) == 0
+        assert surface_report((3, 2 * ell)).signature == 0
 
     def test_single_positive_band(self):
-        assert state_signature(Expansion((7,))) == 1
+        assert surface_report((7,)).signature == 1
 
     def test_minors_on_examples(self):
         assert state_signature_minors(standard_state_matrix(Expansion((-2, 4)))) == -2
@@ -241,7 +250,7 @@ class TestStateSignature:
         for _ in range(300):
             e = random_expansion(rng, max_k=10)
             v = standard_state_matrix(e)
-            assert state_signature_minors(v) == state_signature(e)
+            assert state_signature_minors(v) == sign_count_signature(e.terms)
 
     def test_minors_reject_non_tridiagonal(self):
         v = standard_state_matrix(Expansion((2, 3, -2, 5)))
@@ -250,10 +259,9 @@ class TestStateSignature:
             state_signature_minors(shuffled)
 
     def test_signature_bound(self):
-        rng = random.Random(25)
-        for _ in range(200):
-            e = random_expansion(rng, max_k=10)
-            assert abs(state_signature(e)) <= len(e.terms)
+        for alpha, beta in iter_knots(61):
+            for r in full_report(make_knot(alpha, beta)).surfaces:
+                assert abs(r.signature) <= r.surface.genus_twice
 
 
 class TestSymmetricSignature:
@@ -327,14 +335,16 @@ class TestSymmetricSignature:
         v = standard_state_matrix(e)
         renumbered = permuted_state_matrix(v, rng.sample(range(198), 198))
         for m in (v, renumbered):
-            assert symmetric_signature(gl_matrix(m).scaled) == state_signature(e)
+            assert (symmetric_signature(gl_matrix(m).scaled)
+                    == sign_count_signature(e.terms))
 
     def test_agrees_with_minor_recurrence(self):
         rng = random.Random(26)
         for _ in range(100):
             e = random_expansion(rng, max_k=8)
             v = standard_state_matrix(e)
-            assert symmetric_signature(gl_matrix(v).entries) == state_signature(e)
+            assert (symmetric_signature(gl_matrix(v).entries)
+                    == sign_count_signature(e.terms))
 
     def test_invariant_under_permutation(self):
         rng = random.Random(27)
@@ -343,56 +353,54 @@ class TestSymmetricSignature:
             k = len(e.terms)
             v = standard_state_matrix(e)
             g = gl_matrix(permuted_state_matrix(v, rng.sample(range(k), k)))
-            assert symmetric_signature(g.entries) == state_signature(e)
+            assert (symmetric_signature(g.entries)
+                    == sign_count_signature(e.terms))
 
 
 class TestKnotSignature:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_zero_signature_family(self, m):
-        assert knot_signature(make_knot(4 * m + 1, 2 * m)) == 0
+        assert full_report(make_knot(4 * m + 1, 2 * m)).signature == 0
 
     @pytest.mark.parametrize("ell", range(1, 11))
     def test_growing_signature_family(self, ell):
-        assert knot_signature(make_knot(6 * ell + 1, 2 * ell)) == 2 * ell
+        report = full_report(make_knot(6 * ell + 1, 2 * ell))
+        assert report.signature == 2 * ell
 
     def test_trefoil(self):
-        assert knot_signature(make_knot(3, 1)) == -2
+        assert full_report(make_knot(3, 1)).signature == -2
 
 
 class TestBoundarySlope:
     def test_moebius_band_of_trefoil(self):
-        assert boundary_slope(Expansion((3,)), make_knot(3, 1)) == 6
+        assert surface_report((3,)).slope == 6
 
     def test_seifert_surface_has_slope_zero(self):
-        assert boundary_slope(Expansion((2, 2)), make_knot(5, 2)) == 0
+        assert surface_report((2, 2)).slope == 0
 
     def test_figure_eight_pair(self):
-        assert boundary_slope(Expansion((3, -2)), make_knot(5, 2)) == 4
-        assert boundary_slope(Expansion((-2, 3)), make_knot(5, 2)) == -4
-
-    def test_foreign_expansion_rejected(self):
-        with pytest.raises(InvalidInputError):
-            boundary_slope(Expansion((2, 2)), make_knot(3, 1))
+        assert surface_report((3, -2)).slope == 4
+        assert surface_report((-2, 3)).slope == -4
 
     def test_sign_count_formula(self):
-        assert boundary_slope_ht(Expansion((3,)), Expansion((-2, 2))) == 6
-        seifert = Expansion((2, 4))
-        assert boundary_slope_ht(seifert, seifert) == 0
-        assert boundary_slope_ht(Expansion((3, -2, 2)), Expansion((-2, 4))) == 10
-
-    def test_sign_count_formula_needs_even_reference(self):
-        with pytest.raises(InvalidInputError):
-            boundary_slope_ht(Expansion((2, 2)), Expansion((3,)))
+        # the reference the report's slopes are compared with below
+        assert sign_count_slope((3,), (-2, 2)) == 6
+        assert sign_count_slope((2, 4), (2, 4)) == 0
+        assert sign_count_slope((3, -2, 2), (-2, 4)) == 10
+        assert surface_report((3, -2, 2)).slope == 10
 
     def test_agreement_across_sample_knots(self):
-        for alpha, beta in [(5, 2), (7, 3), (13, 6), (19, 7), (25, 9)]:
-            knot = make_knot(alpha, beta)
-            expansions = surfaces_expansions(knot)
+        for alpha, beta in iter_knots(61):
+            report = full_report(make_knot(alpha, beta))
             seifert = next(
-                e for e in expansions if all(n % 2 == 0 for n in e.terms)
+                r.surface.expansion.terms for r in report.surfaces
+                if r.surface.orientable
             )
-            for e in expansions:
-                assert boundary_slope(e, knot) == boundary_slope_ht(e, seifert)
+            assert report.signature == sign_count_signature(seifert)
+            for r in report.surfaces:
+                e = r.surface.expansion
+                assert r.slope == sign_count_slope(e.terms, seifert)
+                assert r.signature == sign_count_signature(e.terms)
 
 
 class TestKnotLevel:
@@ -401,19 +409,26 @@ class TestKnotLevel:
         [(3, 1, [1, -1, 1]), (5, 2, [1, -3, 1]), (7, 3, [2, -3, 2])],
     )
     def test_alexander(self, alpha, beta, coeffs):
-        assert alexander_polynomial(make_knot(alpha, beta)).canonical == laurent(coeffs)
+        alexander = full_report(make_knot(alpha, beta)).alexander
+        assert alexander.canonical == laurent(coeffs)
+
+    def test_alexander_has_integer_coefficients_to_61(self):
+        for alpha, beta in iter_knots(61):
+            alexander = full_report(make_knot(alpha, beta)).alexander
+            assert all(c % 2**alexander.k == 0 for c in alexander.coeffs_2k)
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_torus_knot_genus(self, m):
-        assert knot_genus_twice(make_knot(m, 1)) == m - 1
+        assert full_report(make_knot(m, 1)).genus_twice == m - 1
 
     def test_genus_one_knots(self):
-        assert knot_genus_twice(make_knot(5, 2)) == 2
-        assert knot_genus_twice(make_knot(9, 2)) == 2  # Seifert expansion [4, 2]
+        assert full_report(make_knot(5, 2)).genus_twice == 2
+        # Seifert expansion [4, 2]
+        assert full_report(make_knot(9, 2)).genus_twice == 2
 
     def test_crosscap(self):
-        assert nonorientable_genus_twice(make_knot(3, 1)) == 1
-        assert nonorientable_genus_twice(make_knot(5, 2)) == 2
+        assert full_report(make_knot(3, 1)).nonorientable_genus_twice == 1
+        assert full_report(make_knot(5, 2)).nonorientable_genus_twice == 2
 
     @pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (2, 3), (4, 2)])
     def test_genus_one_family_structure(self, i, j):
@@ -429,7 +444,7 @@ class TestKnotLevel:
         assert (2 * i, 2 * j) in by_terms
         assert (2 * i + 1,) + (-2, 2) * (j - 1) + (-2,) in by_terms
         assert (-2, 2) * (i - 1) + (-2, 2 * j + 1) in by_terms
-        assert knot_genus_twice(knot) == 2
+        assert full_report(knot).genus_twice == 2
         degrees = sorted(
             state_polynomial(Expansion(e)).k for e in expansions
         )
@@ -444,8 +459,9 @@ class TestKnotLevel:
             for e in surfaces_expansions(knot)
             if any(n % 2 for n in e.terms)
         )
-        assert ks[0] > knot_genus_twice(knot) + 1
-        assert nonorientable_genus_twice(knot) == 3
+        report = full_report(knot)
+        assert ks[0] > report.genus_twice + 1
+        assert report.nonorientable_genus_twice == 3
 
 
 class TestFullReport:
@@ -495,8 +511,6 @@ class TestScaledRepresentation:
     """``StatePolynomial.coeffs_2k`` against the Fraction route."""
 
     def test_coeffs_2k_match_fraction_route_and_oracle_to_49(self):
-        from bridgestate.checks import iter_knots
-
         for alpha, beta in iter_knots(49):
             for x in full_report(make_knot(alpha, beta)).surfaces:
                 e = x.surface.expansion
@@ -551,7 +565,7 @@ class TestInvariance:
             for j in range(i + 1, k + 1):
                 v = flip_orientation(v, j)
             assert state_polynomial_oracle(v) == state_polynomial_det(e)
-            assert state_signature_minors(v) == state_signature(e)
+            assert state_signature_minors(v) == sign_count_signature(e.terms)
 
 
 class TestPresentations:
@@ -563,17 +577,19 @@ class TestPresentations:
             if gcd(alpha, beta) != 1:
                 continue
             other = pow(beta, -1, alpha)
-            assert invariant_multiset(make_knot(alpha, beta)) == invariant_multiset(
-                make_knot(alpha, other)
-            )
+            assert invariant_multiset(
+                full_report(make_knot(alpha, beta))
+            ) == invariant_multiset(full_report(make_knot(alpha, other)))
 
     @pytest.mark.parametrize("alpha,beta", [(5, 2), (7, 3), (19, 7), (33, 7)])
     def test_mirror_negates_signatures_and_slopes(self, alpha, beta):
-        ours = invariant_multiset(make_knot(alpha, beta))
+        ours = invariant_multiset(full_report(make_knot(alpha, beta)))
         mirrored = tuple(
             sorted((key, -sigma, -slope) for key, sigma, slope in ours)
         )
-        assert invariant_multiset(make_knot(alpha, alpha - beta)) == mirrored
+        assert invariant_multiset(
+            full_report(make_knot(alpha, alpha - beta))
+        ) == mirrored
 
 
 def test_consistency_error_reports_the_failed_identity(monkeypatch):

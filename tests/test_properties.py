@@ -14,11 +14,11 @@ from bridgestate import (  # noqa: E402
     standard_state_matrix,
     state_polynomial_det,
     state_polynomial_oracle,
-    state_signature,
     state_signature_minors,
     symmetric_signature,
 )
 from bridgestate.checks import permuted_state_matrix  # noqa: E402
+from oracles import sign_count_signature  # noqa: E402
 
 # any sequence of terms with |n| >= 2 is a valid expansion
 TERMS = st.lists(
@@ -53,4 +53,4 @@ def test_oracle_and_signature_survive_random_moves(data):
         sig = symmetric_signature(gl.entries)
     else:
         sig = state_signature_minors(v)
-    assert sig == state_signature(e)
+    assert sig == sign_count_signature(e.terms)

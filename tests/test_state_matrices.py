@@ -14,7 +14,8 @@ from bridgestate import (
     state_matrix,
     surfaces_expansions,
 )
-from bridgestate.checks import permuted_state_matrix, random_expansion
+from bridgestate.checks import permuted_state_matrix
+from oracles import random_expansion
 
 
 def F(p, q=1):

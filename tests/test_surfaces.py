@@ -91,6 +91,12 @@ class TestFindSeifert:
         with pytest.raises(ConsistencyError):
             find_seifert(twice)
 
+    def test_odd_length_orientable_surface_is_a_bug(self):
+        odd = [make_surface(Expansion((2, -2, 2))),
+               make_surface(Expansion((3,)))]
+        with pytest.raises(ConsistencyError, match="odd length"):
+            find_seifert(odd)
+
 
 def test_essential_surfaces_preserve_expansion_order():
     surfaces = essential_surfaces(make_knot(5, 2))
