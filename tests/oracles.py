@@ -7,13 +7,21 @@ of small matrices are expanded by cofactors over those dictionaries, state
 matrices are built and signatures computed with dense ``Fraction``
 arithmetic, and signatures and slopes of expansions are counted from the
 signs of their terms.  ``LaurentPolynomial`` serves only as the container
-results are compared in.
+results are compared in, and ``InvalidInputError`` as the error raised
+for inputs outside a helper's domain.
 """
 
 import random
 from fractions import Fraction
 
-from bridgestate import Expansion, LaurentPolynomial
+from bridgestate import Expansion, InvalidInputError, LaurentPolynomial
+
+
+def frac(p: int, q: int = 1) -> Fraction:
+    """Reduced fraction p/q with positive denominator."""
+    if q == 0:
+        raise InvalidInputError("fraction denominator must be nonzero")
+    return Fraction(p, q)
 
 
 def laurent(coeffs, min_degree: int = 0) -> LaurentPolynomial:
@@ -43,7 +51,7 @@ def sign_count_slope(terms, seifert_terms) -> int:
     """Boundary slope from sign counts alone, 2*(N+ - N-) - 2*(N0+ - N0-),
     with the all-even Seifert expansion giving the N0 terms."""
     if any(n % 2 for n in seifert_terms):
-        raise ValueError(f"reference {seifert_terms} must be all even")
+        raise InvalidInputError(f"reference {seifert_terms} must be all even")
     return 2 * sign_count_signature(terms) - 2 * sign_count_signature(
         seifert_terms)
 

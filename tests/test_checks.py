@@ -104,7 +104,7 @@ def test_negative_control():
     assert check_negative_control() == 2
 
 
-def test_identities_catch_a_wrong_determinant():
+def test_surface_checks_catch_a_wrong_determinant():
     knot = make_knot(5, 2)
     s = make_surface(Expansion((2, 2)))
     det = _det_scaled(s.expansion.terms)
@@ -112,7 +112,7 @@ def test_identities_catch_a_wrong_determinant():
         _check_identities(knot, s, det, alpha=7, sigma_k=0, sigma_k_minors=0)
 
 
-def test_identities_catch_an_inconsistent_reference_signature():
+def test_surface_checks_catch_an_inconsistent_reference_signature():
     knot = make_knot(5, 2)
     s = make_surface(Expansion((2, 2)))
     det = _det_scaled(s.expansion.terms)

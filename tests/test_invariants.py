@@ -31,6 +31,7 @@ from bridgestate.checks import (
     permuted_state_matrix,
 )
 from oracles import (
+    frac,
     laurent,
     random_expansion,
     sign_count_signature,
@@ -38,8 +39,7 @@ from oracles import (
 )
 
 
-def F(p, q=1):
-    return Fraction(p, q)
+F = frac
 
 
 def surface_report(terms):
@@ -388,6 +388,10 @@ class TestBoundarySlope:
         assert sign_count_slope((2, 4), (2, 4)) == 0
         assert sign_count_slope((3, -2, 2), (-2, 4)) == 10
         assert surface_report((3, -2, 2)).slope == 10
+
+    def test_sign_count_formula_needs_even_reference(self):
+        with pytest.raises(InvalidInputError):
+            sign_count_slope((2, 2), (3,))
 
     def test_agreement_across_sample_knots(self):
         for alpha, beta in iter_knots(61):

@@ -9,10 +9,31 @@ from oracles import (
     dict_add,
     dict_eval,
     dict_mul,
+    frac,
     laurent,
     poly_to_dict,
     random_laurent,
 )
+
+
+class TestFrac:
+    def test_reduces(self):
+        assert frac(6, 4) == Fraction(3, 2)
+
+    def test_zero_normalizes(self):
+        f = frac(0, 5)
+        assert (f.numerator, f.denominator) == (0, 1)
+
+    def test_sign_moves_to_numerator(self):
+        f = frac(7, -3)
+        assert (f.numerator, f.denominator) == (-7, 3)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(InvalidInputError):
+            frac(1, 0)
+
+    def test_default_denominator(self):
+        assert frac(5) == 5
 
 
 class TestArithmetic:
