@@ -12,7 +12,6 @@ crosscap number.
 
 from .continued_fractions import (
     Expansion,
-    cf_value,
     enumerate_expansions,
     surfaces_expansions,
 )
@@ -21,12 +20,8 @@ from .invariants import (
     InvariantReport,
     StatePolynomial,
     SurfaceReport,
-    canonical_representative,
     full_report,
-    poly_equivalent,
     state_polynomial,
-    state_polynomial_det,
-    state_polynomial_oracle,
     state_signature_minors,
     symmetric_signature,
 )

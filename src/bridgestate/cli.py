@@ -127,6 +127,8 @@ def cmd_verify(args) -> int:
 def cmd_census(args) -> int:
     if args.max_alpha < 3:
         raise InvalidInputError("--max-alpha must be at least 3")
+    if args.out_surfaces == "-":
+        raise InvalidInputError("'-' (stdout) is only valid for --out")
     if args.out_surfaces and (
         os.path.abspath(args.out) == os.path.abspath(args.out_surfaces)
     ):

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -42,32 +42,8 @@ class Expansion:
             raise InvalidInputError(f"expansion tag r={self.r} must be 0 or 1")
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def k(self) -> int:
-        return len(self.terms)
-
     def __str__(self) -> str:
         return "[" + ", ".join(str(n) for n in self.terms) + "]"
-
-
-def cf_value(e: Expansion) -> Fraction:
-    """Exact value n1 + 1/(n2 + ... + 1/nk) of an expansion.
-
-    The result always satisfies |value| > 1: inductively the tail v has
-    |v| > 1, so |n + 1/v| >= |n| - |1/v| > 2 - 1 = 1.
-    """
-    num, den = e.terms[-1], 1
-    for n in reversed(e.terms[:-1]):
-        if num == 0:
-            raise ConsistencyError(f"zero intermediate value in {e}")
-        # n + den/num, normalized to a positive denominator
-        num, den = n * num + den, num
-        if den < 0:
-            num, den = -num, -den
-    value = Fraction(num, den)
-    if abs(value.numerator) <= value.denominator:
-        raise ConsistencyError(f"expansion {e} has value {value} with |value| <= 1")
-    return value
 
 
 def _expand_target(p: int, q: int) -> list:

@@ -26,10 +26,10 @@ d_0 = 1, d_1 = (n1/2)(1-t), d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1}
 only at odd terms, so s <= k).  A ``StatePolynomial`` keeps them as the
 integer coefficients of 2**k times the canonical representative, so reports
 never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
-built only for display, the public oracle wrapper and failure messages.
-The oracle, structurally independent of the recurrence, is exact sparse
-elimination of D*(V - t*V^T) at t = 2**B on the integer matrix D*V a
-``StateMatrix`` stores, polynomial in k, so it checks every surface.
+built only for display and failure messages.  The oracle ``_oracle_scaled``,
+structurally independent of the recurrence, is exact sparse elimination of
+D*(V - t*V^T) at t = 2**B on the integer matrix D*V a ``StateMatrix``
+stores, polynomial in k, so ``checks`` runs it on every surface.
 Signatures of transformed matrices come from exact sparse integer
 elimination as well (``symmetric_signature``).
 """
@@ -41,7 +41,7 @@ from fractions import Fraction
 from .continued_fractions import Expansion
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
-from .state_matrices import StateMatrix, gl_matrix
+from .state_matrices import StateMatrix, _square_den, gl_matrix
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
@@ -91,27 +91,6 @@ def laurent_over(coeffs, den: int) -> LaurentPolynomial:
     return LaurentPolynomial(0, tuple(Fraction(c, den) for c in coeffs))
 
 
-def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
-    """det(V - t*V^T) for the standard state matrix, uncanonicalized."""
-    coeffs, scale = _det_scaled(e.terms)
-    return laurent_over(coeffs, 1 << scale)
-
-
-def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
-    """The representative of {+-t^j * p} with min degree 0 and positive
-    lowest coefficient."""
-    if p.is_zero or (p.min_degree == 0 and p.coeffs[0] > 0):
-        return p
-    if p.coeffs[0] < 0:
-        return LaurentPolynomial(0, tuple(-c for c in p.coeffs))
-    return LaurentPolynomial(0, p.coeffs)
-
-
-def poly_equivalent(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
-    """True iff p = +-t^j * q for some integer j."""
-    return canonical_representative(p) == canonical_representative(q)
-
-
 @dataclass(frozen=True)
 class StatePolynomial:
     """Canonical state polynomial of a surface with k bands.
@@ -157,6 +136,15 @@ def state_polynomial(e: Expansion) -> StatePolynomial:
 
 # ---------------------------------------------------------------------------
 # elimination oracle
+
+
+def _exact_div(x: int, d: int) -> int:
+    """x / d for a fraction-free (Bareiss) elimination step, where d
+    divides x by Sylvester's identity; a remainder is reported as a bug."""
+    q, r = divmod(x, d)
+    if r:
+        raise ConsistencyError("inexact Bareiss division")
+    return q
 
 
 def _cuthill_mckee(rows) -> list:
@@ -221,13 +209,6 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
         for j in row:
             cols[j].add(i)
 
-    def exact_div(x, d):
-        q, r = divmod(x, d)
-        if r:
-            raise ConsistencyError(f"inexact Bareiss division in a size-{k} "
-                                   "elimination")
-        return q
-
     # sparse Bareiss elimination with row pivoting: rows[i] holds the
     # Bareiss values of the step last[i] at which row i last changed
     last = [0] * k
@@ -244,7 +225,7 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
         if last[r] != c:
             # a row that steps skipped: scale it up to step c
             f, g = pivots[c], pivots[last[r]]
-            prow = {j: exact_div(x * f, g) for j, x in prow.items()}
+            prow = {j: _exact_div(x * f, g) for j, x in prow.items()}
         p = prow.pop(c)
         for j in prow:
             cols[j].discard(r)
@@ -260,7 +241,7 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
                     cols[j].add(i)
             for j, x in row.items():
                 x = p * x - x_ic * prow.get(j, 0)
-                row[j] = x if g == 1 else exact_div(x, g)
+                row[j] = x if g == 1 else _exact_div(x, g)
             for j in [j for j, x in row.items() if not x]:
                 del row[j]
                 cols[j].discard(i)
@@ -294,44 +275,38 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
     return coeffs, v.den
 
 
-def state_polynomial_oracle(v: StateMatrix) -> LaurentPolynomial:
-    """det(V - t*V^T) by exact sparse elimination, uncanonicalized.
-
-    Shares no code with the recurrence and assumes no structure of V, so it
-    also checks transformed and renumbered state matrices.  The elimination
-    runs on the integer matrix A = v.scaled = D*V, whose determinant
-    det(A - t*A^T) is D**k * det(V - t*V^T); it is exact and polynomial
-    in k and the entry sizes.
-    """
-    coeffs, den = _oracle_scaled(v)
-    return laurent_over(coeffs, den ** v.size)
-
-
 # ---------------------------------------------------------------------------
 # signatures
+
+
+def _tridiagonal_signature(diag, pair: int) -> int:
+    """Signature of a symmetric tridiagonal matrix with diagonal ``diag``
+    and off-diagonal pairs of product ``pair`` > 0, from its leading
+    principal minors D_0 = 1, D_j = a_j * D_{j-1} - pair * D_{j-2}: the
+    number of consecutive sign agreements minus the number of sign
+    changes.  Its callers' minors cannot vanish, so a zero minor is
+    reported as a bug."""
+    sig = 0
+    dm, d = 0, 1
+    for size, a in enumerate(diag, 1):
+        new = a * d - pair * dm
+        if new == 0:
+            raise ConsistencyError(
+                f"zero leading principal minor at size {size} of {diag}")
+        sig += 1 if (new > 0) == (d > 0) else -1
+        dm, d = d, new
+    return sig
 
 
 def _minor_signature(terms) -> int:
     """Signature of the standard V + V^T from its leading principal minors.
 
-    D_0 = 1, D_1 = a_1, D_j = a_j * D_{j-1} - D_{j-2} with diagonal
-    a_j = (-1)**(j+1) * nj (the off-diagonal pairs multiply to 1); the
-    signature is the number of consecutive sign agreements minus the number
-    of sign changes.  Every D_j is a product of pivots of absolute value
-    > 1, so a zero minor is impossible and reported as a bug.
+    Its diagonal is a_j = (-1)**(j+1) * nj and its off-diagonal pairs
+    multiply to 1.  Every D_j is a product of pivots of absolute value
+    > 1, so a zero minor is impossible.
     """
-    sig = 0
-    dm, d = None, 1
-    for idx, n in enumerate(terms):
-        a = n if idx % 2 == 0 else -n
-        new = a * d if idx == 0 else a * d - dm
-        if new == 0:
-            raise ConsistencyError(
-                f"zero leading principal minor at size {idx + 1} for {list(terms)}"
-            )
-        sig += 1 if (new > 0) == (d > 0) else -1
-        dm, d = d, new
-    return sig
+    return _tridiagonal_signature(
+        [-n if i % 2 else n for i, n in enumerate(terms)], 1)
 
 
 def state_signature_minors(v: StateMatrix) -> int:
@@ -354,18 +329,7 @@ def state_signature_minors(v: StateMatrix) -> int:
             raise InvalidInputError(
                 "minor recurrence needs off-diagonal pairs with product 1"
             )
-    sig = 0
-    dm, d = None, 1
-    for idx in range(k):
-        a = ent[idx][idx]
-        new = a * d if idx == 0 else a * d - pair * dm
-        if new == 0:
-            raise ConsistencyError(
-                f"zero leading principal minor at size {idx + 1}"
-            )
-        sig += 1 if (new > 0) == (d > 0) else -1
-        dm, d = d, new
-    return sig
+    return _tridiagonal_signature([ent[i][i] for i in range(k)], pair)
 
 
 def symmetric_signature(rows) -> int:
@@ -383,22 +347,12 @@ def symmetric_signature(rows) -> int:
     """
     rows = [tuple(row) for row in rows]
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise InvalidInputError("matrix must be square")
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    den = math.lcm(*{x.denominator for row in nonzero for _, x in row})
-    m = [{j: x.numerator * (den // x.denominator) for j, x in row}
-         for row in nonzero]
+    den = _square_den(rows, "matrix")
+    m = [{j: x.numerator * (den // x.denominator)
+          for j, x in enumerate(row) if x} for row in rows]
     if any(m[j].get(i) != x for i, row in enumerate(m) for j, x in row.items()):
         raise InvalidInputError("matrix must be symmetric")
     m = _cuthill_mckee(m)
-
-    def exact_div(x, d):
-        q, r = divmod(x, d)
-        if r:
-            raise ConsistencyError(f"inexact Bareiss division in a size-{n} "
-                                   "symmetric elimination")
-        return q
 
     # m[i] holds the Bareiss values of the step last[i] at which row i last
     # changed; lift brings a row up to the current step
@@ -410,7 +364,7 @@ def symmetric_signature(rows) -> int:
         if last[i] != c:
             f, g = pivots[c], pivots[last[i]]
             for j, x in row.items():
-                row[j] = exact_div(x * f, g)
+                row[j] = _exact_div(x * f, g)
             last[i] = c
         return row
 
@@ -444,7 +398,7 @@ def symmetric_signature(rows) -> int:
                     row[l] = 0
             for l, x in row.items():
                 x = p * x - x_ji * prow.get(l, 0)
-                row[l] = x if g == 1 else exact_div(x, g)
+                row[l] = x if g == 1 else _exact_div(x, g)
             for l in [l for l, x in row.items() if not x]:
                 del row[l]
             last[j] = step

@@ -1,19 +1,17 @@
-"""Laurent polynomials over the rationals: the exact display form.
+"""Laurent polynomials over the rationals: the exact display type.
 
 The package computes in integers: a state polynomial is carried as the
 integer coefficients of 2**k times its canonical representative, and a
 state matrix as integer rows over one denominator.  ``LaurentPolynomial``
 is the exact view of such values, with stdlib ``fractions.Fraction``
-coefficients, built on demand for human output, for the public oracle
-wrapper and for failure messages.  No floating point is used anywhere in
-the package.  Laurent polynomials are stored densely, lowest degree first,
-with the ends trimmed to nonzero coefficients.
+coefficients, built on demand for human output (``StatePolynomial.canonical``)
+and for failure messages.  No floating point is used anywhere in the
+package.  Laurent polynomials are stored densely, lowest degree first, with
+the ends trimmed to nonzero coefficients.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -47,36 +45,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def max_degree(self):
-        """Top degree, or None for the zero polynomial."""
-        if not self.coeffs:
-            return None
-        return self.min_degree + len(self.coeffs) - 1
-
-    def coefficient(self, degree: int) -> Fraction:
-        """Coefficient of t**degree (zero outside the stored span)."""
-        i = degree - self.min_degree
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(self.max_degree, other.max_degree)
-        out = [self.coefficient(d) + other.coefficient(d) for d in range(lo, hi + 1)]
-        return LaurentPolynomial(lo, tuple(out))
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.min_degree, tuple(-c for c in self.coeffs))
-
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
             return LaurentPolynomial(
@@ -93,29 +61,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.min_degree + other.min_degree, tuple(out))
 
     __rmul__ = __mul__
-
-    def evaluate(self, x) -> Fraction:
-        """Exact value at the rational point x.
-
-        Evaluation at 0 is only defined when there are no negative powers.
-        """
-        if self.is_zero:
-            return Fraction(0)
-        x = Fraction(x)
-        if x == 0 and self.min_degree < 0:
-            raise InvalidInputError(
-                "cannot evaluate a polynomial with negative exponents at 0"
-            )
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * x**self.min_degree
-
-    def reciprocal_substitute(self) -> "LaurentPolynomial":
-        """The polynomial p(1/t): reversed coefficients, mirrored degrees."""
-        if self.is_zero:
-            return self
-        return LaurentPolynomial(-self.max_degree, tuple(reversed(self.coeffs)))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -53,12 +53,23 @@ class GLMatrix(_ScaledMatrix):
     """Symmetric matrix of the Gordon-Litherland form, V + V^T."""
 
 
+def _square_den(rows, what: str) -> int:
+    """The lcm of the entry denominators of ``rows``, a list of tuples that
+    must form a square matrix of ints/Fractions."""
+    if any(len(row) != len(rows) for row in rows):
+        raise InvalidInputError(f"{what} must be square")
+    try:
+        return math.lcm(*{x.denominator for x in chain.from_iterable(rows)})
+    except AttributeError:
+        raise InvalidInputError(
+            f"{what} entries must be ints or Fractions, got {rows!r}"
+        ) from None
+
+
 def state_matrix(rows) -> StateMatrix:
     """Build a StateMatrix from any nested sequence of ints/Fractions."""
     rows = [tuple(row) for row in rows]
-    if any(len(row) != len(rows) for row in rows):
-        raise InvalidInputError("state matrix must be square")
-    den = math.lcm(*{x.denominator for x in chain.from_iterable(rows)})
+    den = _square_den(rows, "state matrix")
     return StateMatrix(den, tuple(
         tuple(x.numerator * (den // x.denominator) for x in row)
         for row in rows

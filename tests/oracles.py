@@ -1,20 +1,28 @@
 """Independent reference computations the tests check the package against.
 
 Nothing here shares code paths with the package internals it verifies:
-expansions are found by exhaustive search over term sequences, Laurent
-arithmetic is redone on degree->coefficient dictionaries, determinants
-of small matrices are expanded by cofactors over those dictionaries, state
-matrices are built and signatures computed with dense ``Fraction``
-arithmetic, and signatures and slopes of expansions are counted from the
-signs of their terms.  ``LaurentPolynomial`` serves only as the container
-results are compared in, and ``InvalidInputError`` as the error raised
-for inputs outside a helper's domain.
+expansion values are folded from the terms, expansions are found by
+exhaustive search over term sequences, Laurent arithmetic is redone on
+degree->coefficient dictionaries, determinants of small matrices are
+expanded by cofactors over those dictionaries, state matrices are built and
+signatures computed with dense ``Fraction`` arithmetic, and signatures and
+slopes of expansions are counted from the signs of their terms.
+``LaurentPolynomial`` serves only as the container results are compared
+in, and ``InvalidInputError`` as the error raised for inputs outside a
+helper's domain.
+
+Two helpers are views, not references: ``state_polynomial_det`` and
+``state_polynomial_oracle`` put the integer results of the package's
+recurrence and elimination oracle into that container, so the tests can
+compare the two routes with each other and with the references above,
+exactly and up to the units +-t^j (``poly_equivalent``).
 """
 
 import random
 from fractions import Fraction
 
 from bridgestate import Expansion, InvalidInputError, LaurentPolynomial
+from bridgestate.invariants import _det_scaled, _oracle_scaled
 
 
 def frac(p: int, q: int = 1) -> Fraction:
@@ -27,6 +35,15 @@ def frac(p: int, q: int = 1) -> Fraction:
 def laurent(coeffs, min_degree: int = 0) -> LaurentPolynomial:
     """Shorthand constructor from a low-to-high coefficient sequence."""
     return LaurentPolynomial(min_degree, tuple(coeffs))
+
+
+def cf_value(e: Expansion) -> Fraction:
+    """Exact value n1 + 1/(n2 + ... + 1/nk) of an expansion, folded in
+    Fraction arithmetic from the last term."""
+    value = Fraction(e.terms[-1])
+    for n in reversed(e.terms[:-1]):
+        value = n + 1 / value
+    return value
 
 
 def random_expansion(rng: random.Random, max_k: int = 8,
@@ -121,6 +138,47 @@ def dict_mul(d1: dict, d2: dict) -> dict:
 
 def dict_eval(d: dict, x: Fraction) -> Fraction:
     return sum((c * Fraction(x) ** k for k, c in d.items()), Fraction(0))
+
+
+def evaluate(p: LaurentPolynomial, x) -> Fraction:
+    """Exact value of p at the nonzero rational point x."""
+    return dict_eval(poly_to_dict(p), x)
+
+
+def reciprocal(p: LaurentPolynomial) -> LaurentPolynomial:
+    """The polynomial p(1/t)."""
+    return dict_to_poly({-d: c for d, c in poly_to_dict(p).items()})
+
+
+def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
+    """The representative of {+-t^j * p} with min degree 0 and positive
+    lowest coefficient."""
+    if p.is_zero or (p.min_degree == 0 and p.coeffs[0] > 0):
+        return p
+    if p.coeffs[0] < 0:
+        return LaurentPolynomial(0, tuple(-c for c in p.coeffs))
+    return LaurentPolynomial(0, p.coeffs)
+
+
+def poly_equivalent(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
+    """True iff p = +-t^j * q for some integer j."""
+    return canonical_representative(p) == canonical_representative(q)
+
+
+def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
+    """det(V - t*V^T) for the standard state matrix V of ``e``, from the
+    package's recurrence, uncanonicalized: its 2**s-scaled integer
+    coefficients over 2**s."""
+    coeffs, scale = _det_scaled(e.terms)
+    return laurent([Fraction(c, 1 << scale) for c in coeffs])
+
+
+def state_polynomial_oracle(v) -> LaurentPolynomial:
+    """det(V - t*V^T) for the state matrix ``v``, from the package's
+    elimination oracle, uncanonicalized: the oracle eliminates the integer
+    matrix D*V = ``v.scaled``, whose determinant is D**k times this one."""
+    coeffs, den = _oracle_scaled(v)
+    return laurent([Fraction(c, den ** v.size) for c in coeffs])
 
 
 def random_laurent(rng, max_span: int = 5, max_num: int = 6) -> LaurentPolynomial:

@@ -16,8 +16,6 @@ from bridgestate import (
     Expansion,
     full_report,
     make_knot,
-    state_polynomial_det,
-    state_polynomial_oracle,
     standard_state_matrix,
     surfaces_expansions,
 )
@@ -28,7 +26,13 @@ from bridgestate.checks import (
     iter_knots,
 )
 from bridgestate.cli import main
-from oracles import brute_force_expansions, random_expansion
+from oracles import (
+    brute_force_expansions,
+    poly_equivalent,
+    random_expansion,
+    state_polynomial_det,
+    state_polynomial_oracle,
+)
 
 
 def poly_value(coeffs_2k, k, x):
@@ -158,7 +162,7 @@ def test_criterion_08_negative_control():
     got = state_polynomial_oracle(wrong)
     # -(7/4)(1-t)^2, which is NOT +-t^j times 3/2 - 4t + (3/2)t^2
     assert got.coeffs == (Fraction(-7, 4), Fraction(7, 2), Fraction(-7, 4))
-    from bridgestate import poly_equivalent, state_polynomial
+    from bridgestate import state_polynomial
 
     assert not poly_equivalent(got, state_polynomial(Expansion((2, 3))).canonical)
     check_negative_control()

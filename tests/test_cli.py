@@ -276,6 +276,24 @@ class TestCensusCommand:
         assert "different files" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_stdout_surface_file_exits_2_before_computing(
+            self, capsys, tmp_path, monkeypatch):
+        # '-' means stdout for --out only; as --out-surfaces it would name
+        # a file '-' in the working directory
+        import bridgestate.cli as cli
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the census was computed")
+
+        monkeypatch.setattr(cli, "census_rows", not_reached)
+        monkeypatch.chdir(tmp_path)
+        for out in ("k.csv", "-"):
+            code, _, err = run(capsys, "census", "--max-alpha", "5",
+                               "--out", out, "--out-surfaces", "-")
+            assert code == 2
+            assert "only valid for --out" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failure_before_write_creates_no_file(self, capsys, tmp_path,
                                                    monkeypatch):
         import bridgestate.cli as cli

@@ -6,12 +6,11 @@ import pytest
 from bridgestate import (
     Expansion,
     InvalidInputError,
-    cf_value,
     enumerate_expansions,
     make_knot,
     surfaces_expansions,
 )
-from oracles import brute_force_expansions
+from oracles import brute_force_expansions, cf_value
 
 
 def terms_of(expansions):

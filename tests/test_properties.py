@@ -10,15 +10,17 @@ from bridgestate import (  # noqa: E402
     flip_normal,
     flip_orientation,
     gl_matrix,
-    poly_equivalent,
     standard_state_matrix,
-    state_polynomial_det,
-    state_polynomial_oracle,
     state_signature_minors,
     symmetric_signature,
 )
 from bridgestate.checks import permuted_state_matrix  # noqa: E402
-from oracles import sign_count_signature  # noqa: E402
+from oracles import (  # noqa: E402
+    poly_equivalent,
+    sign_count_signature,
+    state_polynomial_det,
+    state_polynomial_oracle,
+)
 
 # any sequence of terms with |n| >= 2 is a valid expansion
 TERMS = st.lists(

@@ -13,6 +13,7 @@ from bridgestate import (
     standard_state_matrix,
     state_matrix,
     surfaces_expansions,
+    symmetric_signature,
 )
 from bridgestate.checks import permuted_state_matrix
 from oracles import random_expansion
@@ -146,6 +147,15 @@ def test_flips_never_create_the_symmetric_configuration():
 def test_state_matrix_must_be_square():
     with pytest.raises(InvalidInputError):
         state_matrix([[1, 0], [1]])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"])
+@pytest.mark.parametrize("build", [state_matrix, symmetric_signature])
+def test_non_rational_entries_rejected(build, bad):
+    with pytest.raises(InvalidInputError, match="ints or Fractions"):
+        build([[bad]])
+    with pytest.raises(InvalidInputError, match="ints or Fractions"):
+        build([[F(1, 2), bad], [bad, 0]])
 
 
 def _matrices_to_49():
