@@ -24,14 +24,19 @@ Wire formats, fixed here and documented in the README:
 * JSON is rendered with sorted keys and two-space indentation, so parsing
   and re-dumping a report reproduces it byte for byte.
 
-The census fans per-knot work out to a process pool of at most one worker
-per usable CPU; rows are emitted in (alpha, beta) order regardless of
-worker count, so output bytes do not depend on --jobs.
+The census is one streaming pipeline.  One task per knot computes its
+report and renders the knot's rows in the requested format (``render_knot``);
+with more than one job the tasks run in a process pool of at most one
+worker per usable CPU.  ``census_rows`` hands each knot's rendered pieces to
+an ``emit`` callback in (alpha, beta) order as soon as they arrive, and a
+``TableWriter`` per file adds the CSV header or the JSON list brackets.  So
+output bytes do not depend on --jobs, and no table is held in memory.
 """
 
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from .checks import iter_knots
 from .errors import ConsistencyError, InvalidInputError
@@ -43,6 +48,9 @@ KNOT_CSV_HEADER = (
 )
 SURFACE_LIST_CSV_HEADER = "alpha,beta,terms,r,orientable,genus2,n_plus,n_minus"
 SURFACE_CSV_HEADER = SURFACE_LIST_CSV_HEADER + ",signature,slope,poly"
+
+# the most knots one pool task renders (see census_rows)
+MAX_CHUNK = 64
 
 
 def poly_to_dict(sp: StatePolynomial) -> dict:
@@ -149,8 +157,37 @@ def census_row(alpha: int, beta: int) -> dict:
     return row
 
 
-def _census_row_star(pair) -> dict:
-    return census_row(*pair)
+def _list_element(text: str) -> str:
+    """A ``dumps_canonical`` document re-indented as an element of a
+    top-level JSON list, without its final newline."""
+    return "  " + text[:-1].replace("\n", "\n  ")
+
+
+def render_knot(row: dict, as_json: bool, with_surfaces: bool) -> tuple:
+    """One knot's census output: its piece of the knot file and its piece
+    of the surface file ('' unless ``with_surfaces``).
+
+    A CSV piece is whole lines, each ending in a newline; a JSON piece is
+    list elements separated by a comma and a newline.  ``TableWriter`` puts
+    the pieces of every knot together into the bytes of one CSV table or
+    of one ``dumps_canonical`` list.
+    """
+    if as_json:
+        knot = _list_element(dumps_canonical(row))
+        records = (dict(s, alpha=row["alpha"], beta=row["beta"])
+                   for s in row["surfaces"]) if with_surfaces else ()
+        return knot, ",\n".join(
+            _list_element(dumps_canonical(rec)) for rec in records)
+    lines = surface_csv_rows(row) if with_surfaces else ()
+    return knot_csv_row(row) + "\n", "".join(line + "\n" for line in lines)
+
+
+def _census_row_star(task) -> tuple:
+    """One pool task: (knot piece, surface piece, surface count) of the knot
+    ``task`` names; see ``census_rows``."""
+    alpha, beta, as_json, with_surfaces = task
+    row = census_row(alpha, beta)
+    return (*render_knot(row, as_json, with_surfaces), row["surface_count"])
 
 
 def usable_cpus() -> int:
@@ -160,38 +197,65 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def census_rows(max_alpha: int, jobs: int = 1) -> list:
-    """Serialized reports for every knot with determinant <= max_alpha,
-    sorted by (alpha, beta).  Output is independent of ``jobs`` (>= 1;
+def census_rows(max_alpha: int, emit, jobs: int = 1, as_json: bool = False,
+                with_surfaces: bool = False) -> tuple:
+    """Render every knot with determinant <= max_alpha and call
+    ``emit(knot_piece, surface_piece)`` for each, in (alpha, beta) order, as
+    soon as its piece is ready (see ``render_knot``).  Returns the number of
+    knots and of surfaces.  The pieces are independent of ``jobs`` (>= 1;
     more workers than usable CPUs only add cost, so it is clamped)."""
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, usable_cpus())
-    pairs = list(iter_knots(max_alpha))
-    if jobs <= 1:
-        return [census_row(a, b) for a, b in pairs]
-    chunk = max(1, len(pairs) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_census_row_star, pairs, chunksize=chunk))
+    tasks = [(a, b, as_json, with_surfaces)
+             for a, b in iter_knots(max_alpha)]
+    surface_total = 0
+    with ExitStack() as stack:
+        if jobs > 1:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            # on a failure, knots not yet started are dropped, not computed
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # a chunk's pieces come back as one list, and chunks finished
+            # ahead of the one being written wait in memory: capping the
+            # chunk keeps memory flat as the sweep grows
+            chunk = max(1, min(len(tasks) // (jobs * 8), MAX_CHUNK))
+            pieces = pool.map(_census_row_star, tasks, chunksize=chunk)
+        else:
+            pieces = map(_census_row_star, tasks)
+        for knot_piece, surface_piece, count in pieces:
+            emit(knot_piece, surface_piece)
+            surface_total += count
+    return len(tasks), surface_total
+
+
+class TableWriter:
+    """One census file as it is written: the CSV header or '[' before the
+    first piece, the pieces in order, then the end of the JSON list.
+
+    Nothing is written before the first piece, so a census that fails
+    before any knot is ready writes nothing, and no buffered output exists
+    yet when the pool forks its workers.
+    """
+
+    def __init__(self, fh, as_json: bool, header: str):
+        self._fh = fh
+        if as_json:
+            self._head, self._sep, self._tail, self._empty = (
+                "[\n", ",\n", "\n]\n", "[]\n")
+        else:
+            self._head, self._sep, self._tail, self._empty = (
+                header + "\n", "", "", header + "\n")
+        self._started = False
+
+    def write(self, piece: str) -> None:
+        if piece:
+            self._fh.write((self._sep if self._started else self._head) + piece)
+            self._started = True
+
+    def close(self) -> None:
+        """Finish the document (the file itself stays open)."""
+        self._fh.write(self._tail if self._started else self._empty)
 
 
 def rows_to_knot_csv(rows) -> str:
     return "\n".join([KNOT_CSV_HEADER] + [knot_csv_row(r) for r in rows]) + "\n"
-
-
-def rows_to_surface_csv(rows) -> str:
-    lines = [SURFACE_CSV_HEADER]
-    for r in rows:
-        lines.extend(surface_csv_rows(r))
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows) -> str:
-    return dumps_canonical(list(rows))
-
-
-def surface_records(rows) -> list:
-    """One record per surface of the census rows, each with its knot's
-    alpha and beta (the JSON companion file)."""
-    return [dict(s, alpha=r["alpha"], beta=r["beta"])
-            for r in rows for s in r["surfaces"]]

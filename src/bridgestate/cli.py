@@ -13,18 +13,19 @@ Exit codes: 0 success, 1 a mathematical consistency check failed,
 """
 
 import argparse
+import contextlib
 import os
 import random
 import sys
 
 from .census import (
+    KNOT_CSV_HEADER,
+    SURFACE_CSV_HEADER,
+    TableWriter,
     census_rows,
     dumps_canonical,
     report_to_dict,
-    rows_to_json,
     rows_to_knot_csv,
-    rows_to_surface_csv,
-    surface_records,
     surfaces_to_csv,
     surfaces_to_dict,
 )
@@ -129,48 +130,55 @@ def cmd_census(args) -> int:
         raise InvalidInputError("--max-alpha must be at least 3")
     if args.out_surfaces == "-":
         raise InvalidInputError("'-' (stdout) is only valid for --out")
-    if args.out_surfaces and (
+    to_stdout = args.out == "-"
+    if args.out_surfaces and not to_stdout and (
         os.path.abspath(args.out) == os.path.abspath(args.out_surfaces)
     ):
         raise InvalidInputError("--out and --out-surfaces must be different files")
-    for path in (args.out, args.out_surfaces):
-        if path and path != "-" and os.path.isdir(path):
-            raise InvalidInputError(f"{path} is a directory, not a file")
-    rows = census_rows(args.max_alpha, jobs=args.jobs)
-    surface_total = sum(r["surface_count"] for r in rows)
-    files = []
-    payload = rows_to_json(rows) if args.json else rows_to_knot_csv(rows)
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        files.append((args.out, payload))
+    paths = [] if to_stdout else [args.out]
     if args.out_surfaces:
-        if args.json:
-            surf_payload = rows_to_json(surface_records(rows))
-        else:
-            surf_payload = rows_to_surface_csv(rows)
-        files.append((args.out_surfaces, surf_payload))
-    _write_files(files)
+        paths.append(args.out_surfaces)
+    for path in paths:
+        if os.path.isdir(path):
+            raise InvalidInputError(f"{path} is a directory, not a file")
+    with _replaced_on_success(paths) as files:
+        outputs = [sys.stdout] + files if to_stdout else files
+        tables = [TableWriter(fh, args.json, header) for fh, header
+                  in zip(outputs, (KNOT_CSV_HEADER, SURFACE_CSV_HEADER))]
+
+        def emit(*pieces):
+            for table, piece in zip(tables, pieces):
+                table.write(piece)
+
+        knot_total, surface_total = census_rows(
+            args.max_alpha, emit, jobs=args.jobs, as_json=args.json,
+            with_surfaces=bool(args.out_surfaces))
+        for table in tables:
+            table.close()
     print(
-        f"census: {len(rows)} knots, {surface_total} surfaces "
+        f"census: {knot_total} knots, {surface_total} surfaces "
         f"(alpha <= {args.max_alpha}, {'json' if args.json else 'csv'})",
-        file=sys.stderr if args.out == "-" else sys.stdout,
+        file=sys.stderr if to_stdout else sys.stdout,
     )
     return 0
 
 
-def _write_files(files) -> None:
-    """Write each (path, text) pair so that on any failure no target is
-    created or changed: every text first goes to a temporary file beside
-    its target, and the targets are replaced only once all are written."""
+@contextlib.contextmanager
+def _replaced_on_success(paths):
+    """Open a temporary file beside each target path and yield the list of
+    them.  The targets are replaced by their temporary files only when the
+    block succeeds; on any failure the temporary files are removed, so no
+    target is created or changed."""
     temps = []
     try:
-        for path, text in files:
-            tmp = f"{path}.tmp{os.getpid()}"
-            with open(tmp, "x") as fh:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                tmp = f"{path}.tmp{os.getpid()}"
+                files.append(stack.enter_context(open(tmp, "x")))
                 temps.append(tmp)
-                fh.write(text)
-        for (path, _), tmp in zip(files, temps):
+            yield files
+        for path, tmp in zip(paths, temps):
             os.replace(tmp, path)
     finally:
         for tmp in temps:

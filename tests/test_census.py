@@ -1,17 +1,35 @@
+import io
 import json
 
 from bridgestate.census import (
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
+    TableWriter,
     census_row,
     census_rows,
     dumps_canonical,
     knot_csv_row,
-    rows_to_json,
-    rows_to_knot_csv,
-    rows_to_surface_csv,
     surface_csv_rows,
 )
+
+
+def census_files(max_alpha, jobs=1, as_json=False):
+    """The knot and surface files of a census, put together from the
+    pieces ``census_rows`` emits, as ``census --out-surfaces`` writes them,
+    and the (knots, surfaces) counts it returns."""
+    streams = io.StringIO(), io.StringIO()
+    tables = [TableWriter(fh, as_json, header) for fh, header
+              in zip(streams, (KNOT_CSV_HEADER, SURFACE_CSV_HEADER))]
+
+    def emit(*pieces):
+        for table, piece in zip(tables, pieces):
+            table.write(piece)
+
+    counts = census_rows(max_alpha, emit, jobs=jobs, as_json=as_json,
+                         with_surfaces=True)
+    for table in tables:
+        table.close()
+    return streams[0].getvalue(), streams[1].getvalue(), counts
 
 
 def test_figure_eight_row():
@@ -36,24 +54,25 @@ def test_surface_csv_rows_rendering():
 
 
 def test_rows_sorted_and_deterministic_across_jobs():
-    rows1 = census_rows(19, jobs=1)
-    rows2 = census_rows(19, jobs=2)
-    keys = [(r["alpha"], r["beta"]) for r in rows1]
+    knots1, surfaces1, _ = census_files(19, jobs=1)
+    knots2, surfaces2, _ = census_files(19, jobs=2)
+    keys = [tuple(map(int, line.split(",")[:2]))
+            for line in knots1.splitlines()[1:]]
     assert keys == sorted(keys)
-    assert rows_to_knot_csv(rows1) == rows_to_knot_csv(rows2)
-    assert rows_to_surface_csv(rows1) == rows_to_surface_csv(rows2)
-    assert rows_to_json(rows1) == rows_to_json(rows2)
+    assert knots1 == knots2
+    assert surfaces1 == surfaces2
+    assert census_files(19, jobs=1, as_json=True) == census_files(
+        19, jobs=2, as_json=True)
 
 
 def test_headers():
-    csv = rows_to_knot_csv(census_rows(5))
+    csv, scsv, _ = census_files(5)
     assert csv.splitlines()[0] == KNOT_CSV_HEADER
-    scsv = rows_to_surface_csv(census_rows(5))
     assert scsv.splitlines()[0] == SURFACE_CSV_HEADER
 
 
 def test_every_knot_has_exactly_one_zero_slope():
-    for row in census_rows(61):
+    for row in json.loads(census_files(61, as_json=True)[0]):
         assert row["slopes"].count(0) == 1
         # the zero belongs to the orientable surface
         seifert = [s for s in row["surfaces"] if s["orientable"]]
@@ -61,5 +80,5 @@ def test_every_knot_has_exactly_one_zero_slope():
 
 
 def test_json_round_trip_bytes():
-    payload = rows_to_json(census_rows(9))
+    payload = census_files(9, as_json=True)[0]
     assert dumps_canonical(json.loads(payload)) == payload

@@ -296,18 +296,61 @@ class TestCensusCommand:
 
     def test_failure_before_write_creates_no_file(self, capsys, tmp_path,
                                                    monkeypatch):
-        import bridgestate.cli as cli
+        import bridgestate.census as census
         from bridgestate import ConsistencyError
 
-        def broken(rows):
+        def broken(row, as_json, with_surfaces):
             raise ConsistencyError("injected")
 
-        monkeypatch.setattr(cli, "rows_to_surface_csv", broken)
+        monkeypatch.setattr(census, "render_knot", broken)
         knots, surfaces = tmp_path / "k.csv", tmp_path / "s.csv"
         code, _, _ = run(capsys, "census", "--max-alpha", "9",
                          "--out", str(knots), "--out-surfaces", str(surfaces))
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_mid_sweep_leaves_targets_untouched(
+            self, capsys, tmp_path, monkeypatch, jobs, fmt):
+        # pool workers are forked after the patch, so they see it too
+        import bridgestate.census as census
+        from bridgestate import ConsistencyError
+
+        real_row = census.census_row
+
+        def row(alpha, beta):
+            if (alpha, beta) == (13, 5):
+                raise ConsistencyError("injected at K(13,5)")
+            return real_row(alpha, beta)
+
+        monkeypatch.setattr(census, "census_row", row)
+        knots, surfaces = tmp_path / "knots", tmp_path / "surfaces"
+        knots.write_text("previous knots\n")
+        surfaces.write_text("previous surfaces\n")
+        code, _, err = run(capsys, "census", "--max-alpha", "19",
+                           "--out", str(knots), "--out-surfaces", str(surfaces),
+                           "--jobs", jobs, *fmt)
+        assert code == 1
+        assert "injected at K(13,5)" in err
+        assert knots.read_text() == "previous knots\n"
+        assert surfaces.read_text() == "previous surfaces\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["knots",
+                                                              "surfaces"]
+
+    def test_stdout_knots_with_dash_named_surface_file(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # './-' is a file; only a bare '-' for --out means stdout
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "census", "--max-alpha", "9",
+                             "--out", "-", "--out-surfaces", "./-")
+        assert code == 0
+        assert out.splitlines()[0].startswith("alpha,beta,surface_count,")
+        assert "census: 18 knots" in err
+        lines = (tmp_path / "-").read_text().splitlines()
+        assert lines[0].startswith("alpha,beta,terms,")
+        assert len(lines) > 18
+        assert [p.name for p in tmp_path.iterdir()] == ["-"]
 
 
 def test_module_entry_point_runs():

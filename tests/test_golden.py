@@ -33,6 +33,7 @@ def test_single_knot_output(capsys, argv, digest):
     assert sha256(capsys.readouterr().out.encode()) == digest
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("fmt,knots,surfaces", [
     ([], "44a7145fbe1aa04435e089a8076cdaf27eed8585a18e31f0b39fd5fb3c757dca",
      "9de696a64fecabf1d16498a6bca64bb64315b161400a0c061126ffdd9dfc0167"),
@@ -40,10 +41,10 @@ def test_single_knot_output(capsys, argv, digest):
      "42b3bbf7f13ac70275659543681719deb0cfd89cca46b31156ab57fe3d69fc9d",
      "abd76c4bcd5883daae6283c27890112199aa2a9f1d6b4e21896f535645be2069"),
 ])
-def test_census_files(capsys, tmp_path, fmt, knots, surfaces):
+def test_census_files(capsys, tmp_path, fmt, knots, surfaces, jobs):
     k, s = tmp_path / "knots", tmp_path / "surfaces"
     assert main(["census", "--max-alpha", "25", "--out", str(k),
-                 "--out-surfaces", str(s)] + fmt) == 0
+                 "--out-surfaces", str(s), "--jobs", jobs] + fmt) == 0
     capsys.readouterr()
     assert sha256(k.read_bytes()) == knots
     assert sha256(s.read_bytes()) == surfaces

@@ -1,4 +1,11 @@
-"""Property-based tests of the elimination oracle (needs hypothesis)."""
+"""Property-based tests (need hypothesis): the elimination oracle, the
+enumeration, presentation and mirror invariance, and the JSON renderings."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,20 +14,37 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bridgestate import (  # noqa: E402
     Expansion,
+    enumerate_expansions,
     flip_normal,
     flip_orientation,
+    full_report,
     gl_matrix,
+    make_knot,
     standard_state_matrix,
     state_signature_minors,
     symmetric_signature,
 )
-from bridgestate.checks import permuted_state_matrix  # noqa: E402
+from bridgestate.census import (  # noqa: E402
+    SURFACE_CSV_HEADER,
+    census_row,
+    dumps_canonical,
+    rows_to_knot_csv,
+    surface_csv_rows,
+)
+from bridgestate.checks import (  # noqa: E402
+    invariant_multiset,
+    iter_knots,
+    permuted_state_matrix,
+)
+from bridgestate.cli import main  # noqa: E402
 from oracles import (  # noqa: E402
+    brute_force_expansions,
     poly_equivalent,
     sign_count_signature,
     state_polynomial_det,
     state_polynomial_oracle,
 )
+from test_census import census_files  # noqa: E402
 
 # any sequence of terms with |n| >= 2 is a valid expansion
 TERMS = st.lists(
@@ -56,3 +80,74 @@ def test_oracle_and_signature_survive_random_moves(data):
     else:
         sig = state_signature_minors(v)
     assert sig == sign_count_signature(e.terms)
+
+
+@st.composite
+def knots(draw, max_alpha=199):
+    alpha = 2 * draw(st.integers(1, max_alpha // 2)) + 1
+    beta = draw(st.sampled_from(
+        [b for b in range(1, alpha) if gcd(alpha, b) == 1]))
+    return alpha, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 120), st.data())
+def test_enumeration_matches_brute_force(p, data):
+    q = data.draw(st.sampled_from(
+        [q for q in range(1, p) if gcd(p, q) == 1]), label="q")
+    x = Fraction(data.draw(st.sampled_from((p, -p)), label="sign"), q)
+    # every term has |n| <= |x| + 1 and every step lowers the denominator,
+    # so |p| + 1 bounds both the terms and the length
+    got = [e.terms for e in enumerate_expansions(x)]
+    assert got == brute_force_expansions(x, p + 1, p + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots())
+def test_inverse_presentation_has_the_same_invariants(knot):
+    alpha, beta = knot
+    ours = invariant_multiset(full_report(make_knot(alpha, beta)))
+    inverse = pow(beta, -1, alpha)
+    assert invariant_multiset(full_report(make_knot(alpha, inverse))) == ours
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots())
+def test_mirror_negates_signatures_and_slopes(knot):
+    alpha, beta = knot
+    ours = full_report(make_knot(alpha, beta))
+    mirror = full_report(make_knot(alpha, alpha - beta))
+    assert invariant_multiset(mirror) == tuple(sorted(
+        (poly, -sigma, -slope)
+        for poly, sigma, slope in invariant_multiset(ours)))
+    assert mirror.signature == -ours.signature
+    assert mirror.slopes == [-s for s in reversed(ours.slopes)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(knots())
+def test_invariants_json_round_trips(knot):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["invariants", *map(str, knot), "--json"]) == 0
+    text = out.getvalue()
+    assert dumps_canonical(json.loads(text)) == text
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 41), st.sampled_from((1, 2)), st.booleans())
+def test_census_from_pieces_equals_one_rendering(max_alpha, jobs, as_json):
+    # the files census streams piece by piece are the bytes of rendering
+    # the whole row list at once
+    knots_text, surfaces_text, counts = census_files(max_alpha, jobs, as_json)
+    rows = [census_row(a, b) for a, b in iter_knots(max_alpha)]
+    records = [dict(s, alpha=r["alpha"], beta=r["beta"])
+               for r in rows for s in r["surfaces"]]
+    assert counts == (len(rows), len(records))
+    if as_json:
+        assert knots_text == dumps_canonical(rows)
+        assert surfaces_text == dumps_canonical(records)
+    else:
+        assert knots_text == rows_to_knot_csv(rows)
+        lines = [line for r in rows for line in surface_csv_rows(r)]
+        assert surfaces_text == "\n".join([SURFACE_CSV_HEADER] + lines) + "\n"
