@@ -22,7 +22,6 @@ from .invariants import (
     SurfaceReport,
     full_report,
     state_polynomial,
-    state_signature_minors,
     symmetric_signature,
 )
 from .laurent import LaurentPolynomial

@@ -27,7 +27,9 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
   reported signature unchanged.  These compare integer coefficient lists:
   the oracle's, of D**k * p for the integer matrix D*V, times 2**s against
   the recurrence's, of 2**s * p, times D**k; no Fraction is built unless a
-  check fails.
+  check fails.  Every transformed matrix, renumbered or not, is signed by
+  general sparse elimination (``symmetric_signature`` on D*(V + V^T)), a
+  route independent of the minor recurrence the report pass uses.
 
 Across presentations, K(alpha, beta) and K(alpha, beta') with
 beta * beta' = 1 mod alpha present the same knot, and their reports must
@@ -50,7 +52,6 @@ from .invariants import (
     _report_pass,
     laurent_over,
     state_polynomial,
-    state_signature_minors,
     symmetric_signature,
 )
 from .state_matrices import (
@@ -135,13 +136,8 @@ def permuted_state_matrix(v: StateMatrix, perm) -> StateMatrix:
 
 
 def apply_random_transformations(v: StateMatrix, rng: random.Random):
-    """A random sequence of the three invariance moves.
-
-    Returns (matrix, permuted) where ``permuted`` records whether a
-    renumbering occurred (in which case V + V^T need not stay tridiagonal).
-    """
+    """A random sequence of the three invariance moves."""
     k = v.size
-    permuted = False
     for _ in range(rng.randint(1, 6)):
         move = rng.choice(("normal", "orientation", "renumber"))
         if move == "normal" and k > 1:
@@ -150,8 +146,7 @@ def apply_random_transformations(v: StateMatrix, rng: random.Random):
             v = flip_orientation(v, rng.randint(1, k))
         elif move == "renumber" and k > 1:
             v = permuted_state_matrix(v, rng.sample(range(k), k))
-            permuted = True
-    return v, permuted
+    return v
 
 
 def _unit_class(coeffs) -> list:
@@ -173,7 +168,8 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     state signature and state polynomial of ``e``, and ``base`` its
     standard state matrix.  The oracle coefficients of den * V and the
     2**s-scaled recurrence coefficients are compared in integers, as
-    oracle * 2**s against recurrence * den**k."""
+    oracle * 2**s against recurrence * den**k; each transformed V + V^T,
+    renumbered or not, is signed by ``symmetric_signature``."""
     if base is None:
         base = standard_state_matrix(e)
     if det is None:
@@ -186,7 +182,7 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     want = _unit_class(coeffs)
     checks = 0
     for _ in range(samples):
-        v, permuted = apply_random_transformations(base, rng)
+        v = apply_random_transformations(base, rng)
         got, den = _oracle_scaled(v)
         den_k = den ** k
         if ([x << scale for x in _unit_class(got)]
@@ -196,10 +192,7 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
                 f"{laurent_over(got, den_k)} (expected class of "
                 f"{laurent_over(coeffs, 1 << scale)})"
             )
-        if permuted:
-            sig = symmetric_signature(gl_matrix(v).scaled)
-        else:
-            sig = state_signature_minors(v)
+        sig = symmetric_signature(gl_matrix(v).scaled)
         if sig != sigma:
             raise ConsistencyError(
                 f"transformed matrix of {e} gave signature {sig}, "
@@ -271,12 +264,14 @@ def check_negative_control() -> int:
 
 
 def check_knot(knot, *, oracle: bool = False, invariance_samples: int = 0,
-               rng: random.Random = None) -> CheckStats:
+               seed: int = 0) -> CheckStats:
     """Run every per-knot identity; raise ConsistencyError on the first
     failure, with witness values in the message.  With ``oracle``, every
-    surface is also checked against the elimination oracle and, given
-    ``rng``, under ``invariance_samples`` random transformations."""
-    return _check_knot(knot, oracle, invariance_samples, rng)[0]
+    surface is also checked against the elimination oracle and under
+    ``invariance_samples`` random transformations drawn from
+    ``random.Random(seed)``."""
+    return _check_knot(knot, oracle, invariance_samples,
+                       random.Random(seed))[0]
 
 
 def _check_knot(knot, oracle: bool, invariance_samples: int,
@@ -295,7 +290,7 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
             v = standard_state_matrix(e)
             stats.checks += _check_surface_oracle(knot, e, det, v,
                                                   r.polynomial)
-            if invariance_samples and rng is not None:
+            if invariance_samples:
                 stats.checks += check_transformation_invariance(
                     e, rng, invariance_samples, det, base=v, sigma=r.signature
                 )
@@ -316,7 +311,7 @@ def check_range(max_alpha: int, *, oracle: bool = False,
                 invariance_samples: int = 0, seed: int = 0) -> CheckStats:
     """Sweep every knot with determinant up to max_alpha, and check that
     each knot's presentations agree."""
-    rng = random.Random(seed) if invariance_samples else None
+    rng = random.Random(seed)
     stats = CheckStats()
     stats.checks += check_negative_control()
     current_alpha = None

@@ -41,7 +41,7 @@ from fractions import Fraction
 from .continued_fractions import Expansion
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
-from .state_matrices import StateMatrix, _square_den, gl_matrix
+from .state_matrices import StateMatrix, _square_den
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
@@ -279,57 +279,25 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
 # signatures
 
 
-def _tridiagonal_signature(diag, pair: int) -> int:
-    """Signature of a symmetric tridiagonal matrix with diagonal ``diag``
-    and off-diagonal pairs of product ``pair`` > 0, from its leading
-    principal minors D_0 = 1, D_j = a_j * D_{j-1} - pair * D_{j-2}: the
-    number of consecutive sign agreements minus the number of sign
-    changes.  Its callers' minors cannot vanish, so a zero minor is
-    reported as a bug."""
-    sig = 0
-    dm, d = 0, 1
-    for size, a in enumerate(diag, 1):
-        new = a * d - pair * dm
-        if new == 0:
-            raise ConsistencyError(
-                f"zero leading principal minor at size {size} of {diag}")
-        sig += 1 if (new > 0) == (d > 0) else -1
-        dm, d = d, new
-    return sig
-
-
 def _minor_signature(terms) -> int:
     """Signature of the standard V + V^T from its leading principal minors.
 
     Its diagonal is a_j = (-1)**(j+1) * nj and its off-diagonal pairs
-    multiply to 1.  Every D_j is a product of pivots of absolute value
-    > 1, so a zero minor is impossible.
+    multiply to 1, so D_0 = 1, D_j = a_j * D_{j-1} - D_{j-2}; the
+    signature is the number of consecutive sign agreements minus the
+    number of sign changes.  Every D_j is a product of pivots of absolute
+    value > 1, so a zero minor is impossible and is reported as a bug.
     """
-    return _tridiagonal_signature(
-        [-n if i % 2 else n for i, n in enumerate(terms)], 1)
-
-
-def state_signature_minors(v: StateMatrix) -> int:
-    """Signature of V + V^T via the leading-principal-minor recurrence.
-
-    Valid for any matrix produced by the constructors in state_matrices
-    (V + V^T is then tridiagonal with off-diagonal pairs multiplying to 1);
-    anything else is rejected.  Runs on the integer matrix D*(V + V^T),
-    whose minors D**j * D_j satisfy the recurrence with the pair product
-    D**2 and have the signs of the D_j.
-    """
-    gl = gl_matrix(v)
-    ent = gl.scaled
-    k = len(ent)
-    if any(any(row[i + 2:]) for i, row in enumerate(ent)):
-        raise InvalidInputError("minor recurrence needs a tridiagonal V + V^T")
-    pair = gl.den ** 2
-    for i in range(k - 1):
-        if ent[i][i + 1] * ent[i + 1][i] != pair:
-            raise InvalidInputError(
-                "minor recurrence needs off-diagonal pairs with product 1"
-            )
-    return _tridiagonal_signature([ent[i][i] for i in range(k)], pair)
+    sig = 0
+    dm, d = 0, 1
+    for size, n in enumerate(terms, 1):
+        new = (n if size % 2 else -n) * d - dm
+        if new == 0:
+            raise ConsistencyError(
+                f"zero leading principal minor at size {size} of {terms}")
+        sig += 1 if (new > 0) == (d > 0) else -1
+        dm, d = d, new
+    return sig
 
 
 def symmetric_signature(rows) -> int:
@@ -342,8 +310,8 @@ def symmetric_signature(rows) -> int:
     otherwise.  A zero pivot is met by a symmetric swap with a nonzero
     diagonal entry, else by the zero-diagonal repair move (add row and
     column r to row and column i: the diagonal entry becomes 2*a_ir), and
-    a zero row is skipped; all are congruences.  For matrices that are no
-    longer tridiagonal, e.g. after a renumbering of the curves.
+    a zero row is skipped; all are congruences.  ``checks`` signs every
+    transformed state matrix with it, renumbered or not.
     """
     rows = [tuple(row) for row in rows]
     n = len(rows)
@@ -443,8 +411,8 @@ def _fail(what: str, knot, e, detail: str):
     raise ConsistencyError(f"{what} failed for {e} of {knot}: {detail}")
 
 
-def _check_identities(knot, s: EssentialSurface, det, alpha: int,
-                      sigma_k: int, sigma_k_minors: int) -> int:
+def _check_identities(knot, s: EssentialSurface, det, sigma_k: int,
+                      sigma_k_minors: int) -> int:
     """Checks the report identities of surface ``s`` from its ``_det_scaled``
     result ``det``, its sign counts and the knot signature from sign counts
     (sigma_k) and from principal minors (sigma_k_minors); returns the
@@ -452,7 +420,7 @@ def _check_identities(knot, s: EssentialSurface, det, alpha: int,
     e = s.expansion
     coeffs, scale = det
     at_minus_one = abs(sum(coeffs[::2]) - sum(coeffs[1::2]))
-    if at_minus_one != alpha << scale:
+    if at_minus_one != knot.alpha << scale:
         _fail("determinant identity |p(-1)| = alpha", knot, e,
               f"got {Fraction(at_minus_one, 1 << scale)}")
     sigma = s.n_plus - s.n_minus
@@ -498,8 +466,7 @@ def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
     for s in surfaces:
         e = s.expansion
         det = _det_scaled(e.terms)
-        sigma = _check_identities(knot, s, det, knot.alpha, sigma_k,
-                                  sigma_k_minors)
+        sigma = _check_identities(knot, s, det, sigma_k, sigma_k_minors)
         poly = _canonical_from_scaled(*det, len(e.terms))
         reports.append(SurfaceReport(s, poly, sigma, 2 * (sigma - sigma_k)))
         visit(reports[-1], det)

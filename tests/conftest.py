@@ -20,22 +20,17 @@ def oracle_negated_above_size_8(monkeypatch):
 
 @pytest.fixture
 def signature_off_by_one_above_size_8(monkeypatch):
-    """Make both signature routes that ``bridgestate.checks`` uses on
-    transformed matrices (renumbered or not) return one too many for
-    matrices larger than 8 x 8 only."""
+    """Make the signature that ``bridgestate.checks`` computes for
+    transformed matrices return one too many for matrices larger than
+    8 x 8 only."""
     import bridgestate.checks as checks
 
-    real_symmetric = checks.symmetric_signature
-    real_minors = checks.state_signature_minors
+    real = checks.symmetric_signature
 
-    def symmetric(rows):
-        return real_symmetric(rows) + (len(rows) > 8)
+    def faulty(rows):
+        return real(rows) + (len(rows) > 8)
 
-    def minors(v):
-        return real_minors(v) + (v.size > 8)
-
-    monkeypatch.setattr(checks, "symmetric_signature", symmetric)
-    monkeypatch.setattr(checks, "state_signature_minors", minors)
+    monkeypatch.setattr(checks, "symmetric_signature", faulty)
 
 
 @pytest.fixture

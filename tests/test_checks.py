@@ -9,6 +9,7 @@ from bridgestate import (
     make_surface,
     surfaces_expansions,
 )
+import bridgestate.checks as checks
 from bridgestate.checks import (
     _check_surface_fast,
     check_knot,
@@ -52,10 +53,31 @@ def test_check_knot_with_oracle_and_invariance():
         make_knot(7, 3),
         oracle=True,
         invariance_samples=2,
-        rng=random.Random(1),
+        seed=1,
     )
     assert stats.surfaces == 3
     assert stats.checks > 9 * 3
+
+
+def test_check_knot_runs_invariance_checks_by_default_seed():
+    # 3 surfaces x (9 fast + 2 oracle + 2 samples x 2 invariance checks)
+    stats = check_knot(make_knot(7, 3), oracle=True, invariance_samples=2)
+    assert stats.checks == 45
+
+
+def test_every_transformed_matrix_is_signed_by_symmetric_signature(
+        monkeypatch):
+    real = checks.symmetric_signature
+    calls = 0
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return real(rows)
+
+    monkeypatch.setattr(checks, "symmetric_signature", counting)
+    stats = check_range(15, oracle=True, invariance_samples=1, seed=0)
+    assert calls == stats.surfaces == 140
 
 
 def test_check_range_small_sweep():
@@ -90,7 +112,7 @@ def test_invariance_checks_signatures_above_size_8(
     check_knot(make_knot(11, 1), oracle=True)  # no transformed matrices
     with pytest.raises(ConsistencyError, match="gave signature"):
         check_knot(make_knot(11, 1), oracle=True, invariance_samples=2,
-                   rng=random.Random(0))
+                   seed=0)
 
 
 def test_oracle_covers_every_surface_in_a_sweep():
@@ -105,11 +127,12 @@ def test_negative_control():
 
 
 def test_surface_checks_catch_a_wrong_determinant():
-    knot = make_knot(5, 2)
+    # the (2, 2) surface has determinant 5, not the 7 of this knot
+    knot = make_knot(7, 1)
     s = make_surface(Expansion((2, 2)))
     det = _det_scaled(s.expansion.terms)
     with pytest.raises(ConsistencyError, match="determinant identity"):
-        _check_identities(knot, s, det, alpha=7, sigma_k=0, sigma_k_minors=0)
+        _check_identities(knot, s, det, sigma_k=0, sigma_k_minors=0)
 
 
 def test_surface_checks_catch_an_inconsistent_reference_signature():
@@ -117,10 +140,10 @@ def test_surface_checks_catch_an_inconsistent_reference_signature():
     s = make_surface(Expansion((2, 2)))
     det = _det_scaled(s.expansion.terms)
     # correct run for contrast
-    _check_identities(knot, s, det, alpha=5, sigma_k=0, sigma_k_minors=0)
+    _check_identities(knot, s, det, sigma_k=0, sigma_k_minors=0)
     # a reference signature whose two routes disagree breaks the slope check
     with pytest.raises(ConsistencyError, match="slope agreement"):
-        _check_identities(knot, s, det, alpha=5, sigma_k=0, sigma_k_minors=2)
+        _check_identities(knot, s, det, sigma_k=0, sigma_k_minors=2)
 
 
 def test_invariant_multiset_shape():

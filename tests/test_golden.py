@@ -1,8 +1,10 @@
-"""Golden bytes: the sha256 of every output format on fixed inputs.
+"""Golden bytes: the sha256 of every output format on fixed inputs, and
+the exact pass lines of ``verify``.
 
 Any change to a record field, its order in CSV, the JSON rendering or the
 human table shows up here, so refactors of the record code keep the exact
-bytes the command line has always written.
+bytes the command line has always written; a change to the check tallies
+shows up in the pass lines.
 """
 
 import hashlib
@@ -48,3 +50,14 @@ def test_census_files(capsys, tmp_path, fmt, knots, surfaces, jobs):
     capsys.readouterr()
     assert sha256(k.read_bytes()) == knots
     assert sha256(s.read_bytes()) == surfaces
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["verify", "19", "7"], "pass: K(19,7) - 6 surfaces, 92 checks"),
+    (["verify", "--max-alpha", "35"],
+     "pass: 256 knots, 984 surfaces, 13050 checks (alpha <= 35)"),
+])
+def test_verify_pass_line(capsys, argv, line):
+    # the check tallies, pinned exactly
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"

@@ -15,7 +15,6 @@ from bridgestate import (
     standard_state_matrix,
     state_matrix,
     state_polynomial,
-    state_signature_minors,
     surfaces_expansions,
     symmetric_signature,
 )
@@ -241,24 +240,18 @@ class TestStateSignature:
         assert surface_report((7,)).signature == 1
 
     def test_minors_on_examples(self):
-        assert state_signature_minors(standard_state_matrix(Expansion((-2, 4)))) == -2
-        assert state_signature_minors(standard_state_matrix(Expansion((2, 2)))) == 0
-        for m in (5, -5):
-            v = standard_state_matrix(Expansion((m,)))
-            assert state_signature_minors(v) == (1 if m > 0 else -1)
+        for terms, sigma in (((-2, 4), -2), ((2, 2), 0),
+                             ((5,), 1), ((-5,), -1)):
+            v = standard_state_matrix(Expansion(terms))
+            assert symmetric_signature(gl_matrix(v).scaled) == sigma
 
     def test_minors_agree_with_counts_random(self):
         rng = random.Random(24)
         for _ in range(300):
             e = random_expansion(rng, max_k=10)
             v = standard_state_matrix(e)
-            assert state_signature_minors(v) == sign_count_signature(e.terms)
-
-    def test_minors_reject_non_tridiagonal(self):
-        v = standard_state_matrix(Expansion((2, 3, -2, 5)))
-        shuffled = permuted_state_matrix(v, [2, 0, 3, 1])
-        with pytest.raises(InvalidInputError):
-            state_signature_minors(shuffled)
+            sigma = symmetric_signature(gl_matrix(v).scaled)
+            assert sigma == sign_count_signature(e.terms)
 
     def test_signature_bound(self):
         for alpha, beta in iter_knots(61):
@@ -571,7 +564,8 @@ class TestInvariance:
             for j in range(i + 1, k + 1):
                 v = flip_orientation(v, j)
             assert state_polynomial_oracle(v) == state_polynomial_det(e)
-            assert state_signature_minors(v) == sign_count_signature(e.terms)
+            sigma = symmetric_signature(gl_matrix(v).scaled)
+            assert sigma == sign_count_signature(e.terms)
 
 
 class TestPresentations:

@@ -21,7 +21,6 @@ from bridgestate import (  # noqa: E402
     gl_matrix,
     make_knot,
     standard_state_matrix,
-    state_signature_minors,
     symmetric_signature,
 )
 from bridgestate.census import (  # noqa: E402
@@ -62,7 +61,6 @@ def test_oracle_and_signature_survive_random_moves(data):
     e = Expansion(tuple(data.draw(TERMS, label="terms")))
     k = len(e.terms)
     v = standard_state_matrix(e)
-    permuted = False
     for move in data.draw(MOVES, label="moves"):
         if move == "normal" and k > 1:
             v = flip_normal(v, data.draw(st.integers(1, k - 1)))
@@ -70,15 +68,11 @@ def test_oracle_and_signature_survive_random_moves(data):
             v = flip_orientation(v, data.draw(st.integers(1, k)))
         elif move == "renumber" and k > 1:
             v = permuted_state_matrix(v, data.draw(st.permutations(range(k))))
-            permuted = True
     assert poly_equivalent(state_polynomial_oracle(v), state_polynomial_det(e))
     gl = gl_matrix(v)
+    sig = symmetric_signature(gl.scaled)
     # the Fraction-input and the int-input routes
-    assert symmetric_signature(gl.entries) == symmetric_signature(gl.scaled)
-    if permuted:
-        sig = symmetric_signature(gl.entries)
-    else:
-        sig = state_signature_minors(v)
+    assert symmetric_signature(gl.entries) == sig
     assert sig == sign_count_signature(e.terms)
 
 
