@@ -28,8 +28,11 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
   the oracle's, of D**k * p for the integer matrix D*V, times 2**s against
   the recurrence's, of 2**s * p, times D**k; no Fraction is built unless a
   check fails.  Every transformed matrix, renumbered or not, is signed by
-  general sparse elimination (``symmetric_signature`` on D*(V + V^T)), a
-  route independent of the minor recurrence the report pass uses.
+  general sparse elimination (``_sparse_signature`` on the nonzeros of
+  D*(V + V^T), integral and symmetric as ``gl_matrix`` builds it), a
+  route independent of the minor recurrence the report pass uses.  The
+  matrices reach both eliminations as their stored nonzeros: no dense
+  rows are built on the check path.
 
 Across presentations, K(alpha, beta) and K(alpha, beta') with
 beta * beta' = 1 mod alpha present the same knot, and their reports must
@@ -50,15 +53,16 @@ from .invariants import (
     _fail,
     _oracle_scaled,
     _report_pass,
+    _sparse_signature,
     laurent_over,
     state_polynomial,
-    symmetric_signature,
 )
 from .state_matrices import (
     StateMatrix,
     flip_normal,
     flip_orientation,
     gl_matrix,
+    permuted_state_matrix,
     standard_state_matrix,
     state_matrix,
 )
@@ -127,14 +131,6 @@ def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
         _fail("|sigma| <= 2g", knot, e, f"sigma = {sigma}, k = {k}")
 
 
-def permuted_state_matrix(v: StateMatrix, perm) -> StateMatrix:
-    """Simultaneous row/column permutation (a curve renumbering)."""
-    rows = v.scaled
-    return StateMatrix(v.den, tuple(
-        tuple(map(rows[i].__getitem__, perm)) for i in perm
-    ))
-
-
 def apply_random_transformations(v: StateMatrix, rng: random.Random):
     """A random sequence of the three invariance moves."""
     k = v.size
@@ -169,7 +165,7 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
     standard state matrix.  The oracle coefficients of den * V and the
     2**s-scaled recurrence coefficients are compared in integers, as
     oracle * 2**s against recurrence * den**k; each transformed V + V^T,
-    renumbered or not, is signed by ``symmetric_signature``."""
+    renumbered or not, is signed by ``_sparse_signature``."""
     if base is None:
         base = standard_state_matrix(e)
     if det is None:
@@ -192,7 +188,8 @@ def check_transformation_invariance(e: Expansion, rng: random.Random,
                 f"{laurent_over(got, den_k)} (expected class of "
                 f"{laurent_over(coeffs, 1 << scale)})"
             )
-        sig = symmetric_signature(gl_matrix(v).scaled)
+        g = gl_matrix(v)
+        sig = _sparse_signature(g.size, g.nonzeros)
         if sig != sigma:
             raise ConsistencyError(
                 f"transformed matrix of {e} gave signature {sig}, "

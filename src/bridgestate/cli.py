@@ -169,7 +169,10 @@ def _replaced_on_success(paths):
             files = []
             for path in paths:
                 tmp = f"{path}.tmp{os.getpid()}"
-                files.append(stack.enter_context(open(tmp, "x")))
+                try:
+                    files.append(stack.enter_context(open(tmp, "x")))
+                except OSError as exc:  # name the target the user gave
+                    raise OSError(exc.errno, exc.strerror, path) from None
                 temps.append(tmp)
             yield files
         for path, tmp in zip(paths, temps):

@@ -28,10 +28,10 @@ integer coefficients of 2**k times the canonical representative, so reports
 never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
 built only for display and failure messages.  The oracle ``_oracle_scaled``,
 structurally independent of the recurrence, is exact sparse elimination of
-D*(V - t*V^T) at t = 2**B on the integer matrix D*V a ``StateMatrix``
-stores, polynomial in k, so ``checks`` runs it on every surface.
-Signatures of transformed matrices come from exact sparse integer
-elimination as well (``symmetric_signature``).
+D*(V - t*V^T) at t = 2**B on the nonzeros of the integer matrix D*V a
+``StateMatrix`` stores, polynomial in k, so ``checks`` runs it on every
+surface.  Signatures of transformed matrices come from exact sparse integer
+elimination as well (``_sparse_signature``); the two share one row update.
 """
 
 import math
@@ -41,7 +41,7 @@ from fractions import Fraction
 from .continued_fractions import Expansion
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
-from .state_matrices import StateMatrix, _square_den
+from .state_matrices import StateMatrix, _scaled_nonzeros
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
@@ -138,13 +138,25 @@ def state_polynomial(e: Expansion) -> StatePolynomial:
 # elimination oracle
 
 
-def _exact_div(x: int, d: int) -> int:
-    """x / d for a fraction-free (Bareiss) elimination step, where d
-    divides x by Sylvester's identity; a remainder is reported as a bug."""
-    q, r = divmod(x, d)
-    if r:
-        raise ConsistencyError("inexact Bareiss division")
-    return q
+def _bareiss_update(row: dict, x: int, prow: dict, p: int, g: int) -> None:
+    """One fraction-free (Bareiss) update of the sparse ``row``, in place:
+    with its entry x in the pivot column removed, it becomes exactly
+    (p * row - x * prow) / g, for the pivot p, the rest ``prow`` of its row,
+    and the pivot g of the step at which ``row`` last changed; zeros are
+    dropped.  x = 0 lifts a row over the steps that skipped it.  g divides
+    by Sylvester's identity, so a remainder is reported as a bug."""
+    for j in prow:
+        if j not in row:
+            row[j] = 0
+    for j, y in row.items():
+        y = p * y - x * prow.get(j, 0)
+        if g != 1:
+            y, rem = divmod(y, g)
+            if rem:
+                raise ConsistencyError("inexact Bareiss division")
+        row[j] = y
+    for j in [j for j, y in row.items() if not y]:
+        del row[j]
 
 
 def _cuthill_mckee(rows) -> list:
@@ -176,8 +188,8 @@ def _cuthill_mckee(rows) -> list:
 
 
 def _oracle_scaled(v: StateMatrix) -> tuple:
-    """(coefficients of det(A - t*A^T), den) for A = v.scaled = den * V,
-    lowest degree first: k + 1 ints, all zero for a singular matrix.
+    """(coefficients of det(A - t*A^T), den) for A = den * V, read from
+    ``v.nonzeros``, lowest degree first: k + 1 ints, all zero if singular.
 
     Every coefficient of det(A - t*A^T) is smaller in absolute value than
     prod_i sum_j (|A_ij| + |A_ji|) < 2**(B-1).  Substituting t = 2**B
@@ -187,66 +199,47 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
     base-2**B digits are the coefficients.
     """
     k = v.size
-    a = [{j: x for j, x in enumerate(row) if x} for row in v.scaled]
     zero = [0] * (k + 1), v.den
 
     # coefficient bound, and the sparse rows of A - 2**B * A^T
-    sums = [sum(map(abs, row.values())) for row in a]
-    for row in a:
-        for j, x in row.items():
-            sums[j] += abs(x)
+    sums = [0] * k
+    for (i, j), x in v.nonzeros:
+        sums[i] += abs(x)
+        sums[j] += abs(x)
     bound = math.prod(sums)
     if not bound:
         return zero  # a zero row and column
     bits = bound.bit_length() + 1
-    m = [dict(row) for row in a]
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            m[j][i] = m[j].get(i, 0) - (x << bits)
+    m = [{} for _ in range(k)]
+    for (i, j), x in v.nonzeros:
+        m[i][j] = m[i].get(j, 0) + x
+        m[j][i] = m[j].get(i, 0) - (x << bits)
     rows = _cuthill_mckee(m)
-    cols = [set() for _ in range(k)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
 
     # sparse Bareiss elimination with row pivoting: rows[i] holds the
     # Bareiss values of the step last[i] at which row i last changed
     last = [0] * k
     pivots = [1]
     perm = []
+    todo = set(range(k))
     for step in range(1, k + 1):
         c = step - 1
-        cand = cols[c]
+        cand = [i for i in todo if c in rows[i]]
         if not cand:
             return zero
         r = c if c in cand else min(cand)
-        cand.discard(r)
+        todo.remove(r)
         prow = rows[r]
-        if last[r] != c:
-            # a row that steps skipped: scale it up to step c
-            f, g = pivots[c], pivots[last[r]]
-            prow = {j: _exact_div(x * f, g) for j, x in prow.items()}
+        if last[r] != c:  # a row that steps skipped: lift it to step c
+            _bareiss_update(prow, 0, {}, pivots[c], pivots[last[r]])
         p = prow.pop(c)
-        for j in prow:
-            cols[j].discard(r)
         pivots.append(p)
         perm.append(r)
         for i in cand:
-            row = rows[i]
-            x_ic = row.pop(c)
-            g = pivots[last[i]]
-            for j in prow:
-                if j not in row:
-                    row[j] = 0
-                    cols[j].add(i)
-            for j, x in row.items():
-                x = p * x - x_ic * prow.get(j, 0)
-                row[j] = x if g == 1 else _exact_div(x, g)
-            for j in [j for j, x in row.items() if not x]:
-                del row[j]
-                cols[j].discard(i)
-            last[i] = step
-        cand.clear()
+            if i != r:
+                row = rows[i]
+                _bareiss_update(row, row.pop(c), prow, p, pivots[last[i]])
+                last[i] = step
     det = pivots[k]
     seen = [False] * k
     for i in range(k):
@@ -301,10 +294,20 @@ def _minor_signature(terms) -> int:
 
 
 def symmetric_signature(rows) -> int:
-    """Signature of an arbitrary symmetric matrix of ints or Fractions.
+    """Signature of an arbitrary symmetric matrix of ints or Fractions,
+    scaled to integers by the lcm of the denominators and signed by
+    ``_sparse_signature``; any other matrix raises InvalidInputError."""
+    n, _, entries = _scaled_nonzeros(rows, "matrix")
+    if any(entries.get((j, i)) != x for (i, j), x in entries.items()):
+        raise InvalidInputError("matrix must be symmetric")
+    return _sparse_signature(n, entries.items())
 
-    Scaled to integers by the lcm of the denominators, then eliminated by
-    exact sparse fraction-free (Bareiss) symmetric elimination in
+
+def _sparse_signature(n: int, nonzeros) -> int:
+    """Signature of the symmetric integer n x n matrix whose nonzero
+    entries are the ((i, j), x) of ``nonzeros``, such as a GLMatrix's.
+
+    Exact sparse fraction-free (Bareiss) symmetric elimination in
     Cuthill-McKee order.  Its pivots are leading principal minors, and by
     Jacobi's rule each adds +1 if it has the sign of the one before and -1
     otherwise.  A zero pivot is met by a symmetric swap with a nonzero
@@ -313,13 +316,9 @@ def symmetric_signature(rows) -> int:
     a zero row is skipped; all are congruences.  ``checks`` signs every
     transformed state matrix with it, renumbered or not.
     """
-    rows = [tuple(row) for row in rows]
-    n = len(rows)
-    den = _square_den(rows, "matrix")
-    m = [{j: x.numerator * (den // x.denominator)
-          for j, x in enumerate(row) if x} for row in rows]
-    if any(m[j].get(i) != x for i, row in enumerate(m) for j, x in row.items()):
-        raise InvalidInputError("matrix must be symmetric")
+    m = [{} for _ in range(n)]
+    for (i, j), x in nonzeros:
+        m[i][j] = x
     m = _cuthill_mckee(m)
 
     # m[i] holds the Bareiss values of the step last[i] at which row i last
@@ -330,9 +329,7 @@ def symmetric_signature(rows) -> int:
     def lift(i):
         row, c = m[i], len(pivots) - 1
         if last[i] != c:
-            f, g = pivots[c], pivots[last[i]]
-            for j, x in row.items():
-                row[j] = _exact_div(x * f, g)
+            _bareiss_update(row, 0, {}, pivots[c], pivots[last[i]])
             last[i] = c
         return row
 
@@ -359,16 +356,7 @@ def symmetric_signature(rows) -> int:
         step = len(pivots)
         for j in prow:
             row = m[j]
-            x_ji = row.pop(i)
-            g = pivots[last[j]]
-            for l in prow:
-                if l not in row:
-                    row[l] = 0
-            for l, x in row.items():
-                x = p * x - x_ji * prow.get(l, 0)
-                row[l] = x if g == 1 else _exact_div(x, g)
-            for l in [l for l, x in row.items() if not x]:
-                del row[l]
+            _bareiss_update(row, row.pop(i), prow, p, pivots[last[j]])
             last[j] = step
         pivots.append(p)
     return sig

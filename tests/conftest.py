@@ -25,12 +25,12 @@ def signature_off_by_one_above_size_8(monkeypatch):
     8 x 8 only."""
     import bridgestate.checks as checks
 
-    real = checks.symmetric_signature
+    real = checks._sparse_signature
 
-    def faulty(rows):
-        return real(rows) + (len(rows) > 8)
+    def faulty(n, nonzeros):
+        return real(n, nonzeros) + (n > 8)
 
-    monkeypatch.setattr(checks, "symmetric_signature", faulty)
+    monkeypatch.setattr(checks, "_sparse_signature", faulty)
 
 
 @pytest.fixture

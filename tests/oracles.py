@@ -5,8 +5,9 @@ expansion values are folded from the terms, expansions are found by
 exhaustive search over term sequences, Laurent arithmetic is redone on
 degree->coefficient dictionaries, determinants of small matrices are
 expanded by cofactors over those dictionaries, state matrices are built and
-signatures computed with dense ``Fraction`` arithmetic, and signatures and
-slopes of expansions are counted from the signs of their terms.
+signatures computed with dense ``Fraction`` arithmetic, the matrix moves are
+redone on dense integer rows, and signatures and slopes of expansions are
+counted from the signs of their terms.
 ``LaurentPolynomial`` serves only as the container results are compared
 in, and ``InvalidInputError`` as the error raised for inputs outside a
 helper's domain.
@@ -18,6 +19,7 @@ compare the two routes with each other and with the references above,
 exactly and up to the units +-t^j (``poly_equivalent``).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -176,7 +178,7 @@ def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
 def state_polynomial_oracle(v) -> LaurentPolynomial:
     """det(V - t*V^T) for the state matrix ``v``, from the package's
     elimination oracle, uncanonicalized: the oracle eliminates the integer
-    matrix D*V = ``v.scaled``, whose determinant is D**k times this one."""
+    matrix D*V (``v.nonzeros``), whose determinant is D**k times this one."""
     coeffs, den = _oracle_scaled(v)
     return laurent([Fraction(c, den ** v.size) for c in coeffs])
 
@@ -243,6 +245,39 @@ def fraction_state_matrix(terms) -> tuple:
             row[i - 1] = Fraction(1)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def dense_flip_normal(rows, i: int) -> tuple:
+    """``flip_normal`` on the dense rows of D*V: the entries at 1-based
+    (i, i+1) and (i+1, i) trade places."""
+    rows = [list(row) for row in rows]
+    rows[i - 1][i], rows[i][i - 1] = rows[i][i - 1], rows[i - 1][i]
+    return tuple(map(tuple, rows))
+
+
+def dense_flip_orientation(rows, i: int) -> tuple:
+    """``flip_orientation`` on the dense rows of D*V: row i is negated, then
+    column i (1-based)."""
+    rows = [list(row) for row in rows]
+    rows[i - 1] = [-x for x in rows[i - 1]]
+    for row in rows:
+        row[i - 1] = -row[i - 1]
+    return tuple(map(tuple, rows))
+
+
+def dense_permuted(rows, perm) -> tuple:
+    """``permuted_state_matrix`` on the dense rows of D*V: entry (i, j) of
+    the result is entry (perm[i], perm[j]), 0-based."""
+    return tuple(tuple(rows[a][b] for b in perm) for a in perm)
+
+
+def dense_gl_matrix(den: int, rows) -> tuple:
+    """``gl_matrix`` on the dense rows of D*V: (den, rows) of V + V^T with
+    the common factor of D and every entry of D*(V + V^T) cancelled."""
+    total = [[a + b for a, b in zip(row, col)]
+             for row, col in zip(rows, zip(*rows))]
+    g = math.gcd(den, *(x for row in total for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in total)
 
 
 def fraction_signature(rows) -> int:

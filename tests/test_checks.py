@@ -67,28 +67,29 @@ def test_check_knot_runs_invariance_checks_by_default_seed():
 
 def test_every_transformed_matrix_is_signed_by_symmetric_signature(
         monkeypatch):
-    real = checks.symmetric_signature
+    # the core of symmetric_signature, on the matrices gl_matrix builds
+    real = checks._sparse_signature
     calls = 0
 
-    def counting(rows):
+    def counting(n, nonzeros):
         nonlocal calls
         calls += 1
-        return real(rows)
+        return real(n, nonzeros)
 
-    monkeypatch.setattr(checks, "symmetric_signature", counting)
+    monkeypatch.setattr(checks, "_sparse_signature", counting)
     stats = check_range(15, oracle=True, invariance_samples=1, seed=0)
     assert calls == stats.surfaces == 140
 
 
 def test_check_range_small_sweep():
+    # per surface 9 fast, 2 oracle and 2 invariance checks; per knot the
+    # presentation check; 2 for the negative control
     stats = check_range(31, oracle=True, invariance_samples=1, seed=2)
     assert stats.knots == sum(1 for _ in iter_knots(31))
     assert stats.surfaces > stats.knots
-    assert stats.checks == (
-        stats.polynomial_checks + stats.signature_checks + stats.slope_checks
-        + (stats.checks - stats.polynomial_checks - stats.signature_checks
-           - stats.slope_checks)
-    )
+    assert stats.checks == 13 * stats.surfaces + stats.knots + 2 == 10640
+    plain = check_range(15)
+    assert plain.checks == 9 * plain.surfaces + plain.knots + 2 == 1310
 
 
 def test_presentation_independence_to_99():

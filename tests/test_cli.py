@@ -205,6 +205,9 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--max-alpha", "5", "--out", str(target))
         assert code == 2
         assert "error" in err
+        # the message names the target, not the temporary file beside it
+        assert str(target) in err
+        assert ".tmp" not in err
 
     def test_max_alpha_validated(self, capsys):
         code, _, err = run(capsys, "census", "--max-alpha", "1")

@@ -22,8 +22,8 @@ from bridgestate.checks import (
     check_transformation_invariance,
     invariant_multiset,
     iter_knots,
-    permuted_state_matrix,
 )
+from bridgestate.state_matrices import permuted_state_matrix
 from oracles import (
     canonical_representative,
     cf_value,

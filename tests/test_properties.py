@@ -30,12 +30,9 @@ from bridgestate.census import (  # noqa: E402
     rows_to_knot_csv,
     surface_csv_rows,
 )
-from bridgestate.checks import (  # noqa: E402
-    invariant_multiset,
-    iter_knots,
-    permuted_state_matrix,
-)
+from bridgestate.checks import invariant_multiset, iter_knots  # noqa: E402
 from bridgestate.cli import main  # noqa: E402
+from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_expansions,
     poly_equivalent,

@@ -36,6 +36,7 @@ def test_state_polynomial_of_two_three():
 def test_state_matrix_block():
     v = standard_state_matrix(Expansion((2, 3)))
     assert (v.den, v.scaled) == (2, ((2, 0), (2, -3)))
+    assert sorted(v.nonzeros) == [((0, 0), 2), ((1, 0), 2), ((1, 1), -3)]
     assert v.entries == ((1, 0), (1, Fraction(-3, 2)))
     assert all(type(x) is Fraction for row in v.entries for x in row)
     gl = gl_matrix(v)

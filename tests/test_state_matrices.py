@@ -15,7 +15,7 @@ from bridgestate import (
     surfaces_expansions,
     symmetric_signature,
 )
-from bridgestate.checks import permuted_state_matrix
+from bridgestate.state_matrices import permuted_state_matrix
 from oracles import random_expansion
 
 
@@ -207,6 +207,38 @@ class TestScaledRepresentation:
                 tuple(a + b for a, b in zip(row, col))
                 for row, col in zip(want, zip(*want))
             )
+
+    def test_sparse_moves_match_dense_rows_to_49(self):
+        # each move and V + V^T, chained so that moved matrices are moved
+        # again, against the same operation on the dense ``scaled`` rows
+        from oracles import (dense_flip_normal, dense_flip_orientation,
+                             dense_gl_matrix, dense_permuted)
+
+        rng = random.Random(15)
+        for _, v in _matrices_to_49():
+            k = v.size
+            moves = [(flip_orientation, dense_flip_orientation,
+                      rng.randint(1, k))]
+            if k > 1:
+                moves.append((flip_normal, dense_flip_normal,
+                              rng.randint(1, k - 1)))
+                moves.append((permuted_state_matrix, dense_permuted,
+                              rng.sample(range(k), k)))
+            for sparse, dense, arg in moves:
+                g = gl_matrix(v)
+                assert (g.den, g.scaled) == dense_gl_matrix(v.den, v.scaled)
+                moved = sparse(v, arg)
+                assert (moved.size, moved.den) == (k, v.den)
+                assert moved.scaled == dense(v.scaled, arg)
+                v = moved
+            g = gl_matrix(v)
+            assert (g.den, g.scaled) == dense_gl_matrix(v.den, v.scaled)
+
+    def test_permutation_validated(self):
+        v = standard_state_matrix(Expansion((2, 3, -4)))
+        for bad in ([0, 0, 1], [0, 1], [1, 2, 3]):
+            with pytest.raises(InvalidInputError, match="not a permutation"):
+                permuted_state_matrix(v, bad)
 
     def test_gl_den_is_one_to_49(self):
         for _, v in _matrices_to_49():
