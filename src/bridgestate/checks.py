@@ -49,7 +49,7 @@ from fractions import Fraction
 from .continued_fractions import Expansion
 from .errors import ConsistencyError
 from .invariants import (
-    _det_scaled,
+    _det_scaled,  # unused here; perfbench's tracer rebinds it in this module
     _fail,
     _oracle_scaled,
     _report_pass,
@@ -66,7 +66,7 @@ from .state_matrices import (
     standard_state_matrix,
     state_matrix,
 )
-from .surfaces import make_knot, sign_counts
+from .surfaces import make_knot
 
 
 @dataclass
@@ -156,23 +156,14 @@ def _unit_class(coeffs) -> list:
 
 
 def check_transformation_invariance(e: Expansion, rng: random.Random,
-                                    samples: int, det: tuple = None, *,
-                                    base: StateMatrix = None,
-                                    sigma: int = None) -> int:
-    """Transformed matrices keep the signature ``sigma`` and the polynomial
-    class of the ``_det_scaled`` result ``det``; by default these are the
-    state signature and state polynomial of ``e``, and ``base`` its
-    standard state matrix.  The oracle coefficients of den * V and the
+                                    samples: int, det: tuple, *,
+                                    base: StateMatrix, sigma: int) -> int:
+    """Transformed matrices of ``base``, a state matrix of ``e``, keep the
+    signature ``sigma`` and the polynomial class of the ``_det_scaled``
+    result ``det``.  The oracle coefficients of den * V and the
     2**s-scaled recurrence coefficients are compared in integers, as
     oracle * 2**s against recurrence * den**k; each transformed V + V^T,
     renumbered or not, is signed by ``_sparse_signature``."""
-    if base is None:
-        base = standard_state_matrix(e)
-    if det is None:
-        det = _det_scaled(e.terms)
-    if sigma is None:
-        plus, minus = sign_counts(e)
-        sigma = plus - minus
     coeffs, scale = det
     k = base.size
     want = _unit_class(coeffs)

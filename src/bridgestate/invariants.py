@@ -32,6 +32,9 @@ D*(V - t*V^T) at t = 2**B on the nonzeros of the integer matrix D*V a
 ``StateMatrix`` stores, polynomial in k, so ``checks`` runs it on every
 surface.  Signatures of transformed matrices come from exact sparse integer
 elimination as well (``_sparse_signature``); the two share one row update.
+Both keep only the rows they still need: each row carries the pivot it was
+last divided by, and a used pivot row is dropped, so a pivot is freed once
+no row divides by it.
 """
 
 import math
@@ -196,7 +199,10 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
     (Kronecker) turns the polynomial determinant into one integer
     determinant, computed by fraction-free Bareiss elimination (Math. Comp.
     22, 1968) on sparse rows in Cuthill-McKee order; its k + 1 signed
-    base-2**B digits are the coefficients.
+    base-2**B digits are the coefficients.  A row without the pivot column
+    is swapped with the lowest row below that has it, negating the sign.
+    Each row is lifted over the steps that skipped it when it becomes a
+    pivot row, and dropped once its step is done.
     """
     k = v.size
     zero = [0] * (k + 1), v.den
@@ -216,41 +222,30 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
         m[j][i] = m[j].get(i, 0) - (x << bits)
     rows = _cuthill_mckee(m)
 
-    # sparse Bareiss elimination with row pivoting: rows[i] holds the
-    # Bareiss values of the step last[i] at which row i last changed
-    last = [0] * k
-    pivots = [1]
-    perm = []
-    todo = set(range(k))
-    for step in range(1, k + 1):
-        c = step - 1
-        cand = [i for i in todo if c in rows[i]]
+    # sparse Bareiss elimination with row swaps: div[i] is the pivot of the
+    # step at which rows[i] last changed, p the pivot of the last step; a
+    # used pivot row is dropped, and with it what nothing still divides by
+    div = [1] * k
+    p, sign = 1, 1
+    for c in range(k):
+        cand = [i for i in range(c, k) if c in rows[i]]
         if not cand:
             return zero
-        r = c if c in cand else min(cand)
-        todo.remove(r)
-        prow = rows[r]
-        if last[r] != c:  # a row that steps skipped: lift it to step c
-            _bareiss_update(prow, 0, {}, pivots[c], pivots[last[r]])
+        r = cand[0]  # row c if it has column c, else the lowest row below
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            div[c], div[r] = div[r], div[c]
+            sign = -sign
+        prow, g = rows[c], div[c]
+        rows[c] = div[c] = None
+        if g != p:  # a row that steps skipped: lift it to step c
+            _bareiss_update(prow, 0, {}, p, g)
         p = prow.pop(c)
-        pivots.append(p)
-        perm.append(r)
-        for i in cand:
-            if i != r:
-                row = rows[i]
-                _bareiss_update(row, row.pop(c), prow, p, pivots[last[i]])
-                last[i] = step
-    det = pivots[k]
-    seen = [False] * k
-    for i in range(k):
-        if not seen[i]:
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-            det = -det  # one sign per cycle: sign(perm) = (-1)**(k - cycles)
-    if k % 2:
-        det = -det
+        for i in cand[1:]:
+            row = rows[i]
+            _bareiss_update(row, row.pop(c), prow, p, div[i])
+            div[i] = p
+    det = sign * p
 
     # signed base-2**B digits, lowest degree first
     base, half = 1 << bits, 1 << (bits - 1)
@@ -313,24 +308,26 @@ def _sparse_signature(n: int, nonzeros) -> int:
     otherwise.  A zero pivot is met by a symmetric swap with a nonzero
     diagonal entry, else by the zero-diagonal repair move (add row and
     column r to row and column i: the diagonal entry becomes 2*a_ir), and
-    a zero row is skipped; all are congruences.  ``checks`` signs every
-    transformed state matrix with it, renumbered or not.
+    a zero row is skipped; all are congruences.  A used pivot row is
+    dropped.  ``checks`` signs every transformed state matrix with it,
+    renumbered or not.
     """
     m = [{} for _ in range(n)]
     for (i, j), x in nonzeros:
         m[i][j] = x
     m = _cuthill_mckee(m)
 
-    # m[i] holds the Bareiss values of the step last[i] at which row i last
-    # changed; lift brings a row up to the current step
-    last = [0] * n
-    pivots = [1]
+    # div[i] is the pivot of the step at which m[i] last changed, p the
+    # pivot of the last step; lift brings a row up to the current step, and
+    # a used pivot row is dropped
+    div = [1] * n
+    p = 1
 
     def lift(i):
-        row, c = m[i], len(pivots) - 1
-        if last[i] != c:
-            _bareiss_update(row, 0, {}, pivots[c], pivots[last[i]])
-            last[i] = c
+        row = m[i]
+        if div[i] != p:
+            _bareiss_update(row, 0, {}, p, div[i])
+            div[i] = p
         return row
 
     sig = 0
@@ -351,14 +348,13 @@ def _sparse_signature(n: int, nonzeros) -> int:
                 m[j][i] = m[j].get(i, 0) + m[j][r]
         todo.remove(i)
         prow = lift(i)
+        m[i] = div[i] = None
+        sig += 1 if (prow[i] > 0) == (p > 0) else -1
         p = prow.pop(i)
-        sig += 1 if (p > 0) == (pivots[-1] > 0) else -1
-        step = len(pivots)
         for j in prow:
             row = m[j]
-            _bareiss_update(row, row.pop(i), prow, p, pivots[last[j]])
-            last[j] = step
-        pivots.append(p)
+            _bareiss_update(row, row.pop(i), prow, p, div[j])
+            div[j] = p
     return sig
 
 

@@ -26,10 +26,12 @@ from bridgestate.checks import (
     iter_knots,
 )
 from bridgestate.cli import main
+from bridgestate.invariants import _det_scaled
 from oracles import (
     brute_force_expansions,
     poly_equivalent,
     random_expansion,
+    sign_count_signature,
     state_polynomial_det,
     state_polynomial_oracle,
 )
@@ -146,7 +148,10 @@ def test_criterion_07_invariance_under_transformations():
     t0 = time.perf_counter()
     for _ in range(1000):
         e = random_expansion(rng, max_k=8)
-        check_transformation_invariance(e, rng, samples=1)
+        check_transformation_invariance(
+            e, rng, samples=1, det=_det_scaled(e.terms),
+            base=standard_state_matrix(e),
+            sigma=sign_count_signature(e.terms))
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(
