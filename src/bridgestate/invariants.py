@@ -22,15 +22,22 @@ Conventions, fixed once here:
 
 The tridiagonal determinant is computed by the three-term recurrence
 d_0 = 1, d_1 = (n1/2)(1-t), d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1}
-+ t * d_{j-2}, carried out on 2**s-scaled integer coefficient lists (s grows
-only at odd terms, so s <= k).  A ``StatePolynomial`` keeps them as the
-integer coefficients of 2**k times the canonical representative, so reports
++ t * d_{j-2}, carried out on 2**s-scaled integer coefficients (s grows
+only at odd terms, so s <= k).  Each d_j is held packed as one int, its
+value at t = 2**B (Kronecker substitution): its coefficients are the
+signed B-bit slots, and a step is a handful of big-integer operations
+instead of one per coefficient.  Bounds carried along keep every
+coefficient below 2**(B-2), so slots never carry into each other; when a
+step would break that, one mask test over all slots re-tightens the
+bounds, and only coefficients that really outgrow half a slot are read out
+and packed again into wider slots.  A ``StatePolynomial`` keeps the result
+as the integer coefficients of 2**k times the canonical representative, so reports
 never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
 built only for display and failure messages.  The oracle ``_oracle_scaled``,
-structurally independent of the recurrence, is exact sparse elimination of
-D*(V - t*V^T) at t = 2**B on the nonzeros of the integer matrix D*V a
-``StateMatrix`` stores, polynomial in k, so ``checks`` runs it on every
-surface.  Signatures of transformed matrices come from exact sparse integer
+structurally independent of the recurrence and sharing no helper with it,
+is exact sparse elimination of D*(V - t*V^T) at t = 2**B on the nonzeros
+of the integer matrix D*V a ``StateMatrix`` stores, with its own reading
+of the digits, polynomial in k, so ``checks`` runs it on every surface.  Signatures of transformed matrices come from exact sparse integer
 elimination as well (``_sparse_signature``); the two share one row update.
 Both keep only the rows they still need: each row carries the pivot it was
 last divided by, and a used pivot row is dropped, so a pivot is freed once
@@ -56,6 +63,50 @@ from .surfaces import (
 # state polynomial
 
 
+def _width(bound: int) -> int:
+    """Slot width in bits for coefficients of absolute value <= ``bound``:
+    a multiple of 8 that keeps the bound below 2**(B-2) with 64 bits to
+    spare."""
+    return (bound.bit_length() + 66 + 7) // 8 * 8
+
+
+def _slots(digit: int, bits: int, n: int) -> int:
+    """The int whose n base-2**bits digits all equal ``digit``, which lies
+    in [0, 2**bits)."""
+    return int.from_bytes(digit.to_bytes(bits // 8, "little") * n, "little")
+
+
+def _both_fit(cur: int, prev: int, bits: int, n: int, w: int) -> bool:
+    """Whether every signed base-2**bits digit of ``cur`` and ``prev`` (at
+    most n of them each, all of absolute value below 2**(bits-2)) lies in
+    [-2**(w-1), 2**(w-1)), for w < bits - 1.
+
+    Adding 2**(bits-1) + 2**(w-1) to every digit leaves each in
+    [0, 2**bits), so no carry crosses a slot; a digit then fits iff bits
+    [w, bits) of its slot read 100...0, which one mask tests for all."""
+    top = 1 << (bits - 1)
+    offset = _slots(top + (1 << (w - 1)), bits, n)
+    mask = _slots((1 << bits) - (1 << w), bits, n)
+    want = _slots(top, bits, n)
+    return (cur + offset) & mask == want and (prev + offset) & mask == want
+
+
+def _unpack(packed: int, bits: int, n: int) -> list:
+    """The n signed base-2**bits digits of ``packed``, lowest first, each of
+    absolute value below 2**(bits-1)."""
+    size, top = bits // 8, 1 << (bits - 1)
+    raw = (packed + _slots(top, bits, n)).to_bytes(n * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - top
+            for i in range(0, n * size, size)]
+
+
+def _pack(coeffs, bits: int) -> int:
+    """sum_i coeffs[i] * 2**(bits*i), for |coeffs[i]| < 2**(bits-1)."""
+    size, top = bits // 8, 1 << (bits - 1)
+    raw = b"".join((c + top).to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _slots(top, bits, len(coeffs))
+
+
 def _det_scaled(terms) -> tuple:
     """Integer coefficient list of 2**s * det(V - t*V^T), plus s.
 
@@ -63,30 +114,47 @@ def _det_scaled(terms) -> tuple:
     uncanonicalized, lowest degree first (its constant term det(V) is never
     zero).  s is the number of odd terms: every denominator in the exact
     determinant divides 2**s, so the scaled coefficients are integers.
+
+    The recurrence runs on d(2**B), one int per polynomial, whose signed
+    B-bit slots are its coefficients: a step is
+    mult * (cur - (cur << B)) + (prev << (shift + B)).  m_cur and m_prev
+    bound the coefficients of cur and prev, and a step bounds the new ones
+    by 2*|mult|*m_cur + (m_prev << shift); every bound stays below
+    2**(B-2), so slots never carry into each other.  When a step would
+    break that, both are first tested to fit B/2 bits (``_both_fit``), which
+    re-tightens the bounds to 2**(B/2-1) in O(1) big-int operations;
+    otherwise, or if the step still does not fit, their coefficients are
+    read out and packed again at max(1.25*B, 64 bits over the new bound).
     """
-    n1 = terms[0]
-    if n1 % 2 == 0:
-        cur, s_cur = [n1 // 2, -(n1 // 2)], 0
-    else:
-        cur, s_cur = [n1, -n1], 1
-    prev, s_prev = [1], 0
-    for j in range(2, len(terms) + 1):
-        n = terms[j - 1]
+    cur, prev, s_cur, s_prev = 1, 0, 0, 0  # d_0 = 1, d_-1 = 0
+    m_cur, m_prev = 1, 0
+    bits = _width(2 * abs(terms[0]))
+    for j, n in enumerate(terms, 1):
         odd = n % 2 != 0
         half = n if odd else n // 2
         mult = half if j % 2 == 1 else -half
         s_new = s_cur + 1 if odd else s_cur
         shift = s_new - s_prev
-        a, b = cur, prev
-        if shift:
-            mid = [mult * (x - y) + (z << shift) for x, y, z in zip(a[1:], a, b)]
-        else:
-            mid = [mult * (x - y) + z for x, y, z in zip(a[1:], a, b)]
-        new = [mult * a[0]]
-        new.extend(mid)
-        new.append(-mult * a[-1])
-        prev, s_prev, cur, s_cur = a, s_cur, new, s_new
-    return cur, s_cur
+        m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
+        if m_new >> (bits - 2):
+            w = bits // 2
+            if _both_fit(cur, prev, bits, j, w):
+                m_cur = min(m_cur, 1 << (w - 1))
+                m_prev = min(m_prev, 1 << (w - 1))
+                m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
+            if m_new >> (bits - 2):
+                a, b = _unpack(cur, bits, j), _unpack(prev, bits, j)
+                m_cur, m_prev = max(map(abs, a)), max(map(abs, b))
+                m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
+                bits = max((bits * 5 // 4 + 7) // 8 * 8, _width(m_new))
+                cur, prev = _pack(a, bits), _pack(b, bits)
+        x = mult * cur
+        if shift:  # a shift by 0 would still copy prev
+            prev <<= shift
+        cur, prev = x - ((x - prev) << bits), cur
+        m_cur, m_prev = m_new, m_cur
+        s_cur, s_prev = s_new, s_cur
+    return _unpack(cur, bits, len(terms) + 1), s_cur
 
 
 def laurent_over(coeffs, den: int) -> LaurentPolynomial:

@@ -4,10 +4,12 @@ Nothing here shares code paths with the package internals it verifies:
 expansion values are folded from the terms, expansions are found by
 exhaustive search over term sequences, Laurent arithmetic is redone on
 degree->coefficient dictionaries, determinants of small matrices are
-expanded by cofactors over those dictionaries, state matrices are built and
-signatures computed with dense ``Fraction`` arithmetic, the matrix moves are
-redone on dense integer rows, and signatures and slopes of expansions are
-counted from the signs of their terms.
+expanded by cofactors over those dictionaries, the three-term state
+polynomial recurrence (run on packed big integers in the package) is rerun
+over them too, state matrices are built and signatures computed with dense
+``Fraction`` arithmetic, the matrix moves are redone on dense integer rows,
+and signatures and slopes of expansions are counted from the signs of
+their terms.
 ``LaurentPolynomial`` serves only as the container results are compared
 in, and ``InvalidInputError`` as the error raised for inputs outside a
 helper's domain.
@@ -165,6 +167,20 @@ def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
 def poly_equivalent(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
     """True iff p = +-t^j * q for some integer j."""
     return canonical_representative(p) == canonical_representative(q)
+
+
+def fraction_recurrence_det(terms) -> LaurentPolynomial:
+    """det(V - t*V^T) for the standard state matrix V of ``terms``,
+    uncanonicalized, by the three-term recurrence d_0 = 1, d_-1 = 0,
+    d_j = (-1)**(j+1) * (nj/2)(1 - t) * d_{j-1} + t * d_{j-2} on
+    degree->Fraction dictionaries."""
+    prev, cur = {}, {0: Fraction(1)}
+    for j, n in enumerate(terms, 1):
+        a = Fraction(n if j % 2 else -n, 2)
+        step = dict_add(dict_mul({0: a, 1: -a}, cur),
+                        {d + 1: c for d, c in prev.items()})
+        prev, cur = cur, step
+    return dict_to_poly(cur)
 
 
 def state_polynomial_det(e: Expansion) -> LaurentPolynomial:

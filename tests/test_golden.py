@@ -29,6 +29,12 @@ def sha256(data: bytes) -> str:
      "2c9faa71540a1254512af89bc6289c7ea91d348a5678743bad114e972676cd2d"),
     (["invariants", "19", "7"],
      "a190b0672ff2064e67d377eae25f3954b30c6b7aa5de33436ec60e4f0de6ca8a"),
+    # a long knot (one surface with k = 2,462) and a wide one (3,329
+    # surfaces): the recurrence far past the slot widths it starts with
+    (["invariants", "4925", "2463", "--json"],
+     "85de51f68ab38f3d94b68d3c22991959a8e274738e2694e4c3486430b1dc5faa"),
+    (["invariants", "1149851", "439204", "--json"],
+     "96ad9ba79f4b3cbbbf6b4afe917f524267ed491451ed62bd5b8b1d52d488815c"),
 ])
 def test_single_knot_output(capsys, argv, digest):
     assert main(argv) == 0

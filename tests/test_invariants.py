@@ -30,6 +30,7 @@ from oracles import (
     cf_value,
     evaluate,
     frac,
+    fraction_recurrence_det,
     laurent,
     poly_equivalent,
     random_expansion,
@@ -233,6 +234,58 @@ class TestOracle:
             e = random_expansion(rng, max_k=6)
             got = state_polynomial_oracle(standard_state_matrix(e))
             assert got == state_polynomial_det(e)
+
+
+class TestPackedRecurrence:
+    """``_det_scaled`` holds each polynomial as one int of signed slots;
+    these chains take each of its checkpoint branches."""
+
+    @staticmethod
+    def run(monkeypatch, terms):
+        """(det(V - t*V^T) by ``_det_scaled``, re-tightenings, widenings)."""
+        import bridgestate.invariants as inv
+
+        fits, packs = [], []
+        both_fit, pack = inv._both_fit, inv._pack
+
+        def counted_fit(*args):
+            fits.append(both_fit(*args))
+            return fits[-1]
+
+        def counted_pack(*args):
+            packs.append(args[1])
+            return pack(*args)
+
+        monkeypatch.setattr(inv, "_both_fit", counted_fit)
+        monkeypatch.setattr(inv, "_pack", counted_pack)
+        coeffs, scale = inv._det_scaled(terms)
+        det = laurent([Fraction(c, 1 << scale) for c in coeffs])
+        assert det == fraction_recurrence_det(terms)
+        return det, fits.count(True), len(packs) // 2  # cur and prev
+
+    def test_alternating_chain_retightens(self, monkeypatch):
+        # the coefficient bound grows at every step, the coefficients do not
+        terms = (2, -2) * 300
+        det, tightened, widened = self.run(monkeypatch, terms)
+        assert tightened > 0 and widened == 0
+        assert det == state_polynomial_oracle(
+            standard_state_matrix(Expansion(terms)))
+
+    @pytest.mark.parametrize("terms", [(2,) * 300, (3,) * 200])
+    def test_growing_chain_widens(self, monkeypatch, terms):
+        det, tightened, widened = self.run(monkeypatch, terms)
+        assert tightened == 0 and widened > 1
+        if terms[0] == 3:
+            assert det == state_polynomial_oracle(
+                standard_state_matrix(Expansion(terms)))
+
+    def test_jump_in_the_bound_widens(self, monkeypatch):
+        # re-tightening passes at the huge term but cannot make room for it
+        terms = (2, 2**200 + 1, 3) + (2, -2) * 50
+        det, tightened, widened = self.run(monkeypatch, terms)
+        assert tightened > 0 and widened > 0
+        assert det == state_polynomial_oracle(
+            standard_state_matrix(Expansion(terms)))
 
 
 class TestPolyEquivalent:

@@ -1,5 +1,6 @@
-"""Property-based tests (need hypothesis): the elimination oracle, the
-enumeration, presentation and mirror invariance, and the JSON renderings."""
+"""Property-based tests (need hypothesis): the packed recurrence, the
+elimination oracle, the enumeration, presentation and mirror invariance,
+and the JSON renderings."""
 
 import contextlib
 import io
@@ -35,6 +36,7 @@ from bridgestate.cli import main  # noqa: E402
 from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_expansions,
+    fraction_recurrence_det,
     poly_equivalent,
     sign_count_signature,
     state_polynomial_det,
@@ -50,6 +52,22 @@ TERMS = st.lists(
 )
 MOVES = st.lists(st.sampled_from(("normal", "orientation", "renumber")),
                  max_size=6)
+
+
+# terms of either parity up to 2**80, so single steps jump the coefficient
+# bound by up to 80 bits
+BIG_TERMS = st.integers(1, 200).flatmap(lambda k: st.lists(
+    st.integers(2, 2**80).flatmap(lambda n: st.sampled_from((n, -n))),
+    min_size=k,
+    max_size=k,
+))
+
+
+@settings(max_examples=25, deadline=None)
+@given(BIG_TERMS)
+def test_packed_recurrence_matches_fraction_recurrence(terms):
+    assert state_polynomial_det(Expansion(tuple(terms))) == \
+        fraction_recurrence_det(terms)
 
 
 @settings(max_examples=60, deadline=None)
