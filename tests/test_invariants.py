@@ -245,7 +245,7 @@ class TestPackedRecurrence:
         """(det(V - t*V^T) by ``_det_scaled``, re-tightenings, widenings)."""
         import bridgestate.invariants as inv
 
-        fits, packs = [], []
+        fits, widths = [], []
         both_fit, pack = inv._both_fit, inv._pack
 
         def counted_fit(*args):
@@ -253,7 +253,7 @@ class TestPackedRecurrence:
             return fits[-1]
 
         def counted_pack(*args):
-            packs.append(args[1])
+            widths.append(args[1])
             return pack(*args)
 
         monkeypatch.setattr(inv, "_both_fit", counted_fit)
@@ -261,7 +261,7 @@ class TestPackedRecurrence:
         coeffs, scale = inv._det_scaled(terms)
         det = laurent([Fraction(c, 1 << scale) for c in coeffs])
         assert det == fraction_recurrence_det(terms)
-        return det, fits.count(True), len(packs) // 2  # cur and prev
+        return det, fits.count(True), len(widths) // 2  # cur and prev
 
     def test_alternating_chain_retightens(self, monkeypatch):
         # the coefficient bound grows at every step, the coefficients do not
@@ -275,9 +275,8 @@ class TestPackedRecurrence:
     def test_growing_chain_widens(self, monkeypatch, terms):
         det, tightened, widened = self.run(monkeypatch, terms)
         assert tightened == 0 and widened > 1
-        if terms[0] == 3:
-            assert det == state_polynomial_oracle(
-                standard_state_matrix(Expansion(terms)))
+        assert det == state_polynomial_oracle(
+            standard_state_matrix(Expansion(terms)))
 
     def test_jump_in_the_bound_widens(self, monkeypatch):
         # re-tightening passes at the huge term but cannot make room for it
