@@ -21,8 +21,10 @@ Wire formats, fixed here and documented in the README:
   ``surfaces --csv`` writes its first eight columns.
 * The JSON companion file is one list of surface records, each with its
   knot's alpha and beta.
-* JSON is rendered with sorted keys and two-space indentation, so parsing
-  and re-dumping a report reproduces it byte for byte.
+* JSON is rendered by ``canonical_pieces`` alone, with sorted keys and
+  two-space indentation: its bytes are those of ``json.dumps(obj, indent=2,
+  sort_keys=True)``, so parsing and re-dumping a report reproduces it byte
+  for byte.  It streams a report one surface record at a time.
 
 The census is one streaming pipeline.  One task per knot computes its
 report and renders the knot's rows in the requested format (``render_knot``);
@@ -33,10 +35,10 @@ an ``emit`` callback in (alpha, beta) order as soon as they arrive, and a
 output bytes do not depend on --jobs, and no table is held in memory.
 """
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .checks import iter_knots
 from .errors import ConsistencyError, InvalidInputError
@@ -103,9 +105,94 @@ def report_to_dict(report: InvariantReport) -> dict:
     }
 
 
+def canonical_pieces(obj, level: int = 0):
+    """Yield the canonical JSON text of ``obj`` in pieces: sorted keys and
+    two-space indentation, the bytes of ``json.dumps(obj, indent=2,
+    sort_keys=True)``.  At level 0 the text is a whole document and ends in
+    a newline; at a deeper level it is ``obj`` as it appears at that depth
+    of a document, without its leading indentation or a newline.
+
+    A list whose elements include a dict or a list yields each element as
+    a piece of its own, so the ``surfaces`` of a report stream and no whole
+    document is ever built.  Only dicts with ``str`` keys, lists, ints, strings,
+    bools and None are accepted; anything else raises TypeError.
+    """
+    # per tuple of keys in insertion order: (key, '"key": ') in sorted order
+    heads = {}
+
+    def items(d):
+        keys = tuple(d)
+        entries = heads.get(keys)
+        if entries is None:
+            for key in keys:
+                if type(key) is not str:
+                    raise TypeError(f"JSON object keys must be str, not {key!r}")
+            entries = heads[keys] = [(key, _encode_str(key) + ": ")
+                                     for key in sorted(keys)]
+        return entries
+
+    def render(value, level):
+        kind = type(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is list:
+            if not value:
+                return "[]"
+            pad = "\n" + "  " * (level + 1)
+            if {*map(type, value)} == {int}:  # int.__repr__(True) is 'True'
+                body = ("," + pad).join(map(int.__repr__, value))
+            else:
+                body = ("," + pad).join([render(x, level + 1) for x in value])
+            return f"[{pad}{body}\n{'  ' * level}]"
+        if kind is dict:
+            if not value:
+                return "{}"
+            pad = "\n" + "  " * (level + 1)
+            parts = []  # one join copies a large value once
+            sep = "{" + pad
+            for key, head in items(value):
+                parts += sep, head, render(value[key], level + 1)
+                sep = "," + pad
+            parts.append("\n" + "  " * level + "}")
+            return "".join(parts)
+        if kind is str:
+            return _encode_str(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise TypeError(
+            f"{kind.__name__} is not part of the record schema: {value!r}")
+
+    def pieces(value, level):
+        kind = type(value)
+        if kind is dict and value:
+            pad = "\n" + "  " * (level + 1)
+            sep = "{" + pad
+            for key, head in items(value):
+                yield sep + head
+                yield from pieces(value[key], level + 1)
+                sep = "," + pad
+            yield "\n" + "  " * level + "}"
+        elif kind is list and not {*map(type, value)}.isdisjoint((dict, list)):
+            pad = "\n" + "  " * (level + 1)
+            sep = "[" + pad
+            for x in value:
+                yield sep  # apart, so that no element is copied to add it
+                yield render(x, level + 1)
+                sep = "," + pad
+            yield "\n" + "  " * level + "]"
+        else:
+            yield render(value, level)
+
+    yield from pieces(obj, level)
+    if level == 0:
+        yield "\n"
+
+
 def dumps_canonical(obj) -> str:
     """The one JSON rendering used everywhere (round-trips byte-for-byte)."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return "".join(canonical_pieces(obj))
 
 
 def _join(values) -> str:
@@ -157,12 +244,6 @@ def census_row(alpha: int, beta: int) -> dict:
     return row
 
 
-def _list_element(text: str) -> str:
-    """A ``dumps_canonical`` document re-indented as an element of a
-    top-level JSON list, without its final newline."""
-    return "  " + text[:-1].replace("\n", "\n  ")
-
-
 def render_knot(row: dict, as_json: bool, with_surfaces: bool) -> tuple:
     """One knot's census output: its piece of the knot file and its piece
     of the surface file ('' unless ``with_surfaces``).
@@ -173,11 +254,11 @@ def render_knot(row: dict, as_json: bool, with_surfaces: bool) -> tuple:
     of one ``dumps_canonical`` list.
     """
     if as_json:
-        knot = _list_element(dumps_canonical(row))
-        records = (dict(s, alpha=row["alpha"], beta=row["beta"])
-                   for s in row["surfaces"]) if with_surfaces else ()
-        return knot, ",\n".join(
-            _list_element(dumps_canonical(rec)) for rec in records)
+        records = [dict(s, alpha=row["alpha"], beta=row["beta"])
+                   for s in row["surfaces"]] if with_surfaces else []
+        knot, *surfaces = ("  " + "".join(canonical_pieces(element, 1))
+                           for element in [row] + records)
+        return knot, ",\n".join(surfaces)
     lines = surface_csv_rows(row) if with_surfaces else ()
     return knot_csv_row(row) + "\n", "".join(line + "\n" for line in lines)
 

@@ -21,8 +21,8 @@ from .census import (
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
     TableWriter,
+    canonical_pieces,
     census_rows,
-    dumps_canonical,
     report_to_dict,
     rows_to_knot_csv,
     surfaces_to_csv,
@@ -44,7 +44,7 @@ def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
     surfaces = essential_surfaces(knot)
     if args.json:
-        sys.stdout.write(dumps_canonical(surfaces_to_dict(knot, surfaces)))
+        sys.stdout.writelines(canonical_pieces(surfaces_to_dict(knot, surfaces)))
     elif args.csv:
         sys.stdout.write(surfaces_to_csv(surfaces_to_dict(knot, surfaces)))
     else:
@@ -63,7 +63,7 @@ def cmd_invariants(args) -> int:
     report = full_report(make_knot(args.alpha, args.beta))
     row = report_to_dict(report)
     if args.json:
-        sys.stdout.write(dumps_canonical(row))
+        sys.stdout.writelines(canonical_pieces(row))
     elif args.csv:
         sys.stdout.write(rows_to_knot_csv([row]))
     else:
@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that has gone is an I/O failure too
+        return status
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -247,8 +249,19 @@ def main(argv=None) -> int:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _discard_stdout():
+    """Point stdout at the null device, so that what it still buffers for a
+    closed pipe does not fail a second time when the interpreter exits."""
+    with contextlib.suppress(OSError, ValueError):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def entry_point():

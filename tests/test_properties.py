@@ -160,3 +160,19 @@ def test_census_from_pieces_equals_one_rendering(max_alpha, jobs, as_json):
         assert knots_text == rows_to_knot_csv(rows)
         lines = [line for r in rows for line in surface_csv_rows(r)]
         assert surfaces_text == "\n".join([SURFACE_CSV_HEADER] + lines) + "\n"
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | st.text(),
+    lambda children: (st.lists(children, max_size=6)
+                      | st.dictionaries(st.text(), children, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_canonical_rendering_is_the_stdlib_layout(doc):
+    # the independent reference for dumps_canonical: the round-trip tests
+    # above compare the renderer with itself
+    assert dumps_canonical(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
