@@ -29,7 +29,7 @@ def stdlib(doc) -> str:
     [], {}, [[]], [{}], {"a": []}, [1, True], [True, 1],
     [{"a": 1}, {"a": True}], None, False, 0, -2**200, "",
     "quote \" backslash \\ end", "\x00\x01\t\n\r\x1f\x7f", "sé",
-    " ", "\U0001f600", {"b": [1, [2, {}], None, "x"], "a": {"c": []}},
+    "\u2028", "\U0001f600", {"b": [1, [2, {}], None, "x"], "a": {"c": []}},
     {"é": 1, "e": 2, "": 3, "\"": [False]},
 ])
 def test_explicit_documents_match_the_stdlib(doc):
