@@ -29,14 +29,14 @@ Wire formats, fixed here and documented in the README:
 The census is one streaming pipeline.  One task per knot computes its
 report and renders the knot's rows in the requested format (``render_knot``);
 with more than one job the tasks run in a process pool of at most one
-worker per usable CPU.  ``census_rows`` hands each knot's rendered pieces to
-an ``emit`` callback in (alpha, beta) order as soon as they arrive, and a
-``TableWriter`` per file adds the CSV header or the JSON list brackets.  So
-output bytes do not depend on --jobs, and no table is held in memory.
+worker per usable CPU, and only then is the pool's machinery imported.
+``census_rows`` hands each knot's rendered pieces to an ``emit`` callback
+in (alpha, beta) order as soon as they arrive, and a ``TableWriter`` per
+file adds the CSV header or the JSON list brackets.  So output bytes do not
+depend on --jobs, and no table is held in memory.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -293,6 +293,10 @@ def census_rows(max_alpha: int, emit, jobs: int = 1, as_json: bool = False,
     surface_total = 0
     with ExitStack() as stack:
         if jobs > 1:
+            # imported here: concurrent.futures and multiprocessing cost
+            # every other command about 20 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=jobs)
             # on a failure, knots not yet started are dropped, not computed
             stack.callback(pool.shutdown, cancel_futures=True)

@@ -149,6 +149,10 @@ def cmd_census(args) -> int:
             with_surfaces=bool(args.out_surfaces))
         for table in tables:
             table.close()
+        if to_stdout:
+            # a closed pipe fails here, before the summary is printed and
+            # before a surface file replaces its target
+            sys.stdout.flush()
     print(
         f"census: {knot_total} knots, {surface_total} surfaces "
         f"(alpha <= {args.max_alpha}, {'json' if args.json else 'csv'})",

@@ -252,6 +252,8 @@ def _cuthill_mckee(rows) -> list:
                 seen[j] = True
             queue.extend(nbrs)
         order.extend(queue)
+    if order == [*range(k)]:  # a banded matrix in its own order
+        return rows
     pos = [0] * k
     for idx, i in enumerate(order):
         pos[i] = idx

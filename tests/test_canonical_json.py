@@ -100,17 +100,31 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert err == "error: [Errno 32] Broken pipe\n"
 
 
-def test_stdout_closed_before_a_short_report_exits_2():
-    # the whole report fits in stdout's buffer, so only the flush at the
-    # end meets the closed pipe
+def run_into_closed_pipe(argv):
+    """Run the CLI, buffered, with stdout a pipe closed before it starts."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "bridgestate", "invariants", "5", "2",
-             "--json"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        return subprocess.run([sys.executable, "-m", "bridgestate", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env)
     finally:
         os.close(write_end)
+
+
+def test_stdout_closed_before_a_short_report_exits_2():
+    # the whole report fits in stdout's buffer, so only the flush at the
+    # end meets the closed pipe
+    proc = run_into_closed_pipe(["invariants", "5", "2", "--json"])
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_short_census_into_a_closed_pipe_prints_no_summary(fmt):
+    # the rows fit in stdout's buffer too, and the flush that meets the
+    # closed pipe must come before the summary on stderr
+    proc = run_into_closed_pipe(["census", "--max-alpha", "5", *fmt])
     assert proc.returncode == 2
     assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"

@@ -176,6 +176,13 @@ class TestCensusCommand:
             capsys, "census", "--max-alpha", "19", "--out", str(b), "--jobs", "3"
         )[0] == 0
         assert a.read_bytes() == b.read_bytes()
+        # in a fresh interpreter, where the pool is first imported inside
+        # the census
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgestate", "census", "--max-alpha",
+             "19", "--jobs", "2", "--out", "-"], capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout == a.read_bytes()
 
     def test_surface_companion_file(self, capsys, tmp_path):
         out_path = tmp_path / "census.csv"
@@ -220,10 +227,12 @@ class TestCensusCommand:
         assert "jobs must be at least 1" in err
 
     def test_jobs_clamped_to_usable_cpus(self, capsys, tmp_path, monkeypatch):
+        import concurrent.futures
+
         import bridgestate.census as census
 
         cpus = census.usable_cpus()
-        real_pool = census.ProcessPoolExecutor
+        real_pool = concurrent.futures.ProcessPoolExecutor
         sizes = []
 
         def pool(max_workers):
@@ -232,7 +241,7 @@ class TestCensusCommand:
             sizes.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(census, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, "census", "--max-alpha", "19", "--out", str(a),
                    "--jobs", "1")[0] == 0
@@ -354,6 +363,42 @@ class TestCensusCommand:
         assert lines[0].startswith("alpha,beta,terms,")
         assert len(lines) > 18
         assert [p.name for p in tmp_path.iterdir()] == ["-"]
+
+
+POOL_MODULES = """
+import sys
+
+started = set(sys.modules)  # a site hook may preload modules
+
+import contextlib
+import io
+import json
+
+import bridgestate.cli as cli
+
+loaded = [set(sys.modules) - started]
+for argv in (["verify", "5", "2"], ["invariants", "5", "2", "--json"],
+             ["census", "--max-alpha", "9", "--jobs", "1"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        assert cli.main(argv) == 0, argv
+    loaded.append(set(sys.modules) - started)
+print(json.dumps([
+    sorted(m for m in names
+           if m.split(".")[0] in ("concurrent", "multiprocessing"))
+    for names in loaded
+]))
+"""
+
+
+def test_only_a_census_on_several_jobs_loads_the_process_pool():
+    # concurrent.futures and multiprocessing take about 20 ms of every
+    # start-up when imported with the package
+    proc = subprocess.run([sys.executable, "-c", POOL_MODULES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # after the import, then after each of the three commands
+    assert json.loads(proc.stdout) == [[], [], [], []]
 
 
 def test_module_entry_point_runs():

@@ -23,7 +23,7 @@ from bridgestate.checks import (
     invariant_multiset,
     iter_knots,
 )
-from bridgestate.invariants import _det_scaled, _oracle_scaled
+from bridgestate.invariants import _cuthill_mckee, _det_scaled, _oracle_scaled
 from bridgestate.state_matrices import permuted_state_matrix
 from oracles import (
     canonical_representative,
@@ -227,6 +227,19 @@ class TestOracle:
                 tracemalloc.stop()
             assert peak < 2 << 20
         assert results[0] == results[1]
+
+    def test_banded_rows_in_their_own_order_are_kept(self):
+        # A - t*A^T of a standard state matrix is tridiagonal with its ends
+        # at rows 0 and k-1, so Cuthill-McKee finds the identity order
+        k = 6
+        rows = [{j: 1 for j in (i - 1, i, i + 1) if 0 <= j < k}
+                for i in range(k)]
+        assert _cuthill_mckee(rows) is rows
+        perm = [3, 0, 5, 1, 4, 2]
+        moved = [None] * k
+        for i, row in enumerate(rows):
+            moved[perm[i]] = {perm[j]: x for j, x in row.items()}
+        assert _cuthill_mckee(moved) == rows
 
     def test_matches_recurrence_random(self):
         rng = random.Random(22)
