@@ -391,7 +391,7 @@ print(json.dumps([
 """
 
 
-def test_only_a_census_on_several_jobs_loads_the_process_pool():
+def test_commands_without_a_pool_do_not_import_it():
     # concurrent.futures and multiprocessing take about 20 ms of every
     # start-up when imported with the package
     proc = subprocess.run([sys.executable, "-c", POOL_MODULES],
