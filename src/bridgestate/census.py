@@ -30,10 +30,11 @@ The census is one streaming pipeline.  One task per knot computes its
 report and renders the knot's rows in the requested format (``render_knot``);
 with more than one job the tasks run in a process pool of at most one
 worker per usable CPU, and only then is the pool's machinery imported.
-``census_rows`` hands each knot's rendered pieces to an ``emit`` callback
-in (alpha, beta) order as soon as they arrive, and a ``TableWriter`` per
-file adds the CSV header or the JSON list brackets.  So output bytes do not
-depend on --jobs, and no table is held in memory.
+``census_rows`` writes each knot's pieces to the knot file and the surface
+file in (alpha, beta) order as soon as they arrive, the CSV header or the
+opening ``[`` with the first knot's pieces and the closing ``]`` after the
+last.  So output bytes do not depend on --jobs, and no table is held in
+memory.
 """
 
 import os
@@ -225,12 +226,12 @@ def surface_csv_rows(row: dict) -> list:
     ]
 
 
-def surfaces_to_csv(doc: dict) -> str:
-    """CSV form of a ``surfaces_to_dict`` document."""
+def surfaces_to_csv(doc: dict) -> list:
+    """CSV lines of a ``surfaces_to_dict`` document, header first, each
+    ending in a newline."""
     knot = f"{doc['alpha']},{doc['beta']}"
-    lines = [SURFACE_LIST_CSV_HEADER]
-    lines.extend(f"{knot},{_surface_fields(s)}" for s in doc["surfaces"])
-    return "\n".join(lines) + "\n"
+    return [SURFACE_LIST_CSV_HEADER + "\n"] + [
+        f"{knot},{_surface_fields(s)}\n" for s in doc["surfaces"]]
 
 
 def census_row(alpha: int, beta: int) -> dict:
@@ -249,7 +250,7 @@ def render_knot(row: dict, as_json: bool, with_surfaces: bool) -> tuple:
     of the surface file ('' unless ``with_surfaces``).
 
     A CSV piece is whole lines, each ending in a newline; a JSON piece is
-    list elements separated by a comma and a newline.  ``TableWriter`` puts
+    list elements separated by a comma and a newline.  ``census_rows`` puts
     the pieces of every knot together into the bytes of one CSV table or
     of one ``dumps_canonical`` list.
     """
@@ -278,18 +279,30 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def census_rows(max_alpha: int, emit, jobs: int = 1, as_json: bool = False,
-                with_surfaces: bool = False) -> tuple:
-    """Render every knot with determinant <= max_alpha and call
-    ``emit(knot_piece, surface_piece)`` for each, in (alpha, beta) order, as
-    soon as its piece is ready (see ``render_knot``).  Returns the number of
-    knots and of surfaces.  The pieces are independent of ``jobs`` (>= 1;
-    more workers than usable CPUs only add cost, so it is clamped)."""
+def census_rows(max_alpha: int, files, jobs: int = 1,
+                as_json: bool = False) -> tuple:
+    """Write the census of every knot with determinant <= max_alpha (>= 3):
+    the knot table to ``files[0]`` and, given a second file, the surface
+    table to ``files[1]``.  Each knot's pieces (see ``render_knot``) are
+    written in (alpha, beta) order as soon as they are ready, the first
+    ones after the CSV header or '[', and the end of a JSON list follows
+    the last.  Nothing is written before the first knot is ready, so a
+    census that fails on it writes nothing, and no buffered output exists
+    yet when the pool forks its workers.  Returns the number of knots and
+    of surfaces.  The bytes are independent of ``jobs`` (>= 1; more workers
+    than usable CPUs only add cost, so it is clamped)."""
+    if max_alpha < 3:
+        raise InvalidInputError("--max-alpha must be at least 3")
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, usable_cpus())
-    tasks = [(a, b, as_json, with_surfaces)
+    tasks = [(a, b, as_json, len(files) > 1)
              for a, b in iter_knots(max_alpha)]
+    if as_json:
+        heads, sep, tail = ("[\n", "[\n"), ",\n", "\n]\n"
+    else:
+        heads = (KNOT_CSV_HEADER + "\n", SURFACE_CSV_HEADER + "\n")
+        sep = tail = ""
     surface_total = 0
     with ExitStack() as stack:
         if jobs > 1:
@@ -304,43 +317,15 @@ def census_rows(max_alpha: int, emit, jobs: int = 1, as_json: bool = False,
             # ahead of the one being written wait in memory: capping the
             # chunk keeps memory flat as the sweep grows
             chunk = max(1, min(len(tasks) // (jobs * 8), MAX_CHUNK))
-            pieces = pool.map(_census_row_star, tasks, chunksize=chunk)
+            results = pool.map(_census_row_star, tasks, chunksize=chunk)
         else:
-            pieces = map(_census_row_star, tasks)
-        for knot_piece, surface_piece, count in pieces:
-            emit(knot_piece, surface_piece)
+            results = map(_census_row_star, tasks)
+        # every knot has at least two surfaces, so no piece is empty
+        for *pieces, count in results:
+            for fh, head, piece in zip(files, heads, pieces):
+                fh.write(head + piece)
+            heads = (sep, sep)
             surface_total += count
+    for fh in files:
+        fh.write(tail)
     return len(tasks), surface_total
-
-
-class TableWriter:
-    """One census file as it is written: the CSV header or '[' before the
-    first piece, the pieces in order, then the end of the JSON list.
-
-    Nothing is written before the first piece, so a census that fails
-    before any knot is ready writes nothing, and no buffered output exists
-    yet when the pool forks its workers.
-    """
-
-    def __init__(self, fh, as_json: bool, header: str):
-        self._fh = fh
-        if as_json:
-            self._head, self._sep, self._tail, self._empty = (
-                "[\n", ",\n", "\n]\n", "[]\n")
-        else:
-            self._head, self._sep, self._tail, self._empty = (
-                header + "\n", "", "", header + "\n")
-        self._started = False
-
-    def write(self, piece: str) -> None:
-        if piece:
-            self._fh.write((self._sep if self._started else self._head) + piece)
-            self._started = True
-
-    def close(self) -> None:
-        """Finish the document (the file itself stays open)."""
-        self._fh.write(self._tail if self._started else self._empty)
-
-
-def rows_to_knot_csv(rows) -> str:
-    return "\n".join([KNOT_CSV_HEADER] + [knot_csv_row(r) for r in rows]) + "\n"

@@ -74,30 +74,12 @@ class CheckStats:
     knots: int = 0
     surfaces: int = 0
     checks: int = 0
-    polynomial_checks: int = 0
-    signature_checks: int = 0
-    slope_checks: int = 0
 
     def __iadd__(self, other):
         self.knots += other.knots
         self.surfaces += other.surfaces
         self.checks += other.checks
-        self.polynomial_checks += other.polynomial_checks
-        self.signature_checks += other.signature_checks
-        self.slope_checks += other.slope_checks
         return self
-
-
-# tallies of the checks on one surface of a report: the fast checks and
-# the identities its report pass ran (|p(-1)| = alpha, minor signature and
-# slope agreement)
-_FAST_STATS = CheckStats(
-    surfaces=1,
-    checks=9,
-    polynomial_checks=6,
-    signature_checks=2,
-    slope_checks=1,
-)
 
 
 def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
@@ -270,10 +252,12 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
     stats = CheckStats(knots=1)
 
     def check(r, det):
-        nonlocal stats
         e = r.surface.expansion
         _check_surface_fast(knot, e, det, r.signature)
-        stats += _FAST_STATS
+        # its six fast checks and the three identities its report pass ran
+        # (|p(-1)| = alpha, minor signature and slope agreement)
+        stats.surfaces += 1
+        stats.checks += 9
         if oracle:
             v = standard_state_matrix(e)
             stats.checks += _check_surface_oracle(knot, e, det, v,

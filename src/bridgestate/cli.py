@@ -19,12 +19,10 @@ import sys
 
 from .census import (
     KNOT_CSV_HEADER,
-    SURFACE_CSV_HEADER,
-    TableWriter,
     canonical_pieces,
     census_rows,
+    knot_csv_row,
     report_to_dict,
-    rows_to_knot_csv,
     surfaces_to_csv,
     surfaces_to_dict,
 )
@@ -46,7 +44,7 @@ def cmd_surfaces(args) -> int:
     if args.json:
         sys.stdout.writelines(canonical_pieces(surfaces_to_dict(knot, surfaces)))
     elif args.csv:
-        sys.stdout.write(surfaces_to_csv(surfaces_to_dict(knot, surfaces)))
+        sys.stdout.writelines(surfaces_to_csv(surfaces_to_dict(knot, surfaces)))
     else:
         print(f"{knot}: {len(surfaces)} essential spanning surfaces")
         width = max(len(str(s.expansion)) for s in surfaces)
@@ -65,7 +63,8 @@ def cmd_invariants(args) -> int:
     if args.json:
         sys.stdout.writelines(canonical_pieces(row))
     elif args.csv:
-        sys.stdout.write(rows_to_knot_csv([row]))
+        sys.stdout.writelines(
+            (KNOT_CSV_HEADER + "\n", knot_csv_row(row) + "\n"))
     else:
         knot = report.knot
         print(f"{knot}")
@@ -120,8 +119,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.max_alpha < 3:
-        raise InvalidInputError("--max-alpha must be at least 3")
     if args.out_surfaces == "-":
         raise InvalidInputError("'-' (stdout) is only valid for --out")
     to_stdout = args.out == "-"
@@ -136,19 +133,9 @@ def cmd_census(args) -> int:
         if os.path.isdir(path):
             raise InvalidInputError(f"{path} is a directory, not a file")
     with _replaced_on_success(paths) as files:
-        outputs = [sys.stdout] + files if to_stdout else files
-        tables = [TableWriter(fh, args.json, header) for fh, header
-                  in zip(outputs, (KNOT_CSV_HEADER, SURFACE_CSV_HEADER))]
-
-        def emit(*pieces):
-            for table, piece in zip(tables, pieces):
-                table.write(piece)
-
         knot_total, surface_total = census_rows(
-            args.max_alpha, emit, jobs=args.jobs, as_json=args.json,
-            with_surfaces=bool(args.out_surfaces))
-        for table in tables:
-            table.close()
+            args.max_alpha, [sys.stdout] + files if to_stdout else files,
+            jobs=args.jobs, as_json=args.json)
         if to_stdout:
             # a closed pipe fails here, before the summary is printed and
             # before a surface file replaces its target

@@ -121,8 +121,10 @@ def test_criterion_04_torus_knots():
 def test_criterion_05_polynomial_theorems_to_499(theorem_sweep_499):
     stats, elapsed = theorem_sweep_499
     # symmetry, value at 1, |value at -1| = alpha, degree, leading
-    # coefficient and integrality ran for every surface of every knot
-    assert stats.polynomial_checks == 6 * stats.surfaces
+    # coefficient and integrality ran for every surface of every knot: nine
+    # checks a surface with criterion 6's, one presentation check a knot
+    # and the two of the negative control
+    assert stats.checks == 9 * stats.surfaces + stats.knots + 2
     assert stats.knots == sum(1 for _ in iter_knots(499))
     assert elapsed < 60.0
     print(
@@ -134,9 +136,10 @@ def test_criterion_05_polynomial_theorems_to_499(theorem_sweep_499):
 def test_criterion_06_signature_and_slope_crosschecks_to_499(theorem_sweep_499):
     stats, elapsed = theorem_sweep_499
     # same run as criterion 5: minor-recurrence vs sign-count signature
-    # (plus the signature bound) and the two slope formulas
-    assert stats.signature_checks == 2 * stats.surfaces
-    assert stats.slope_checks == stats.surfaces
+    # (plus the signature bound) and the two slope formulas, among the nine
+    # checks on each surface; every knot has at least two surfaces
+    assert stats.checks == 9 * stats.surfaces + stats.knots + 2
+    assert stats.surfaces >= 2 * stats.knots
     print(
         f"ACCEPTANCE 06 PASS (same {elapsed:.1f} s run): signature/slope "
         f"cross-checks on {stats.surfaces} surfaces"

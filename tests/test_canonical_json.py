@@ -82,6 +82,9 @@ def test_the_surfaces_of_a_report_stream(wide_report):
 @pytest.mark.parametrize("argv", [
     ["invariants", "1149851", "439204", "--json"],
     ["census", "--max-alpha", "99", "--json"],
+    # about 245 KB of CSV, whose one write lost the error after a partial
+    # write until its lines were written one by one
+    ["surfaces", "1149851", "439204", "--csv"],
 ])
 def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     # buffered, output may still sit in stdout's buffer when the reader is

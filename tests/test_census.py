@@ -4,7 +4,6 @@ import json
 from bridgestate.census import (
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
-    TableWriter,
     census_row,
     census_rows,
     dumps_canonical,
@@ -14,21 +13,11 @@ from bridgestate.census import (
 
 
 def census_files(max_alpha, jobs=1, as_json=False):
-    """The knot and surface files of a census, put together from the
-    pieces ``census_rows`` emits, as ``census --out-surfaces`` writes them,
-    and the (knots, surfaces) counts it returns."""
+    """The knot and surface files ``census_rows`` writes, as ``census
+    --out-surfaces`` writes them, and the (knots, surfaces) counts it
+    returns."""
     streams = io.StringIO(), io.StringIO()
-    tables = [TableWriter(fh, as_json, header) for fh, header
-              in zip(streams, (KNOT_CSV_HEADER, SURFACE_CSV_HEADER))]
-
-    def emit(*pieces):
-        for table, piece in zip(tables, pieces):
-            table.write(piece)
-
-    counts = census_rows(max_alpha, emit, jobs=jobs, as_json=as_json,
-                         with_surfaces=True)
-    for table in tables:
-        table.close()
+    counts = census_rows(max_alpha, streams, jobs=jobs, as_json=as_json)
     return streams[0].getvalue(), streams[1].getvalue(), counts
 
 

@@ -43,9 +43,7 @@ def test_check_knot_counts():
     stats = check_knot(make_knot(5, 2))
     assert stats.knots == 1
     assert stats.surfaces == 3
-    assert stats.polynomial_checks == 18
-    assert stats.signature_checks == 6
-    assert stats.slope_checks == 3
+    assert stats.checks == 27
 
 
 def test_check_knot_with_oracle_and_invariance():

@@ -216,9 +216,15 @@ class TestCensusCommand:
         assert str(target) in err
         assert ".tmp" not in err
 
-    def test_max_alpha_validated(self, capsys):
+    def test_max_alpha_validated(self, capsys, tmp_path):
         code, _, err = run(capsys, "census", "--max-alpha", "1")
         assert code == 2
+        # checked after the temporary files are opened: none may be left
+        code, _, err = run(capsys, "census", "--max-alpha", "1",
+                           "--out", str(tmp_path / "k.csv"))
+        assert code == 2
+        assert "--max-alpha must be at least 3" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_exit_2(self, capsys, jobs):
@@ -320,6 +326,23 @@ class TestCensusCommand:
                          "--out", str(knots), "--out-surfaces", str(surfaces))
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_failure_on_the_first_knot_writes_nothing_to_stdout(
+            self, capsys, monkeypatch, fmt):
+        # the CSV header or '[' goes out only with the first knot's rows
+        import bridgestate.census as census
+        from bridgestate import ConsistencyError
+
+        def broken(row, as_json, with_surfaces):
+            raise ConsistencyError("injected")
+
+        monkeypatch.setattr(census, "render_knot", broken)
+        code, out, err = run(capsys, "census", "--max-alpha", "9",
+                             "--out", "-", *fmt)
+        assert code == 1
+        assert "injected" in err
+        assert out == ""
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     @pytest.mark.parametrize("jobs", ["1", "2"])
