@@ -46,31 +46,42 @@ class Expansion:
         return "[" + ", ".join(str(n) for n in self.terms) + "]"
 
 
-def _expand_target(p: int, q: int) -> list:
-    """All term tuples with value p/q, for gcd(p, q) = 1, q >= 1, |p| > q.
+def _expand_target(p: int, q: int, step=None, state=None):
+    """Every term tuple with value p/q, for gcd(p, q) = 1, q >= 1, |p| > q,
+    in lexicographic order, each yielded with ``state`` folded along its
+    terms by ``step(state, j, n)`` (n the j-th term), or unchanged if
+    ``step`` is None.
 
-    Non-integer targets can only continue with n in {floor, ceil}: any other
-    integer leaves a remainder of absolute value >= 1, whose reciprocal
-    (the next target) would have absolute value <= 1 and so admits no terms.
-    Remainder denominators strictly decrease, so the walk terminates.
+    The tuples are the leaves of one tree.  A non-integer target can only
+    continue with n in {floor, ceil}: any other integer leaves a remainder
+    of absolute value >= 1, whose reciprocal (the next target) would have
+    absolute value <= 1 and so admits no terms.  Remainder denominators
+    strictly decrease, so the walk terminates.  It takes the floor child
+    first, and no leaf is a prefix of another, so the leaves come out
+    sorted.  The path from the root is one list, cut back on each return to
+    a fork, and a leaf's tuple is copied from it once.  A single child is
+    followed in place; only the ceil child of a fork waits on the stack,
+    with the state of its prefix, so siblings share their prefix's steps.
     """
-    out = []
-    stack = [(p, q, ())]
-    while stack:
-        p, q, prefix = stack.pop()
-        if q == 1:
-            out.append(prefix + (p,))
-            continue
-        n0 = p // q
-        for n in (n0, n0 + 1):
-            if -2 < n < 2:
-                continue
-            rp = p - n * q  # remainder numerator; 0 < |rp| < q
-            if rp > 0:
-                stack.append((q, rp, prefix + (n,)))
-            else:
-                stack.append((-q, -rp, prefix + (n,)))
-    return sorted(out)
+    stack, path = [], []
+    while True:
+        n, r = divmod(p, q)
+        if not r:  # an integer target is the last term
+            path.append(n)
+            yield tuple(path), step(state, len(path), n) if step else state
+            if not stack:
+                return
+            p, q, j, n, state = stack.pop()
+            del path[j:]
+        elif n == 1:  # the floor 1 is no term: the ceil 2 only
+            n, p, q = 2, -q, q - r
+        else:
+            if n != -2:  # the ceil -1 is no term
+                stack.append((-q, q - r, len(path), n + 1, state))
+            p, q = q, r
+        path.append(n)
+        if step:
+            state = step(state, len(path), n)
 
 
 def enumerate_expansions(x: Fraction, r: int = 0) -> tuple:
@@ -82,9 +93,8 @@ def enumerate_expansions(x: Fraction, r: int = 0) -> tuple:
     x = Fraction(x)
     if abs(x.numerator) <= x.denominator:
         raise InvalidInputError(f"target {x} must have absolute value > 1")
-    return tuple(
-        Expansion(terms, r) for terms in _expand_target(x.numerator, x.denominator)
-    )
+    return tuple(Expansion(terms, r) for terms, _ in
+                 _expand_target(x.numerator, x.denominator))
 
 
 def surfaces_expansions(knot) -> tuple:

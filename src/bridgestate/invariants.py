@@ -20,44 +20,39 @@ Conventions, fixed once here:
   Seifert surface itself always has slope 0.  Mirroring the knot
   (beta -> alpha - beta) negates all signatures and slopes.
 
-The tridiagonal determinant is computed by the three-term recurrence
-d_0 = 1, d_1 = (n1/2)(1-t), d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1}
-+ t * d_{j-2}, carried out on 2**s-scaled integer coefficients (s grows
-only at odd terms, so s <= k).  Each d_j is held packed as one int, its
-value at t = 2**B (Kronecker substitution): its coefficients are the
-signed B-bit slots, and a step is a handful of big-integer operations
-instead of one per coefficient.  Bounds carried along keep every
-coefficient below 2**(B-2), so slots never carry into each other; when a
-step would break that, one mask test over all slots re-tightens the
-bounds, and only coefficients that really outgrow half a slot are read out
-and packed again into wider slots.  A ``StatePolynomial`` keeps the result
-as the integer coefficients of 2**k times the canonical representative, so reports
-never leave integer arithmetic; Fraction-valued ``LaurentPolynomial``s are
-built only for display and failure messages.  The oracle ``_oracle_scaled``,
-structurally independent of the recurrence and sharing no helper with it,
-is exact sparse elimination of D*(V - t*V^T) at t = 2**B on the nonzeros
-of the integer matrix D*V a ``StateMatrix`` stores, with its own reading
-of the digits, polynomial in k, so ``checks`` runs it on every surface.  Signatures of transformed matrices come from exact sparse integer
-elimination as well (``_sparse_signature``); the two share one row update.
-Both keep only the rows they still need: each row carries the pivot it was
-last divided by, and a used pivot row is dropped, so a pivot is freed once
-no row divides by it.
+The expansions of a target are the leaves of one floor/ceil tree, and the
+report pass walks it once (``_expand_target``), folding ``_surface_step``
+down each path, so sibling surfaces share the steps of their prefix.  A
+step advances three recurrences by one term: the leading principal minors
+of V + V^T, the sign counts, and the tridiagonal determinant d_0 = 1,
+d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1} + t * d_{j-2} on 2**s-scaled
+integer coefficients (s counts the odd terms, so s <= k), each d_j one
+int, its value at t = 2**B (Kronecker substitution) with the coefficients
+in signed B-bit slots, so a step is a handful of big-integer operations.
+A ``StatePolynomial`` keeps the integer coefficients of 2**k times the
+canonical representative, so reports never leave integer arithmetic;
+Fraction-valued ``LaurentPolynomial``s are built only for display and
+failure messages.  The oracle ``_oracle_scaled`` shares neither the walk
+nor any helper with the recurrence: it is exact sparse elimination of
+D*(V - t*V^T) at t = 2**B on the nonzeros of the integer matrix D*V a
+``StateMatrix`` stores, with its own reading of the digits, polynomial in
+k, so ``checks`` runs it on every surface.  Signatures of transformed
+matrices come from exact sparse integer elimination as well
+(``_sparse_signature``); the two share one row update.  Both keep only the
+rows they still need: each row carries the pivot it was last divided by,
+and a used pivot row is dropped, so a pivot is freed once no row divides
+by it.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continued_fractions import Expansion
+from .continued_fractions import Expansion, _expand_target
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
 from .state_matrices import StateMatrix, _scaled_nonzeros
-from .surfaces import (
-    EssentialSurface,
-    TwoBridgeKnot,
-    essential_surfaces,
-    find_seifert,
-)
+from .surfaces import EssentialSurface, TwoBridgeKnot, find_seifert
 
 # ---------------------------------------------------------------------------
 # state polynomial
@@ -107,54 +102,75 @@ def _pack(coeffs, bits: int) -> int:
     return int.from_bytes(raw, "little") - _slots(top, bits, len(coeffs))
 
 
+def _surface_step(state: tuple, j: int, n: int) -> tuple:
+    """``state`` advanced by the j-th term n of an expansion, from
+    ``_START``.  The state (cur, bits, s, sig, plus, prev, s_prev, m_cur,
+    m_prev, d, dm) carries three recurrences:
+
+    * cur and prev, d_j and d_{j-1} in signed bits-wide slots and scaled
+      by 2**s and 2**s_prev, with bounds m_cur and m_prev on their slots;
+    * the leading principal minors d, dm (D_j, D_{j-1}) of V + V^T, whose
+      diagonal is a_j = (-1)**(j+1) * nj and whose off-diagonal pairs
+      multiply to 1, so D_j = a_j * D_{j-1} - D_{j-2}; sig counts their
+      sign agreements minus their sign changes;
+    * plus, the number of terms with a_j > 0 (the pattern +,-,+,-,...).
+
+    A determinant step is mult * (cur - (cur << B)) + (prev << (shift + B))
+    for B = bits, and bounds the new coefficients by
+    2*|mult|*m_cur + (m_prev << shift); every bound stays below 2**(B-2),
+    so slots never carry into each other.  When a step would break that,
+    both are first tested to fit B/2 bits (``_both_fit``), which
+    re-tightens the bounds to 2**(B/2-1) in O(1) big-int operations;
+    otherwise, or if the step still does not fit, their coefficients are
+    read out and packed again at max(1.25*B, 64 bits over the new bound).
+    Each D_j is a product of pivots of absolute value > 1: a zero is a bug.
+    """
+    cur, bits, s, sig, plus, prev, s_prev, m_cur, m_prev, d, dm = state
+    a = n if j % 2 else -n
+    odd = n & 1
+    mult = a if odd else a >> 1
+    shift = s + odd - s_prev
+    m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
+    if m_new >> (bits - 2):
+        w = bits // 2
+        if _both_fit(cur, prev, bits, j, w):
+            m_cur = min(m_cur, 1 << (w - 1))
+            m_prev = min(m_prev, 1 << (w - 1))
+            m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
+        if m_new >> (bits - 2):
+            x, y = _unpack(cur, bits, j), _unpack(prev, bits, j)
+            m_cur, m_prev = max(map(abs, x)), max(map(abs, y))
+            m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
+            bits = max((bits * 5 // 4 + 7) // 8 * 8, _width(m_new))
+            cur, prev = _pack(x, bits), _pack(y, bits)
+    x = mult * cur
+    if shift:  # a shift by 0 would still copy prev
+        prev <<= shift
+    new = a * d - dm
+    if not new:
+        raise ConsistencyError(f"zero leading principal minor at size {j}")
+    return (x - ((x - prev) << bits), bits, s + odd,
+            sig + (1 if (new > 0) == (d > 0) else -1), plus + (a > 0),
+            cur, s, m_new, m_cur, new, d)
+
+
+# d_0 = D_0 = 1 and d_-1 = D_-1 = 0, in 72-bit slots
+_START = (1, _width(0), 0, 0, 0, 0, 0, 1, 0, 1, 0)
+
+
 def _det_scaled(terms) -> tuple:
-    """Integer coefficient list of 2**s * det(V - t*V^T), plus s.
+    """Integer coefficient list of 2**s * det(V - t*V^T), plus s, by
+    folding ``_surface_step`` along ``terms``.
 
     V is the standard state matrix of ``terms``; the determinant is returned
     uncanonicalized, lowest degree first (its constant term det(V) is never
     zero).  s is the number of odd terms: every denominator in the exact
     determinant divides 2**s, so the scaled coefficients are integers.
-
-    The recurrence runs on d(2**B), one int per polynomial, whose signed
-    B-bit slots are its coefficients: a step is
-    mult * (cur - (cur << B)) + (prev << (shift + B)).  m_cur and m_prev
-    bound the coefficients of cur and prev, and a step bounds the new ones
-    by 2*|mult|*m_cur + (m_prev << shift); every bound stays below
-    2**(B-2), so slots never carry into each other.  When a step would
-    break that, both are first tested to fit B/2 bits (``_both_fit``), which
-    re-tightens the bounds to 2**(B/2-1) in O(1) big-int operations;
-    otherwise, or if the step still does not fit, their coefficients are
-    read out and packed again at max(1.25*B, 64 bits over the new bound).
     """
-    cur, prev, s_cur, s_prev = 1, 0, 0, 0  # d_0 = 1, d_-1 = 0
-    m_cur, m_prev = 1, 0
-    bits = _width(2 * abs(terms[0]))
+    state = _START
     for j, n in enumerate(terms, 1):
-        odd = n % 2 != 0
-        half = n if odd else n // 2
-        mult = half if j % 2 == 1 else -half
-        s_new = s_cur + 1 if odd else s_cur
-        shift = s_new - s_prev
-        m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
-        if m_new >> (bits - 2):
-            w = bits // 2
-            if _both_fit(cur, prev, bits, j, w):
-                m_cur = min(m_cur, 1 << (w - 1))
-                m_prev = min(m_prev, 1 << (w - 1))
-                m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
-            if m_new >> (bits - 2):
-                a, b = _unpack(cur, bits, j), _unpack(prev, bits, j)
-                m_cur, m_prev = max(map(abs, a)), max(map(abs, b))
-                m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
-                bits = max((bits * 5 // 4 + 7) // 8 * 8, _width(m_new))
-                cur, prev = _pack(a, bits), _pack(b, bits)
-        x = mult * cur
-        if shift:  # a shift by 0 would still copy prev
-            prev <<= shift
-        cur, prev = x - ((x - prev) << bits), cur
-        m_cur, m_prev = m_new, m_cur
-        s_cur, s_prev = s_new, s_cur
-    return _unpack(cur, bits, len(terms) + 1), s_cur
+        state = _surface_step(state, j, n)
+    return _unpack(state[0], state[1], len(terms) + 1), state[2]
 
 
 def laurent_over(coeffs, den: int) -> LaurentPolynomial:
@@ -337,27 +353,6 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
 # signatures
 
 
-def _minor_signature(terms) -> int:
-    """Signature of the standard V + V^T from its leading principal minors.
-
-    Its diagonal is a_j = (-1)**(j+1) * nj and its off-diagonal pairs
-    multiply to 1, so D_0 = 1, D_j = a_j * D_{j-1} - D_{j-2}; the
-    signature is the number of consecutive sign agreements minus the
-    number of sign changes.  Every D_j is a product of pivots of absolute
-    value > 1, so a zero minor is impossible and is reported as a bug.
-    """
-    sig = 0
-    dm, d = 0, 1
-    for size, n in enumerate(terms, 1):
-        new = (n if size % 2 else -n) * d - dm
-        if new == 0:
-            raise ConsistencyError(
-                f"zero leading principal minor at size {size} of {terms}")
-        sig += 1 if (new > 0) == (d > 0) else -1
-        dm, d = d, new
-    return sig
-
-
 def symmetric_signature(rows) -> int:
     """Signature of an arbitrary symmetric matrix of ints or Fractions,
     scaled to integers by the lcm of the denominators and signed by
@@ -465,12 +460,13 @@ def _fail(what: str, knot, e, detail: str):
     raise ConsistencyError(f"{what} failed for {e} of {knot}: {detail}")
 
 
-def _check_identities(knot, s: EssentialSurface, det, sigma_k: int,
-                      sigma_k_minors: int) -> int:
-    """Checks the report identities of surface ``s`` from its ``_det_scaled``
-    result ``det``, its sign counts and the knot signature from sign counts
-    (sigma_k) and from principal minors (sigma_k_minors); returns the
-    surface signature."""
+def _check_identities(knot, s: EssentialSurface, det, sigma_minors: int,
+                      sigma_k: int, sigma_k_minors: int) -> int:
+    """Checks the report identities of surface ``s`` from its determinant
+    ``det`` ((coefficients, scale) as ``_det_scaled`` gives them), its
+    signature from principal minors (sigma_minors), its sign counts, and
+    the knot signature from sign counts (sigma_k) and from principal
+    minors (sigma_k_minors); returns the surface signature."""
     e = s.expansion
     coeffs, scale = det
     at_minus_one = abs(sum(coeffs[::2]) - sum(coeffs[1::2]))
@@ -478,7 +474,6 @@ def _check_identities(knot, s: EssentialSurface, det, sigma_k: int,
         _fail("determinant identity |p(-1)| = alpha", knot, e,
               f"got {Fraction(at_minus_one, 1 << scale)}")
     sigma = s.n_plus - s.n_minus
-    sigma_minors = _minor_signature(e.terms)
     if sigma_minors != sigma:
         _fail("minor recurrence signature = N+ - N-", knot, e,
               f"minors give {sigma_minors}, counts give {sigma}")
@@ -499,6 +494,7 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     sign-count signature equals the minor-recurrence signature, the
     signature-difference slope equals the sign-count slope formula, and
     the polynomial has degree k and integral 2**k-scaled coefficients.
+    The walk's Seifert surface must be the one the even-term path ends in.
     """
     return _report_pass(knot, lambda report, det: None)
 
@@ -506,31 +502,48 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
 def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
     """``full_report``'s pass over the surfaces of ``knot``.
 
-    ``visit(surface_report, det)`` is called with each ``SurfaceReport`` as
-    soon as it is built, together with the ``_det_scaled`` result behind
-    it, so the checks of ``verify`` run on the reported values without the
-    pass keeping every surface's determinant.
+    ``_surface_step`` is folded down the path of even terms (the Seifert
+    surface), then down every path of one walk of the expansion trees of
+    alpha/beta and alpha/(beta - alpha).  ``visit(surface_report, det)`` is
+    called as soon as each leaf is reported, with its determinant as
+    ``_det_scaled`` gives it, so the checks of ``verify`` run on the
+    reported values without the pass keeping every surface's determinant.
     """
-    surfaces = essential_surfaces(knot)
-    seifert = find_seifert(surfaces)
-    sigma_k = seifert.n_plus - seifert.n_minus
-    sigma_k_minors = _minor_signature(seifert.expansion.terms)
+    a, b = knot.alpha, knot.beta
+    targets = ((a, b), (-a, a - b))
+    p, q = targets[b & 1]  # alpha is odd: the target over an even q
+    seif, path = _START, []
+    while q:
+        n, rem = divmod(p, q)
+        if n & 1 and rem:  # the ceil n + 1 is even
+            n, rem = n + 1, rem - q
+        path.append(n)
+        seif = _surface_step(seif, len(path), n)
+        p, q = (q, rem) if rem >= 0 else (-q, -rem)
+    sigma_k, sigma_k_minors = 2 * seif[4] - len(path), seif[3]
     reports = []
-    alexander = None
-    for s in surfaces:
-        e = s.expansion
-        det = _det_scaled(e.terms)
-        sigma = _check_identities(knot, s, det, sigma_k, sigma_k_minors)
-        poly = _canonical_from_scaled(*det, len(e.terms))
-        reports.append(SurfaceReport(s, poly, sigma, 2 * (sigma - sigma_k)))
-        visit(reports[-1], det)
-        if s is seifert:
-            alexander = poly
+    for r, (p, q) in enumerate(targets):
+        for terms, (cur, bits, scale, sig, plus, *_) in _expand_target(
+                p, q, _surface_step, _START):
+            k = len(terms)
+            s = EssentialSurface(Expansion(terms, r), scale == 0, k, plus,
+                                 k - plus)
+            det = _unpack(cur, bits, k + 1), scale
+            sigma = _check_identities(knot, s, det, sig, sigma_k,
+                                      sigma_k_minors)
+            reports.append(SurfaceReport(s, _canonical_from_scaled(*det, k),
+                                         sigma, 2 * (sigma - sigma_k)))
+            visit(reports[-1], det)
+    seifert = find_seifert([r.surface for r in reports])
+    if seifert.expansion.terms != tuple(path):
+        _fail("Seifert expansion = path of even terms", knot,
+              seifert.expansion, f"the path is {path}")
+    alexander = next(r.polynomial for r in reports if r.surface is seifert)
     g2 = seifert.genus_twice
     # the crosscap number: the least nonorientable genus, or g(K) + 1/2 (a
     # crosscap added to a minimal Seifert surface) if that is smaller
-    crosscap = min([g2 + 1] + [s.genus_twice for s in surfaces
-                               if not s.orientable])
+    crosscap = min([g2 + 1] + [r.surface.genus_twice for r in reports
+                               if not r.surface.orientable])
     return InvariantReport(
         knot=knot,
         surfaces=tuple(reports),

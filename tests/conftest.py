@@ -61,3 +61,39 @@ def report_polynomial_negated_above_size_8(monkeypatch):
         return inv.StatePolynomial(k, tuple(-c for c in sp.coeffs_2k))
 
     monkeypatch.setattr(inv, "_canonical_from_scaled", faulty)
+
+
+@pytest.fixture
+def step_determinant_off_beyond_depth_8(monkeypatch):
+    """Make the shared step of the report pass add t^(j/2-2) * (1 - t^2)^2
+    to each determinant d_j with even j > 8 only.  The fault keeps the
+    degree, the symmetry, the values at 1 and -1 and the end coefficients
+    of every d_j after it, so only the elimination oracle can see it."""
+    import bridgestate.invariants as inv
+
+    real = inv._surface_step
+
+    def faulty(state, j, n):
+        state = list(real(state, j, n))
+        if j > 8 and j % 2 == 0:
+            state[0] += inv._pack([0] * (j // 2 - 2) + [1, 0, -2, 0, 1],
+                                  state[1])
+            state[7] += 2  # the bound on the coefficients of d_j
+        return tuple(state)
+
+    monkeypatch.setattr(inv, "_surface_step", faulty)
+
+
+@pytest.fixture
+def step_minor_signature_plus_1(monkeypatch):
+    """Make the shared step count each leading principal minor as one more
+    sign agreement, so the minor recurrence gives sigma + k for k terms."""
+    import bridgestate.invariants as inv
+
+    real = inv._surface_step
+
+    def faulty(state, j, n):
+        state = real(state, j, n)
+        return state[:3] + (state[3] + 1,) + state[4:]
+
+    monkeypatch.setattr(inv, "_surface_step", faulty)

@@ -18,7 +18,14 @@ from bridgestate.checks import (
     invariant_multiset,
     iter_knots,
 )
-from bridgestate.invariants import _check_identities, _det_scaled, full_report
+from bridgestate.continued_fractions import _expand_target
+from bridgestate.invariants import (
+    _START,
+    _check_identities,
+    _surface_step,
+    _unpack,
+    full_report,
+)
 from oracles import random_expansion
 
 
@@ -105,6 +112,18 @@ def test_oracle_checks_surfaces_above_size_8(oracle_negated_above_size_8):
         check_knot(make_knot(11, 1), oracle=True)
 
 
+def test_oracle_checks_the_shared_recurrence_above_depth_8(
+        step_determinant_off_beyond_depth_8):
+    # the k = 10 surface of K(11,1) is reported from a determinant that
+    # keeps every identity the report pass and the fast checks test
+    report = full_report(make_knot(11, 1))
+    check_knot(make_knot(11, 1))
+    assert max(r.polynomial.k for r in report.surfaces) == 10
+    with pytest.raises(ConsistencyError,
+                       match="recurrence = oracle determinant"):
+        check_knot(make_knot(11, 1), oracle=True)
+
+
 def test_invariance_checks_signatures_above_size_8(
         signature_off_by_one_above_size_8):
     # the k = 10 surface of K(11,1) is the only one the fault reaches
@@ -125,24 +144,34 @@ def test_negative_control():
     assert check_negative_control() == 2
 
 
+def walked_leaf(p, q, terms):
+    """(determinant, minor signature) of the leaf ``terms`` of the shared
+    walk of p/q, read off its state as the report pass reads them."""
+    cur, bits, scale, sig, _ = dict(
+        _expand_target(p, q, _surface_step, _START))[terms][:5]
+    return (_unpack(cur, bits, len(terms) + 1), scale), sig
+
+
 def test_surface_checks_catch_a_wrong_determinant():
     # the (2, 2) surface has determinant 5, not the 7 of this knot
     knot = make_knot(7, 1)
     s = make_surface(Expansion((2, 2)))
-    det = _det_scaled(s.expansion.terms)
+    det, sigma_minors = walked_leaf(5, 2, (2, 2))
     with pytest.raises(ConsistencyError, match="determinant identity"):
-        _check_identities(knot, s, det, sigma_k=0, sigma_k_minors=0)
+        _check_identities(knot, s, det, sigma_minors, sigma_k=0,
+                          sigma_k_minors=0)
 
 
 def test_surface_checks_catch_an_inconsistent_reference_signature():
     knot = make_knot(5, 2)
     s = make_surface(Expansion((2, 2)))
-    det = _det_scaled(s.expansion.terms)
+    det, sigma_minors = walked_leaf(5, 2, (2, 2))
     # correct run for contrast
-    _check_identities(knot, s, det, sigma_k=0, sigma_k_minors=0)
+    _check_identities(knot, s, det, sigma_minors, sigma_k=0, sigma_k_minors=0)
     # a reference signature whose two routes disagree breaks the slope check
     with pytest.raises(ConsistencyError, match="slope agreement"):
-        _check_identities(knot, s, det, sigma_k=0, sigma_k_minors=2)
+        _check_identities(knot, s, det, sigma_minors, sigma_k=0,
+                          sigma_k_minors=2)
 
 
 def test_invariant_multiset_shape():

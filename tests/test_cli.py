@@ -83,10 +83,8 @@ class TestInvariantsCommand:
         assert lines[0].startswith("alpha,beta,")
         assert lines[1] == "5,2,3,0,2,2,-4;0;4,4;-12;4"
 
-    def test_consistency_failure_exits_1(self, capsys, monkeypatch):
-        import bridgestate.invariants as inv
-
-        monkeypatch.setattr(inv, "_minor_signature", lambda terms: 10**6)
+    def test_consistency_failure_exits_1(self, capsys,
+                                         step_minor_signature_plus_1):
         code, _, err = run(capsys, "invariants", "5", "2")
         assert code == 1
         assert "consistency failure" in err
@@ -106,6 +104,12 @@ class TestVerifyCommand:
 
     def test_oracle_fault_above_size_8_exits_1(self, capsys,
                                                oracle_negated_above_size_8):
+        code, _, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "recurrence = oracle determinant" in err
+
+    def test_step_fault_above_depth_8_exits_1(
+            self, capsys, step_determinant_off_beyond_depth_8):
         code, _, err = run(capsys, "verify", "11", "1")
         assert code == 1
         assert "recurrence = oracle determinant" in err

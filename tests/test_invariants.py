@@ -620,18 +620,25 @@ class TestScaledRepresentation:
                 ]
 
     def test_integrality_check_catches_a_coarse_scale(self, monkeypatch):
-        # the same polynomial over denominator 2^(k+1): only the
-        # 2^k-integrality check can notice
+        # at the first odd term the shared step moves d_j and d_{j-1} to a
+        # denominator 8 times as large, so each surface of K(5,2) (k = 2)
+        # with s >= 1 odd terms gets the same polynomial over 2^(s+3) > 2^k;
+        # the all-even one stays orientable: only the 2^k-integrality check
+        # can notice
         import bridgestate.invariants as inv
 
-        real = inv._det_scaled
+        real = inv._surface_step
 
-        def coarse(terms):
-            coeffs, scale = real(terms)
-            k = len(terms)
-            return [c << (k + 1 - scale) for c in coeffs], k + 1
+        def coarse(state, j, n):
+            new = list(real(state, j, n))
+            if new[2] and not state[2]:
+                for i in (0, 5, 7, 8):  # d_j, d_{j-1} and their bounds
+                    new[i] <<= 3
+                new[2] += 3  # the scales of d_j and d_{j-1}
+                new[6] += 3
+            return tuple(new)
 
-        monkeypatch.setattr(inv, "_det_scaled", coarse)
+        monkeypatch.setattr(inv, "_surface_step", coarse)
         with pytest.raises(ConsistencyError, match="2\\^k-integrality"):
             inv.full_report(make_knot(5, 2))
 
@@ -688,9 +695,19 @@ class TestPresentations:
         ) == mirrored
 
 
-def test_consistency_error_reports_the_failed_identity(monkeypatch):
+def test_report_pass_checks_the_seifert_expansion(monkeypatch):
+    # slopes are measured from the path of even terms, so the walk must
+    # find the Seifert surface at the end of that path
     import bridgestate.invariants as inv
 
-    monkeypatch.setattr(inv, "_minor_signature", lambda terms: 10**6)
+    monkeypatch.setattr(inv, "find_seifert", lambda surfaces: next(
+        s for s in surfaces if not s.orientable))
+    with pytest.raises(ConsistencyError,
+                       match="Seifert expansion = path of even terms"):
+        full_report(make_knot(5, 2))
+
+
+def test_consistency_error_reports_the_failed_identity(
+        step_minor_signature_plus_1):
     with pytest.raises(ConsistencyError, match="minor recurrence"):
-        inv.full_report(make_knot(5, 2))
+        full_report(make_knot(5, 2))

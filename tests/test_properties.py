@@ -1,6 +1,6 @@
 """Property-based tests (need hypothesis): the packed recurrence, the
-elimination oracle, the enumeration, presentation and mirror invariance,
-and the JSON renderings."""
+elimination oracle, the enumeration and the recurrences folded down its
+walk, presentation and mirror invariance, and the JSON renderings."""
 
 import contextlib
 import io
@@ -34,10 +34,13 @@ from bridgestate.census import (  # noqa: E402
 )
 from bridgestate.checks import invariant_multiset, iter_knots  # noqa: E402
 from bridgestate.cli import main  # noqa: E402
+from bridgestate.continued_fractions import _expand_target  # noqa: E402
+from bridgestate.invariants import _START, _surface_step, _unpack  # noqa: E402
 from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_expansions,
     fraction_recurrence_det,
+    laurent,
     poly_equivalent,
     sign_count_signature,
     state_polynomial_det,
@@ -110,6 +113,26 @@ def test_enumeration_matches_brute_force(p, data):
     # so |p| + 1 bounds both the terms and the length
     got = [e.terms for e in enumerate_expansions(x)]
     assert got == brute_force_expansions(x, p + 1, p + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 120), st.data())
+def test_shared_walk_folds_each_leaf_like_the_independent_routes(p, data):
+    q = data.draw(st.sampled_from(
+        [q for q in range(1, p) if gcd(p, q) == 1]), label="q")
+    p *= data.draw(st.sampled_from((1, -1)), label="sign")
+    leaves = list(_expand_target(p, q, _surface_step, _START))
+    got = [terms for terms, _ in leaves]
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert got == brute_force_expansions(Fraction(p, q), abs(p) + 1,
+                                         abs(p) + 1)
+    for terms, state in leaves:
+        cur, bits, scale, sig, plus = state[:5]
+        coeffs = _unpack(cur, bits, len(terms) + 1)
+        assert laurent([Fraction(c, 1 << scale) for c in coeffs]) == \
+            fraction_recurrence_det(terms)
+        assert sig == 2 * plus - len(terms) == sign_count_signature(terms)
+        assert (scale == 0) == all(n % 2 == 0 for n in terms)
 
 
 @settings(max_examples=60, deadline=None)
