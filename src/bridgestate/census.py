@@ -39,7 +39,6 @@ memory.
 
 import os
 from contextlib import ExitStack
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from .checks import iter_knots
 from .errors import ConsistencyError, InvalidInputError
@@ -54,6 +53,8 @@ SURFACE_CSV_HEADER = SURFACE_LIST_CSV_HEADER + ",signature,slope,poly"
 
 # the most knots one pool task renders (see census_rows)
 MAX_CHUNK = 64
+
+_encode_str = None  # json.encoder's string quoting, once JSON is rendered
 
 
 def poly_to_dict(sp: StatePolynomial) -> dict:
@@ -118,6 +119,10 @@ def canonical_pieces(obj, level: int = 0):
     document is ever built.  Only dicts with ``str`` keys, lists, ints, strings,
     bools and None are accepted; anything else raises TypeError.
     """
+    global _encode_str
+    if _encode_str is None:  # the first JSON output imports the json package
+        from json.encoder import encode_basestring_ascii as _encode_str
+
     # per tuple of keys in insertion order: (key, '"key": ') in sorted order
     heads = {}
 

@@ -42,9 +42,6 @@ almost-state matrix from a state matrix.
 """
 
 import math
-import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .continued_fractions import Expansion
 from .errors import ConsistencyError
@@ -67,13 +64,19 @@ from .state_matrices import (
     state_matrix,
 )
 from .surfaces import make_knot
+from .values import Value
 
 
-@dataclass
-class CheckStats:
-    knots: int = 0
-    surfaces: int = 0
-    checks: int = 0
+class CheckStats(Value):
+    """Tallies of a check run; unlike the other values, they change."""
+
+    __slots__ = ("knots", "surfaces", "checks")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, knots: int = 0, surfaces: int = 0, checks: int = 0):
+        self._init(knots, surfaces, checks)
 
     def __iadd__(self, other):
         self.knots += other.knots
@@ -98,12 +101,14 @@ def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
     at_one = sum(coeffs)
     expected_at_one = (1 << scale) if k % 2 == 0 else 0
     if at_one != expected_at_one:
+        from fractions import Fraction
         _fail("p(1) by parity of k", knot, e,
               f"got {Fraction(at_one, 1 << scale)}")
     prod = 1
     for n in terms:
         prod *= abs(n)
     if abs(coeffs[-1]) << (k - scale) != prod:
+        from fractions import Fraction
         _fail("leading coefficient |n1...nk| / 2^k", knot, e,
               f"got {Fraction(abs(coeffs[-1]), 1 << scale)}")
     if all(n % 2 == 0 for n in terms) and scale != 0:
@@ -113,7 +118,7 @@ def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
         _fail("|sigma| <= 2g", knot, e, f"sigma = {sigma}, k = {k}")
 
 
-def apply_random_transformations(v: StateMatrix, rng: random.Random):
+def apply_random_transformations(v: StateMatrix, rng: "random.Random"):
     """A random sequence of the three invariance moves."""
     k = v.size
     for _ in range(rng.randint(1, 6)):
@@ -137,7 +142,7 @@ def _unit_class(coeffs) -> list:
     return body if body[0] > 0 else [-c for c in body]
 
 
-def check_transformation_invariance(e: Expansion, rng: random.Random,
+def check_transformation_invariance(e: Expansion, rng: "random.Random",
                                     samples: int, det: tuple, *,
                                     base: StateMatrix, sigma: int) -> int:
     """Transformed matrices of ``base``, a state matrix of ``e``, keep the
@@ -214,6 +219,7 @@ def check_negative_control() -> int:
     3/2 - 4t + (3/2)t^2 of [2, 3].  Both are compared on integer lists,
     as in the oracle checks.
     """
+    from fractions import Fraction
     wrong = state_matrix([[Fraction(1, 2), 1], [1, Fraction(-3, 2)]])
     got, den = _oracle_scaled(wrong)
     den_k = den ** wrong.size
@@ -240,12 +246,13 @@ def check_knot(knot, *, oracle: bool = False, invariance_samples: int = 0,
     surface is also checked against the elimination oracle and under
     ``invariance_samples`` random transformations drawn from
     ``random.Random(seed)``."""
+    import random
     return _check_knot(knot, oracle, invariance_samples,
                        random.Random(seed))[0]
 
 
 def _check_knot(knot, oracle: bool, invariance_samples: int,
-                rng: random.Random) -> tuple:
+                rng: "random.Random") -> tuple:
     """``check_knot``'s tallies and the ``InvariantReport`` they check: the
     checks run on each surface as ``full_report``'s pass reports it, with
     the determinant-recurrence result behind it."""
@@ -283,6 +290,7 @@ def check_range(max_alpha: int, *, oracle: bool = False,
                 invariance_samples: int = 0, seed: int = 0) -> CheckStats:
     """Sweep every knot with determinant up to max_alpha, and check that
     each knot's presentations agree."""
+    import random
     rng = random.Random(seed)
     stats = CheckStats()
     stats.checks += check_negative_control()

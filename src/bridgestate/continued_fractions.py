@@ -8,39 +8,36 @@ alpha/(beta - alpha) together index the essential spanning surfaces of the
 """
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidInputError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Value):
     """A term sequence [n1, ..., nk], k >= 1, with every |ni| >= 2.
 
     ``r`` records the integer part of the target fraction the expansion came
-    from (0 for alpha/beta, 1 for alpha/(beta - alpha)); it is provenance
-    only and does not affect any computed invariant.
+    from (0 for alpha/beta, 1 for alpha/(beta - alpha)), stored as an int;
+    it is provenance only and does not affect any computed invariant.
     """
 
-    terms: tuple
-    r: int = 0
+    __slots__ = ("terms", "r")
 
-    def __post_init__(self):
+    def __init__(self, terms, r: int = 0):
         try:
-            terms = tuple(map(operator.index, self.terms))
+            terms = tuple(map(operator.index, terms))
         except TypeError:
             raise InvalidInputError(
-                f"expansion terms must be integers, got {self.terms!r}"
+                f"expansion terms must be integers, got {terms!r}"
             ) from None
         if not terms:
             raise InvalidInputError("expansion needs at least one term")
         for n in terms:
             if -2 < n < 2:
                 raise InvalidInputError(f"expansion term {n} has |n| < 2")
-        if self.r not in (0, 1):
-            raise InvalidInputError(f"expansion tag r={self.r} must be 0 or 1")
-        object.__setattr__(self, "terms", terms)
+        if r not in (0, 1):
+            raise InvalidInputError(f"expansion tag r={r!r} must be 0 or 1")
+        self._init(terms, int(r))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(n) for n in self.terms) + "]"
@@ -84,12 +81,13 @@ def _expand_target(p: int, q: int, step=None, state=None):
             state = step(state, len(path), n)
 
 
-def enumerate_expansions(x: Fraction, r: int = 0) -> tuple:
+def enumerate_expansions(x, r: int = 0) -> tuple:
     """Every expansion whose value is exactly x, sorted lexicographically.
 
     x must satisfy |x| > 1; the result is a finite, possibly multi-element
     tuple (e.g. 5/2 has the two expansions [2, 2] and [3, -2]).
     """
+    from fractions import Fraction
     x = Fraction(x)
     if abs(x.numerator) <= x.denominator:
         raise InvalidInputError(f"target {x} must have absolute value > 1")
@@ -105,6 +103,7 @@ def surfaces_expansions(knot) -> tuple:
     opposite signs, so the two blocks are disjoint.  Each block is sorted
     lexicographically, r = 0 first.
     """
+    from fractions import Fraction
     a, b = knot.alpha, knot.beta
     return enumerate_expansions(Fraction(a, b), r=0) + enumerate_expansions(
         Fraction(a, b - a), r=1

@@ -45,14 +45,13 @@ by it.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .continued_fractions import Expansion, _expand_target
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
 from .state_matrices import StateMatrix, _scaled_nonzeros
 from .surfaces import EssentialSurface, TwoBridgeKnot, find_seifert
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # state polynomial
@@ -86,9 +85,30 @@ def _both_fit(cur: int, prev: int, bits: int, n: int, w: int) -> bool:
     return (cur + offset) & mask == want and (prev + offset) & mask == want
 
 
+# the largest n * bits for which _unpack masks digits off one at a time
+_FEW_BITS = 4096
+
+
 def _unpack(packed: int, bits: int, n: int) -> list:
     """The n signed base-2**bits digits of ``packed``, lowest first, each of
-    absolute value below 2**(bits-1)."""
+    absolute value below 2**(bits-1).
+
+    Up to ``_FEW_BITS`` bits in all, the digits are masked off one at a
+    time, a negative one borrowing 1 from the rest; each shift copies what
+    is left, so a longer int goes through one ``bytes`` round trip instead,
+    with every slot offset to nonnegative.  The two cross over at about
+    6,000 bits (Python 3.11, x86-64)."""
+    if n * bits <= _FEW_BITS:
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        digits = []
+        for _ in range(n):
+            digit = packed & mask
+            packed >>= bits
+            if digit >= half:
+                digit -= mask + 1
+                packed += 1
+            digits.append(digit)
+        return digits
     size, top = bits // 8, 1 << (bits - 1)
     raw = (packed + _slots(top, bits, n)).to_bytes(n * size, "little")
     return [int.from_bytes(raw[i:i + size], "little") - top
@@ -175,11 +195,11 @@ def _det_scaled(terms) -> tuple:
 
 def laurent_over(coeffs, den: int) -> LaurentPolynomial:
     """The polynomial sum_i coeffs[i] / den * t**i."""
+    from fractions import Fraction
     return LaurentPolynomial(0, tuple(Fraction(c, den) for c in coeffs))
 
 
-@dataclass(frozen=True)
-class StatePolynomial:
+class StatePolynomial(Value):
     """Canonical state polynomial of a surface with k bands.
 
     ``coeffs_2k`` holds the integer coefficients of 2**k times the canonical
@@ -189,8 +209,7 @@ class StatePolynomial:
     coefficients, built on each access.
     """
 
-    k: int
-    coeffs_2k: tuple
+    __slots__ = ("k", "coeffs_2k")
 
     @property
     def canonical(self) -> LaurentPolynomial:
@@ -209,7 +228,8 @@ def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:
             f"2^k-integrality failed: denominator exponent {scale} > k = {k}"
         )
     mult = (-1 if coeffs[0] < 0 else 1) << (k - scale)
-    return StatePolynomial(k, tuple([mult * c for c in coeffs]))
+    return StatePolynomial._of(
+        k, tuple([mult * c for c in coeffs]) if mult != 1 else tuple(coeffs))
 
 
 def state_polynomial(e: Expansion) -> StatePolynomial:
@@ -427,23 +447,13 @@ def _sparse_signature(n: int, nonzeros) -> int:
 # aggregation
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    surface: EssentialSurface
-    polynomial: StatePolynomial
-    signature: int
-    slope: int
+class SurfaceReport(Value):
+    __slots__ = ("surface", "polynomial", "signature", "slope")
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    knot: TwoBridgeKnot
-    surfaces: tuple
-    determinant: int
-    signature: int
-    alexander: StatePolynomial
-    genus_twice: int
-    nonorientable_genus_twice: int
+class InvariantReport(Value):
+    __slots__ = ("knot", "surfaces", "determinant", "signature", "alexander",
+                 "genus_twice", "nonorientable_genus_twice")
 
     @property
     def slopes(self) -> list:
@@ -471,6 +481,7 @@ def _check_identities(knot, s: EssentialSurface, det, sigma_minors: int,
     coeffs, scale = det
     at_minus_one = abs(sum(coeffs[::2]) - sum(coeffs[1::2]))
     if at_minus_one != knot.alpha << scale:
+        from fractions import Fraction
         _fail("determinant identity |p(-1)| = alpha", knot, e,
               f"got {Fraction(at_minus_one, 1 << scale)}")
     sigma = s.n_plus - s.n_minus
@@ -523,17 +534,22 @@ def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
     sigma_k, sigma_k_minors = 2 * seif[4] - len(path), seif[3]
     reports = []
     for r, (p, q) in enumerate(targets):
-        for terms, (cur, bits, scale, sig, plus, *_) in _expand_target(
-                p, q, _surface_step, _START):
+        # the walk yields int terms of absolute value >= 2: its leaves are
+        # built without the checks of the public constructors
+        for terms, state in _expand_target(p, q, _surface_step, _START):
+            cur, bits, scale, sig, plus = state[:5]
             k = len(terms)
-            s = EssentialSurface(Expansion(terms, r), scale == 0, k, plus,
-                                 k - plus)
-            det = _unpack(cur, bits, k + 1), scale
+            s = EssentialSurface._of(Expansion._of(terms, r), scale == 0, k,
+                                     plus, k - plus)
+            coeffs = _unpack(cur, bits, k + 1)
+            det = coeffs, scale
             sigma = _check_identities(knot, s, det, sig, sigma_k,
                                       sigma_k_minors)
-            reports.append(SurfaceReport(s, _canonical_from_scaled(*det, k),
-                                         sigma, 2 * (sigma - sigma_k)))
-            visit(reports[-1], det)
+            report = SurfaceReport._of(
+                s, _canonical_from_scaled(coeffs, scale, k), sigma,
+                2 * (sigma - sigma_k))
+            reports.append(report)
+            visit(report, det)
     seifert = find_seifert([r.surface for r in reports])
     if seifert.expansion.terms != tuple(path):
         _fail("Seifert expansion = path of even terms", knot,

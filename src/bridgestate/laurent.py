@@ -10,12 +10,10 @@ package.  Laurent polynomials are stored densely, lowest degree first, with
 the ends trimmed to nonzero coefficients.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from .values import Value
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(Value):
     """A Laurent polynomial sum_i coeffs[i] * t**(min_degree + i).
 
     The zero polynomial is ``coeffs == ()`` with ``min_degree == 0``.  For a
@@ -25,10 +23,14 @@ class LaurentPolynomial:
     passed in.  Instances are immutable and safe to share between workers.
     """
 
-    min_degree: int
-    coeffs: tuple
+    __slots__ = ("min_degree", "coeffs")
+
+    def __init__(self, min_degree: int, coeffs: tuple):
+        self._init(min_degree, coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
+        from fractions import Fraction
         coeffs = [Fraction(c) for c in self.coeffs]
         lo = self.min_degree
         while coeffs and coeffs[-1] == 0:
@@ -38,14 +40,14 @@ class LaurentPolynomial:
             lo += 1
         if not coeffs:
             lo = 0
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "min_degree", lo)
+        self._init(lo, tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __mul__(self, other) -> "LaurentPolynomial":
+        from fractions import Fraction
         if isinstance(other, (int, Fraction)):
             return LaurentPolynomial(
                 self.min_degree, tuple(c * other for c in self.coeffs)
@@ -82,4 +84,4 @@ class LaurentPolynomial:
         return " ".join(parts)
 
 
-ZERO = LaurentPolynomial(0, ())
+ZERO = LaurentPolynomial._of(0, ())  # normal as it is, so no Fraction needed

@@ -22,23 +22,19 @@ The moves take band numbers: 1-based, as in the n_i themselves.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from .continued_fractions import Expansion
 from .errors import InvalidInputError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class _SparseMatrix:
+class _SparseMatrix(Value):
     """size x size rational matrix M as ``nonzeros``, the ((i, j), x) of
     den * M with x != 0, den minimal; ``scaled[i][j]`` is the int and
     ``entries[i][j]`` the Fraction at 0-based (i, j)."""
 
-    size: int
-    den: int
-    nonzeros: frozenset
+    __slots__ = ("size", "den", "nonzeros")
 
     @property
     def scaled(self) -> tuple:
@@ -47,6 +43,7 @@ class _SparseMatrix:
 
     @property
     def entries(self) -> tuple:
+        from fractions import Fraction
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.scaled)
 
@@ -54,9 +51,13 @@ class _SparseMatrix:
 class StateMatrix(_SparseMatrix):
     """A state matrix V."""
 
+    __slots__ = ()
+
 
 class GLMatrix(_SparseMatrix):
     """Symmetric matrix of the Gordon-Litherland form, V + V^T."""
+
+    __slots__ = ()
 
 
 def _scaled_nonzeros(rows, what: str) -> tuple:

@@ -9,23 +9,21 @@ doubled to stay integral) and is orientable exactly when every ni is even.
 """
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .continued_fractions import Expansion, surfaces_expansions
 from .errors import ConsistencyError, InvalidInputError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
-    alpha: int
-    beta: int
+class TwoBridgeKnot(Value):
+    __slots__ = ("alpha", "beta")
 
     def __str__(self) -> str:
         return f"K({self.alpha},{self.beta})"
 
 
-@dataclass(frozen=True)
-class EssentialSurface:
+class EssentialSurface(Value):
     """One essential spanning surface, with its derived combinatorial data.
 
     n_plus counts expansion terms whose sign matches the alternating pattern
@@ -33,15 +31,16 @@ class EssentialSurface:
     state signature.
     """
 
-    expansion: Expansion
-    orientable: bool
-    genus_twice: int
-    n_plus: int
-    n_minus: int
+    __slots__ = ("expansion", "orientable", "genus_twice", "n_plus", "n_minus")
 
 
 def make_knot(alpha: int, beta: int) -> TwoBridgeKnot:
     """Validated knot, with beta reduced mod alpha into (0, alpha)."""
+    try:
+        alpha, beta = operator.index(alpha), operator.index(beta)
+    except TypeError:
+        raise InvalidInputError(f"alpha and beta must be integers, got "
+                                f"alpha={alpha!r}, beta={beta!r}") from None
     if alpha < 3:
         raise InvalidInputError(f"alpha must be at least 3, got {alpha}")
     if alpha % 2 == 0:

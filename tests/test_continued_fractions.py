@@ -8,7 +8,13 @@ from bridgestate import (
     InvalidInputError,
     enumerate_expansions,
     make_knot,
+    make_surface,
     surfaces_expansions,
+)
+from bridgestate.census import (
+    dumps_canonical,
+    surfaces_to_csv,
+    surfaces_to_dict,
 )
 from oracles import brute_force_expansions, cf_value
 
@@ -34,6 +40,16 @@ class TestExpansion:
 
     def test_str(self):
         assert str(Expansion((3, -2, 2))) == "[3, -2, 2]"
+
+    # the 0/1 column of the record schema, whatever int-like tag is given
+    @pytest.mark.parametrize("tag", [True, 1.0, Fraction(1)])
+    def test_tag_is_stored_as_an_int(self, tag):
+        e = Expansion((2, 3), tag)
+        assert e.r == 1 and type(e.r) is int
+        assert e == Expansion((2, 3), 1)
+        doc = surfaces_to_dict(make_knot(5, 2), [make_surface(e)])
+        assert surfaces_to_csv(doc)[1] == "5,2,2;3,1,false,2,1,1\n"
+        assert '"r": 1' in dumps_canonical(doc)
 
 
 class TestCfValue:

@@ -7,6 +7,7 @@ import io
 import json
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 
@@ -35,7 +36,13 @@ from bridgestate.census import (  # noqa: E402
 from bridgestate.checks import invariant_multiset, iter_knots  # noqa: E402
 from bridgestate.cli import main  # noqa: E402
 from bridgestate.continued_fractions import _expand_target  # noqa: E402
-from bridgestate.invariants import _START, _surface_step, _unpack  # noqa: E402
+from bridgestate import invariants  # noqa: E402
+from bridgestate.invariants import (  # noqa: E402
+    _START,
+    _pack,
+    _surface_step,
+    _unpack,
+)
 from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_expansions,
@@ -72,6 +79,26 @@ BIG_TERMS = st.integers(1, 200).flatmap(lambda k: st.lists(
 def test_packed_recurrence_matches_fraction_recurrence(terms):
     assert state_polynomial_det(Expansion(tuple(terms))) == \
         fraction_recurrence_det(terms)
+
+
+# slot widths, multiples of 8 as _width makes them, and digits that fit:
+# together they reach past _FEW_BITS, where _unpack turns to bytes
+SLOTS = st.sampled_from((72, 80, 136, 1024)).flatmap(lambda bits: st.tuples(
+    st.just(bits),
+    st.lists(st.integers(-2**(bits - 2), 2**(bits - 2)), min_size=1,
+             max_size=80)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOTS)
+def test_unpack_reads_the_same_digits_by_masks_and_by_bytes(slots):
+    bits, digits = slots
+    packed, n = _pack(digits, bits), len(digits)
+    with mock.patch.object(invariants, "_FEW_BITS", n * bits):
+        by_masks = _unpack(packed, bits, n)
+    with mock.patch.object(invariants, "_FEW_BITS", n * bits - 1):
+        by_bytes = _unpack(packed, bits, n)
+    assert by_masks == by_bytes == digits == _unpack(packed, bits, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,6 +40,12 @@ class TestMakeKnot:
     def test_str(self):
         assert str(make_knot(5, 2)) == "K(5,2)"
 
+    @pytest.mark.parametrize("alpha, beta, bad", [
+        (5.0, 2, "alpha=5.0"), (5, 2.0, "beta=2.0"), ("5", 2, "alpha='5'")])
+    def test_non_integers_rejected(self, alpha, beta, bad):
+        with pytest.raises(InvalidInputError, match=f"integers.*{bad}"):
+            make_knot(alpha, beta)
+
 
 class TestSignCounts:
     def test_all_matching(self):
