@@ -37,13 +37,13 @@ last.  So output bytes do not depend on --jobs, and no table is held in
 memory.
 """
 
+import operator
 import os
 from contextlib import ExitStack
 
-from .checks import iter_knots
 from .errors import ConsistencyError, InvalidInputError
 from .invariants import InvariantReport, StatePolynomial, full_report
-from .surfaces import EssentialSurface, TwoBridgeKnot, make_knot
+from .surfaces import EssentialSurface, TwoBridgeKnot, iter_knots, make_knot
 
 KNOT_CSV_HEADER = (
     "alpha,beta,surface_count,signature,genus2,crosscap_genus2,slopes,alexander"
@@ -196,11 +196,6 @@ def canonical_pieces(obj, level: int = 0):
         yield "\n"
 
 
-def dumps_canonical(obj) -> str:
-    """The one JSON rendering used everywhere (round-trips byte-for-byte)."""
-    return "".join(canonical_pieces(obj))
-
-
 def _join(values) -> str:
     return ";".join(map(str, values))
 
@@ -257,7 +252,7 @@ def render_knot(row: dict, as_json: bool, with_surfaces: bool) -> tuple:
     A CSV piece is whole lines, each ending in a newline; a JSON piece is
     list elements separated by a comma and a newline.  ``census_rows`` puts
     the pieces of every knot together into the bytes of one CSV table or
-    of one ``dumps_canonical`` list.
+    of one ``canonical_pieces`` list.
     """
     if as_json:
         records = [dict(s, alpha=row["alpha"], beta=row["beta"])
@@ -296,13 +291,16 @@ def census_rows(max_alpha: int, files, jobs: int = 1,
     yet when the pool forks its workers.  Returns the number of knots and
     of surfaces.  The bytes are independent of ``jobs`` (>= 1; more workers
     than usable CPUs only add cost, so it is clamped)."""
-    if max_alpha < 3:
-        raise InvalidInputError("--max-alpha must be at least 3")
+    knots = iter_knots(max_alpha)
+    try:
+        jobs = operator.index(jobs)
+    except TypeError:
+        raise InvalidInputError(
+            f"jobs must be an integer, got {jobs!r}") from None
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, usable_cpus())
-    tasks = [(a, b, as_json, len(files) > 1)
-             for a, b in iter_knots(max_alpha)]
+    tasks = [(a, b, as_json, len(files) > 1) for a, b in knots]
     if as_json:
         heads, sep, tail = ("[\n", "[\n"), ",\n", "\n]\n"
     else:

@@ -41,8 +41,6 @@ control checks, on integer lists too, that the oracle tells a symmetric
 almost-state matrix from a state matrix.
 """
 
-import math
-
 from .continued_fractions import Expansion
 from .errors import ConsistencyError
 from .invariants import (
@@ -63,7 +61,7 @@ from .state_matrices import (
     standard_state_matrix,
     state_matrix,
 )
-from .surfaces import make_knot
+from .surfaces import iter_knots, make_knot
 from .values import Value
 
 
@@ -278,25 +276,18 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
     return stats, report
 
 
-def iter_knots(max_alpha: int):
-    """All valid (alpha, beta), alpha odd, in (alpha, beta) order."""
-    for alpha in range(3, max_alpha + 1, 2):
-        for beta in range(1, alpha):
-            if math.gcd(alpha, beta) == 1:
-                yield alpha, beta
-
-
 def check_range(max_alpha: int, *, oracle: bool = False,
                 invariance_samples: int = 0, seed: int = 0) -> CheckStats:
-    """Sweep every knot with determinant up to max_alpha, and check that
-    each knot's presentations agree."""
+    """Sweep every knot with determinant up to max_alpha (>= 3, checked
+    first) and check that each knot's presentations agree."""
     import random
+    knots = iter_knots(max_alpha)
     rng = random.Random(seed)
     stats = CheckStats()
     stats.checks += check_negative_control()
     current_alpha = None
     multisets = {}
-    for alpha, beta in iter_knots(max_alpha):
+    for alpha, beta in knots:
         if alpha != current_alpha:
             _check_presentations(current_alpha, multisets)
             current_alpha, multisets = alpha, {}

@@ -103,8 +103,6 @@ def cmd_verify(args) -> int:
             f"pass: {knot} - {stats.surfaces} surfaces, {stats.checks} checks"
         )
     else:
-        if args.max_alpha < 3:
-            raise InvalidInputError("--max-alpha must be at least 3")
         stats = check_range(
             args.max_alpha,
             oracle=True,

@@ -81,30 +81,44 @@ def _expand_target(p: int, q: int, step=None, state=None):
             state = step(state, len(path), n)
 
 
-def enumerate_expansions(x, r: int = 0) -> tuple:
-    """Every expansion whose value is exactly x, sorted lexicographically.
+def enumerate_expansions(x) -> tuple:
+    """Every expansion whose value is exactly x, sorted lexicographically,
+    each tagged r = 0.
 
-    x must satisfy |x| > 1; the result is a finite, possibly multi-element
-    tuple (e.g. 5/2 has the two expansions [2, 2] and [3, -2]).
+    x is a rational (an int, a Fraction or a string such as '5/2') with
+    |x| > 1; the result is a finite, possibly multi-element tuple (e.g. 5/2
+    has the two expansions [2, 2] and [3, -2]).
     """
     from fractions import Fraction
-    x = Fraction(x)
+    if isinstance(x, float):  # its exact value is rarely the one meant
+        raise InvalidInputError(f"target {x!r} is a float, not a rational")
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InvalidInputError(f"target {x!r} is not a rational") from None
     if abs(x.numerator) <= x.denominator:
         raise InvalidInputError(f"target {x} must have absolute value > 1")
-    return tuple(Expansion(terms, r) for terms, _ in
+    return tuple(Expansion._of(terms, 0) for terms, _ in
                  _expand_target(x.numerator, x.denominator))
 
 
-def surfaces_expansions(knot) -> tuple:
-    """The expansions indexing the essential spanning surfaces of a knot.
+def _targets(knot) -> tuple:
+    """The two (p, q) targets of a knot's expansions, in tag order r = 0, 1.
 
     beta/alpha = r + 1/v with |v| > 1 forces r in {0, 1} and hence
     v in {alpha/beta, alpha/(beta - alpha)}; the two target values have
-    opposite signs, so the two blocks are disjoint.  Each block is sorted
-    lexicographically, r = 0 first.
+    opposite signs, so their expansions are disjoint.
     """
-    from fractions import Fraction
     a, b = knot.alpha, knot.beta
-    return enumerate_expansions(Fraction(a, b), r=0) + enumerate_expansions(
-        Fraction(a, b - a), r=1
-    )
+    return (a, b), (-a, a - b)
+
+
+def surfaces_expansions(knot) -> tuple:
+    """The expansions indexing the essential spanning surfaces of a knot:
+    those of each ``_targets`` block, sorted lexicographically, r = 0 first.
+    """
+    # the walk yields int terms of absolute value >= 2: its leaves are
+    # built without the checks of the public constructor
+    return tuple(Expansion._of(terms, r)
+                 for r, (p, q) in enumerate(_targets(knot))
+                 for terms, _ in _expand_target(p, q))

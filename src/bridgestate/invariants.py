@@ -46,7 +46,7 @@ by it.
 
 import math
 
-from .continued_fractions import Expansion, _expand_target
+from .continued_fractions import Expansion, _expand_target, _targets
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
 from .state_matrices import StateMatrix, _scaled_nonzeros
@@ -520,9 +520,8 @@ def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
     ``_det_scaled`` gives it, so the checks of ``verify`` run on the
     reported values without the pass keeping every surface's determinant.
     """
-    a, b = knot.alpha, knot.beta
-    targets = ((a, b), (-a, a - b))
-    p, q = targets[b & 1]  # alpha is odd: the target over an even q
+    targets = _targets(knot)
+    p, q = targets[knot.beta & 1]  # alpha is odd: the target over an even q
     seif, path = _START, []
     while q:
         n, rem = divmod(p, q)

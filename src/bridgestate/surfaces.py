@@ -58,6 +58,20 @@ def make_knot(alpha: int, beta: int) -> TwoBridgeKnot:
     return TwoBridgeKnot(alpha, beta)
 
 
+def iter_knots(max_alpha: int):
+    """All valid (alpha, beta) with alpha <= max_alpha, in (alpha, beta)
+    order; the bound is checked here, before the first knot."""
+    try:
+        max_alpha = operator.index(max_alpha)
+    except TypeError:
+        raise InvalidInputError(
+            f"--max-alpha must be an integer, got {max_alpha!r}") from None
+    if max_alpha < 3:
+        raise InvalidInputError("--max-alpha must be at least 3")
+    return ((alpha, beta) for alpha in range(3, max_alpha + 1, 2)
+            for beta in range(1, alpha) if math.gcd(alpha, beta) == 1)
+
+
 def sign_counts(e: Expansion) -> tuple:
     """(n_plus, n_minus): terms matching / breaking the pattern +,-,+,-,...
 

@@ -97,3 +97,117 @@ def step_minor_signature_plus_1(monkeypatch):
         return state[:3] + (state[3] + 1,) + state[4:]
 
     monkeypatch.setattr(inv, "_surface_step", faulty)
+
+
+def _zero_constant_term(coeffs, scale):
+    return [0] + coeffs[1:], scale
+
+
+def _move_one_from_t2_to_t(coeffs, scale):
+    # even k >= 4 only: p(1), the ends and the degree stay as they were
+    k = len(coeffs) - 1
+    if k % 2 or k < 4:
+        return coeffs, scale
+    return [coeffs[0], coeffs[1] + 1, coeffs[2] - 1] + coeffs[3:], scale
+
+
+def _add_one_to_the_middle(coeffs, scale):
+    # even k only: coefficient k/2 is its own mirror image
+    k = len(coeffs) - 1
+    if k % 2:
+        return coeffs, scale
+    return coeffs[:k // 2] + [coeffs[k // 2] + 1] + coeffs[k // 2 + 1:], scale
+
+
+def _double_the_ends(coeffs, scale):
+    # even k only: the middle takes back what the equal ends gain
+    k = len(coeffs) - 1
+    if k % 2:
+        return coeffs, scale
+    c = list(coeffs)
+    c[k // 2] -= 2 * c[0]
+    c[0] *= 2
+    c[k] *= 2
+    return c, scale
+
+
+def _double_over_two(coeffs, scale):
+    # the same polynomial over a larger power of 2, for integral ones only
+    if scale:
+        return coeffs, scale
+    return [2 * c for c in coeffs], 1
+
+
+# the identity each fault breaks, as the fast checks name it; a zero
+# constant term of a degree-k polynomial cannot keep the symmetry and p(1),
+# so that fault breaks them too, after the degree check that comes first
+FAST_CHECK_FAULTS = {
+    "degree = k": _zero_constant_term,
+    "symmetry p(1/t) ~ p(t)": _move_one_from_t2_to_t,
+    "p(1) by parity of k": _add_one_to_the_middle,
+    "leading coefficient |n1...nk| / 2^k": _double_the_ends,
+    "integrality of all-even polynomials": _double_over_two,
+}
+
+
+@pytest.fixture(params=list(FAST_CHECK_FAULTS),
+                ids=["degree", "symmetry", "p(1)", "leading", "integrality"])
+def fast_check_fault(request, monkeypatch):
+    """Make the report pass seen by ``bridgestate.checks`` hand the checks
+    a determinant that breaks exactly one fast-check identity and keeps the
+    others; the value is the name of that identity."""
+    import bridgestate.checks as checks
+
+    real = checks._report_pass
+    perturb = FAST_CHECK_FAULTS[request.param]
+
+    def faulty(knot, visit):
+        return real(knot, lambda report, det: visit(report, perturb(*det)))
+
+    monkeypatch.setattr(checks, "_report_pass", faulty)
+    return request.param
+
+
+@pytest.fixture
+def transformations_double_the_matrix(monkeypatch):
+    """Make the random moves of ``bridgestate.checks`` return 2V, whose
+    polynomial is 2^k times that of V and whose signature is that of V."""
+    import bridgestate.checks as checks
+    from bridgestate.state_matrices import StateMatrix
+
+    def faulty(v, rng):
+        return StateMatrix(v.size, v.den,
+                           frozenset((ij, 2 * x) for ij, x in v.nonzeros))
+
+    monkeypatch.setattr(checks, "apply_random_transformations", faulty)
+
+
+@pytest.fixture
+def multisets_tagged_with_beta(monkeypatch):
+    """Make each invariant multiset of ``bridgestate.checks`` end in its
+    presentation's beta, so that K(alpha, beta) and K(alpha, beta^-1)
+    differ unless beta is its own inverse."""
+    import bridgestate.checks as checks
+
+    real = checks.invariant_multiset
+
+    def faulty(report):
+        return real(report) + (report.knot.beta,)
+
+    monkeypatch.setattr(checks, "invariant_multiset", faulty)
+
+
+@pytest.fixture
+def census_slopes_with_a_second_zero(monkeypatch):
+    """Make every record ``bridgestate.census`` serializes list one more
+    slope, 0."""
+    import bridgestate.census as census
+
+    real = census.report_to_dict
+
+    def faulty(report):
+        row = real(report)
+        row["slopes"].append(0)
+        return row
+
+    monkeypatch.setattr(census, "report_to_dict", faulty)

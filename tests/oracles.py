@@ -18,7 +18,9 @@ Two helpers are views, not references: ``state_polynomial_det`` and
 ``state_polynomial_oracle`` put the integer results of the package's
 recurrence and elimination oracle into that container, so the tests can
 compare the two routes with each other and with the references above,
-exactly and up to the units +-t^j (``poly_equivalent``).
+exactly and up to the units +-t^j (``poly_equivalent``).  So is
+``dumps_canonical``, the package's streamed JSON joined into one string,
+which the tests compare with the stdlib's ``json.dumps``.
 """
 
 import math
@@ -26,6 +28,7 @@ import random
 from fractions import Fraction
 
 from bridgestate import Expansion, InvalidInputError, LaurentPolynomial
+from bridgestate.census import canonical_pieces
 from bridgestate.invariants import _det_scaled, _oracle_scaled
 
 
@@ -197,6 +200,11 @@ def state_polynomial_oracle(v) -> LaurentPolynomial:
     matrix D*V (``v.nonzeros``), whose determinant is D**k times this one."""
     coeffs, den = _oracle_scaled(v)
     return laurent([Fraction(c, den ** v.size) for c in coeffs])
+
+
+def dumps_canonical(obj) -> str:
+    """The one JSON rendering used everywhere (round-trips byte-for-byte)."""
+    return "".join(canonical_pieces(obj))
 
 
 def random_laurent(rng, max_span: int = 5, max_num: int = 6) -> LaurentPolynomial:

@@ -12,12 +12,12 @@ import pytest
 from bridgestate.census import (
     canonical_pieces,
     census_row,
-    dumps_canonical,
     report_to_dict,
 )
 from bridgestate.checks import iter_knots
 from bridgestate.invariants import full_report
 from bridgestate.surfaces import make_knot
+from oracles import dumps_canonical
 
 
 def stdlib(doc) -> str:

@@ -1,15 +1,18 @@
 import io
 import json
 
+import pytest
+
+from bridgestate import InvalidInputError
 from bridgestate.census import (
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
     census_row,
     census_rows,
-    dumps_canonical,
     knot_csv_row,
     surface_csv_rows,
 )
+from oracles import dumps_canonical
 
 
 def census_files(max_alpha, jobs=1, as_json=False):
@@ -71,3 +74,13 @@ def test_every_knot_has_exactly_one_zero_slope():
 def test_json_round_trip_bytes():
     payload = census_files(9, as_json=True)[0]
     assert dumps_canonical(json.loads(payload)) == payload
+
+
+@pytest.mark.parametrize("max_alpha, jobs", [
+    (5.0, 1), ("5", 1), (None, 1), (5, 2.0), (5, "2"), (1, 1), (5, 0),
+])
+def test_bounds_outside_the_domain_write_nothing(max_alpha, jobs):
+    streams = io.StringIO(), io.StringIO()
+    with pytest.raises(InvalidInputError):
+        census_rows(max_alpha, streams, jobs=jobs)
+    assert [s.getvalue() for s in streams] == ["", ""]

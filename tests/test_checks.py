@@ -5,6 +5,7 @@ import pytest
 from bridgestate import (
     ConsistencyError,
     Expansion,
+    InvalidInputError,
     make_knot,
     make_surface,
     surfaces_expansions,
@@ -36,6 +37,25 @@ def test_iter_knots_small():
         (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6),
         (9, 1), (9, 2), (9, 4), (9, 5), (9, 7), (9, 8),
     ]
+
+
+@pytest.mark.parametrize("bad", [2, 1, -5])
+def test_check_range_checks_the_bound_first(monkeypatch, bad):
+    # before the negative control, the one check that needs no knot
+    def unreachable():
+        raise AssertionError("the negative control ran")
+
+    monkeypatch.setattr(checks, "check_negative_control", unreachable)
+    with pytest.raises(InvalidInputError, match="at least 3"):
+        check_range(bad)
+
+
+def test_check_range_detects_disagreeing_presentations(
+        multisets_tagged_with_beta):
+    check_range(3)  # 1 and 2 are their own inverses mod 3
+    with pytest.raises(ConsistencyError,
+                       match=r"presentations K\(5,2\) and K\(5,3\)"):
+        check_range(5)
 
 
 def test_random_expansions_are_valid():

@@ -133,6 +133,33 @@ class TestVerifyCommand:
         assert code == 1
         assert "reported polynomial = oracle class" in err
 
+    def test_fast_check_fault_exits_1(self, capsys, fast_check_fault):
+        # K(11,1) has an all-even surface with k = 10 and one with k = 1
+        code, out, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "pass" not in out
+        assert f"{fast_check_fault} failed" in err
+
+    def test_transformed_matrix_fault_exits_1(
+            self, capsys, transformations_double_the_matrix):
+        code, _, err = run(capsys, "verify", "11", "1")
+        assert code == 1
+        assert "transformed matrix of [11] gave inequivalent polynomial" in err
+
+    def test_presentation_fault_exits_1(self, capsys,
+                                        multisets_tagged_with_beta):
+        # 1 and 2 are their own inverses mod 3; 2 and 3 are inverses mod 5
+        code, out, err = run(capsys, "verify", "--max-alpha", "5")
+        assert code == 1
+        assert "pass" not in out
+        assert "presentations K(5,2) and K(5,3) disagree" in err
+
+    def test_max_alpha_below_3_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-alpha", "2")
+        assert code == 2
+        assert out == ""
+        assert "--max-alpha must be at least 3" in err
+
     @pytest.mark.parametrize("knot", [["5"], ["5", "3"]])
     def test_positional_with_max_alpha_exits_2(self, capsys, knot):
         code, out, err = run(capsys, "verify", *knot, "--max-alpha", "9")
@@ -228,6 +255,14 @@ class TestCensusCommand:
                            "--out", str(tmp_path / "k.csv"))
         assert code == 2
         assert "--max-alpha must be at least 3" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_slope_fault_exits_1(self, capsys, tmp_path,
+                                      census_slopes_with_a_second_zero):
+        code, _, err = run(capsys, "census", "--max-alpha", "5",
+                           "--out", str(tmp_path / "k.csv"))
+        assert code == 1
+        assert "K(3,1) has slopes [0, 6, 0]: expected exactly one zero" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

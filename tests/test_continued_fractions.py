@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bridgestate
 from bridgestate import (
     Expansion,
     InvalidInputError,
@@ -11,12 +15,8 @@ from bridgestate import (
     make_surface,
     surfaces_expansions,
 )
-from bridgestate.census import (
-    dumps_canonical,
-    surfaces_to_csv,
-    surfaces_to_dict,
-)
-from oracles import brute_force_expansions, cf_value
+from bridgestate.census import surfaces_to_csv, surfaces_to_dict
+from oracles import brute_force_expansions, cf_value, dumps_canonical
 
 
 def terms_of(expansions):
@@ -82,6 +82,36 @@ class TestEnumerate:
 
     def test_negative_target(self):
         assert terms_of(enumerate_expansions(Fraction(-5, 3))) == [(-2, 3)]
+
+    def test_rational_strings_are_exact(self):
+        assert enumerate_expansions("5/2") == enumerate_expansions(Fraction(5, 2))
+        assert terms_of(enumerate_expansions("1.1")) == terms_of(
+            enumerate_expansions(Fraction(11, 10)))
+
+    # a float is refused even when its value is exact, as is anything
+    # Fraction cannot read
+    @pytest.mark.parametrize("bad", [2.5, 3.0, float("inf"), "x", "1/0",
+                                     None, object(), 1j])
+    def test_rejects_non_rationals(self, bad):
+        with pytest.raises(InvalidInputError):
+            enumerate_expansions(bad)
+
+    def test_rejects_an_inexact_float_at_once(self):
+        # 1.1 is 2476979795053773/2^51, whose walk does not end in minutes;
+        # run apart, so that a regression fails instead of hanging
+        src = str(Path(bridgestate.__file__).parent.parent)
+        code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+                "from bridgestate import InvalidInputError, enumerate_expansions\n"
+                "try:\n    enumerate_expansions(1.1)\n"
+                "except InvalidInputError as exc:\n    print(exc)\n")
+        out = subprocess.run([sys.executable, "-c", code], timeout=10,
+                             stdout=subprocess.PIPE, text=True).stdout
+        assert out == "target 1.1 is a float, not a rational\n"
+
+    def test_tags_every_expansion_0(self):
+        got = enumerate_expansions(Fraction(7, 3))
+        assert terms_of(got) == [(2, 3), (3, -2, 2)]
+        assert [e.r for e in got] == [0, 0]
 
     def test_rejects_small_targets(self):
         for bad in (Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(0)):

@@ -29,7 +29,6 @@ from bridgestate.census import (  # noqa: E402
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
     census_row,
-    dumps_canonical,
     knot_csv_row,
     surface_csv_rows,
 )
@@ -46,6 +45,7 @@ from bridgestate.invariants import (  # noqa: E402
 from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_expansions,
+    dumps_canonical,
     fraction_recurrence_det,
     laurent,
     poly_equivalent,
