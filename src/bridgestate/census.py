@@ -1,11 +1,12 @@
 """Report serialization and the census sweep.
 
 This module owns the record schema: every record any command writes is
-built here, and every CSV row is rendered here from a record.
-``surface_record`` holds the combinatorial fields of a surface (terms, r,
-orientable, genus2, n_plus, n_minus) for the ``surfaces`` command, and
-``report_to_dict`` adds each surface's signature, slope and polynomial to
-them for ``invariants`` and ``census``.
+built here, and every CSV row is rendered here.  ``surface_record`` holds
+the combinatorial fields of a surface (terms, r, orientable, genus2,
+n_plus, n_minus) for the ``surfaces`` command, and ``report_to_dict`` adds
+each surface's signature, slope and polynomial to them for the JSON of
+``invariants`` and ``census``.  CSV rows are rendered straight from the
+fields of the surfaces and reports, in the column order of the headers.
 
 Wire formats, fixed here and documented in the README:
 
@@ -26,15 +27,26 @@ Wire formats, fixed here and documented in the README:
   sort_keys=True)``, so parsing and re-dumping a report reproduces it byte
   for byte.  It streams a report one surface record at a time.
 
-The census is one streaming pipeline.  One task per knot computes its
-report and renders the knot's rows in the requested format (``render_knot``);
-with more than one job the tasks run in a process pool of at most one
-worker per usable CPU, and only then is the pool's machinery imported.
-``census_rows`` writes each knot's pieces to the knot file and the surface
-file in (alpha, beta) order as soon as they arrive, the CSV header or the
-opening ``[`` with the first knot's pieces and the closing ``]`` after the
-last.  So output bytes do not depend on --jobs, and no table is held in
-memory.
+The census is one streaming pipeline over alpha blocks, the knots of one
+determinant in beta order.  K(alpha, beta) and K(alpha, beta') are the same
+knot exactly when beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta)
+is its mirror image (Schubert), so a block splits into orbits {beta,
+beta^-1, alpha - beta, alpha - beta^-1} of two or four presentations.
+``full_report`` runs once per orbit, on its least beta; the other members'
+reports are derived through ``inverse_report`` and ``mirror_report``, and
+each passes ``check_derived_report`` on its own values before it is
+rendered.  Every report, computed or derived, must have exactly one zero
+slope.  Each knot's rows are rendered in the requested format
+(``render_knot``) as soon as its report is ready.  On one job the blocks
+run in turn and each knot's pieces are written as they come; with more
+jobs one pool task is one alpha block, whose knots' pieces come back as
+one list, in a process pool of at most one worker per usable CPU, and only
+then is the pool's machinery imported.  ``census_rows`` writes the pieces
+to the knot file and the surface file in (alpha, beta) order as soon as
+they arrive, the CSV header or the opening ``[`` with the first knot's
+pieces and the closing ``]`` after the last.  So output bytes do not
+depend on --jobs, and no table is held in memory: at most the pieces of a
+few alpha blocks.
 """
 
 import operator
@@ -42,8 +54,15 @@ import os
 from contextlib import ExitStack
 
 from .errors import ConsistencyError, InvalidInputError
-from .invariants import InvariantReport, StatePolynomial, full_report
-from .surfaces import EssentialSurface, TwoBridgeKnot, iter_knots, make_knot
+from .invariants import (
+    InvariantReport,
+    StatePolynomial,
+    check_derived_report,
+    full_report,
+    inverse_report,
+    mirror_report,
+)
+from .surfaces import EssentialSurface, TwoBridgeKnot, iter_knots
 
 KNOT_CSV_HEADER = (
     "alpha,beta,surface_count,signature,genus2,crosscap_genus2,slopes,alexander"
@@ -51,8 +70,12 @@ KNOT_CSV_HEADER = (
 SURFACE_LIST_CSV_HEADER = "alpha,beta,terms,r,orientable,genus2,n_plus,n_minus"
 SURFACE_CSV_HEADER = SURFACE_LIST_CSV_HEADER + ",signature,slope,poly"
 
-# the most knots one pool task renders (see census_rows)
-MAX_CHUNK = 64
+# the most alpha blocks one pool task renders (see census_rows): the
+# blocks grow with alpha and the largest come last, so a task of one block
+# keeps every worker busy to the end of the sweep; a block's pieces come
+# back as one list, and blocks finished ahead of the one being written
+# wait in memory
+MAX_CHUNK = 1
 
 _encode_str = None  # json.encoder's string quoting, once JSON is rendered
 
@@ -200,76 +223,108 @@ def _join(values) -> str:
     return ";".join(map(str, values))
 
 
-def knot_csv_row(row: dict) -> str:
+def knot_csv_row(report: InvariantReport) -> str:
+    """The knot CSV line of ``report``, without its newline, in the column
+    order of ``KNOT_CSV_HEADER``."""
+    knot = report.knot
     return (
-        f"{row['alpha']},{row['beta']},{row['surface_count']},"
-        f"{row['signature']},{row['genus2']},{row['crosscap_genus2']},"
-        f"{_join(row['slopes'])},{_join(row['alexander']['coeffs_2k'])}"
+        f"{knot.alpha},{knot.beta},{len(report.surfaces)},"
+        f"{report.signature},{report.genus_twice},"
+        f"{report.nonorientable_genus_twice},{_join(report.slopes)},"
+        f"{_join(report.alexander.coeffs_2k)}"
     )
 
 
-def _surface_fields(s: dict) -> str:
-    """The CSV columns of a ``surface_record``, terms to n_minus."""
+def _surface_fields(s: EssentialSurface) -> str:
+    """The CSV columns of a surface, terms to n_minus."""
+    e = s.expansion
     return (
-        f"{_join(s['terms'])},{s['r']},"
-        f"{'true' if s['orientable'] else 'false'},{s['genus2']},"
-        f"{s['n_plus']},{s['n_minus']}"
+        f"{_join(e.terms)},{e.r},{'true' if s.orientable else 'false'},"
+        f"{s.genus_twice},{s.n_plus},{s.n_minus}"
     )
 
 
-def surface_csv_rows(row: dict) -> list:
-    knot = f"{row['alpha']},{row['beta']}"
+def surface_csv_rows(report: InvariantReport) -> list:
+    """The surface CSV lines of ``report``, without newlines, in the
+    column order of ``SURFACE_CSV_HEADER``."""
+    knot = report.knot
+    head = f"{knot.alpha},{knot.beta},"
     return [
-        f"{knot},{_surface_fields(s)},{s['signature']},{s['slope']},"
-        f"{_join(s['poly']['coeffs_2k'])}"
-        for s in row["surfaces"]
+        f"{head}{_surface_fields(r.surface)},{r.signature},{r.slope},"
+        f"{_join(r.polynomial.coeffs_2k)}"
+        for r in report.surfaces
     ]
 
 
-def surfaces_to_csv(doc: dict) -> list:
-    """CSV lines of a ``surfaces_to_dict`` document, header first, each
-    ending in a newline."""
-    knot = f"{doc['alpha']},{doc['beta']}"
+def surfaces_to_csv(knot: TwoBridgeKnot, surfaces) -> list:
+    """CSV lines of a knot's surfaces (the ``surfaces`` command), header
+    first, each ending in a newline."""
+    head = f"{knot.alpha},{knot.beta},"
     return [SURFACE_LIST_CSV_HEADER + "\n"] + [
-        f"{knot},{_surface_fields(s)}\n" for s in doc["surfaces"]]
+        f"{head}{_surface_fields(s)}\n" for s in surfaces]
 
 
-def census_row(alpha: int, beta: int) -> dict:
-    """One knot's serialized report, with the census-level invariant check."""
-    row = report_to_dict(full_report(make_knot(alpha, beta)))
-    if row["slopes"].count(0) != 1:
-        raise ConsistencyError(
-            f"K({alpha},{beta}) has slopes {row['slopes']}: expected exactly "
-            f"one zero (the Seifert surface)"
-        )
-    return row
-
-
-def render_knot(row: dict, as_json: bool, with_surfaces: bool) -> tuple:
+def render_knot(report: InvariantReport, as_json: bool,
+                with_surfaces: bool) -> tuple:
     """One knot's census output: its piece of the knot file and its piece
     of the surface file ('' unless ``with_surfaces``).
 
-    A CSV piece is whole lines, each ending in a newline; a JSON piece is
-    list elements separated by a comma and a newline.  ``census_rows`` puts
-    the pieces of every knot together into the bytes of one CSV table or
-    of one ``canonical_pieces`` list.
+    A CSV piece is whole lines, each ending in a newline, rendered from
+    the report's fields; a JSON piece is list elements separated by a
+    comma and a newline, rendered from ``report_to_dict``.  ``census_rows``
+    puts the pieces of every knot together into the bytes of one CSV table
+    or of one ``canonical_pieces`` list.
     """
     if as_json:
+        row = report_to_dict(report)
         records = [dict(s, alpha=row["alpha"], beta=row["beta"])
                    for s in row["surfaces"]] if with_surfaces else []
         knot, *surfaces = ("  " + "".join(canonical_pieces(element, 1))
                            for element in [row] + records)
         return knot, ",\n".join(surfaces)
-    lines = surface_csv_rows(row) if with_surfaces else ()
-    return knot_csv_row(row) + "\n", "".join(line + "\n" for line in lines)
+    lines = surface_csv_rows(report) if with_surfaces else ()
+    return knot_csv_row(report) + "\n", "".join(line + "\n" for line in lines)
 
 
-def _census_row_star(task) -> tuple:
-    """One pool task: (knot piece, surface piece, surface count) of the knot
-    ``task`` names; see ``census_rows``."""
-    alpha, beta, as_json, with_surfaces = task
-    row = census_row(alpha, beta)
-    return (*render_knot(row, as_json, with_surfaces), row["surface_count"])
+def _orbit(report: InvariantReport) -> dict:
+    """The reports of the other presentations in the orbit {beta, beta^-1,
+    alpha - beta, alpha - beta^-1} of ``report``'s, by beta: two or four
+    members, as beta**2 = +-1 mod alpha or not."""
+    inverse = inverse_report(report)
+    orbit = {}
+    for derived in (inverse, mirror_report(report), mirror_report(inverse)):
+        orbit.setdefault(derived.knot.beta, derived)
+    orbit.pop(report.knot.beta, None)
+    return orbit
+
+
+def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
+    """Yield (knot piece, surface piece, surface count) of K(alpha, beta)
+    for each beta of the ascending ``betas``, computing the report of the
+    least beta of each orbit and deriving the others' (see the module
+    docstring)."""
+    derived = {}
+    for beta in betas:
+        report = derived.pop(beta, None)
+        if report is None:
+            report = full_report(TwoBridgeKnot._of(alpha, beta))
+            derived.update(_orbit(report))
+        else:
+            check_derived_report(report)
+        slopes = report.slopes
+        if slopes.count(0) != 1:
+            raise ConsistencyError(
+                f"{report.knot} has slopes {slopes}: expected exactly one "
+                f"zero (the Seifert surface)"
+            )
+        yield (*render_knot(report, as_json, with_surfaces),
+               len(report.surfaces))
+
+
+def _census_row_star(task) -> list:
+    """One pool task: the (knot piece, surface piece, surface count) of
+    every knot of the alpha block ``task`` names; see ``census_rows``."""
+    return list(_knot_pieces(*task))
 
 
 def usable_cpus() -> int:
@@ -284,13 +339,14 @@ def census_rows(max_alpha: int, files, jobs: int = 1,
     """Write the census of every knot with determinant <= max_alpha (>= 3):
     the knot table to ``files[0]`` and, given a second file, the surface
     table to ``files[1]``.  Each knot's pieces (see ``render_knot``) are
-    written in (alpha, beta) order as soon as they are ready, the first
-    ones after the CSV header or '[', and the end of a JSON list follows
-    the last.  Nothing is written before the first knot is ready, so a
-    census that fails on it writes nothing, and no buffered output exists
-    yet when the pool forks its workers.  Returns the number of knots and
-    of surfaces.  The bytes are independent of ``jobs`` (>= 1; more workers
-    than usable CPUs only add cost, so it is clamped)."""
+    written in (alpha, beta) order as soon as they are ready, those of a
+    whole alpha block at once from a pool, the first ones after the CSV
+    header or '[', and the end of a JSON list follows the last.  Nothing
+    is written before the first knot is ready, so a census that fails on
+    it writes nothing, and no buffered output exists yet when the pool
+    forks its workers.  Returns the number of knots and of surfaces.  The
+    bytes are independent of ``jobs`` (>= 1; more workers than usable CPUs
+    only add cost, so it is clamped)."""
     knots = iter_knots(max_alpha)
     try:
         jobs = operator.index(jobs)
@@ -300,7 +356,11 @@ def census_rows(max_alpha: int, files, jobs: int = 1,
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, usable_cpus())
-    tasks = [(a, b, as_json, len(files) > 1) for a, b in knots]
+    betas_of = {}  # the alpha blocks
+    for alpha, beta in knots:
+        betas_of.setdefault(alpha, []).append(beta)
+    tasks = [(alpha, betas, as_json, len(files) > 1)
+             for alpha, betas in betas_of.items()]
     if as_json:
         heads, sep, tail = ("[\n", "[\n"), ",\n", "\n]\n"
     else:
@@ -314,21 +374,17 @@ def census_rows(max_alpha: int, files, jobs: int = 1,
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=jobs)
-            # on a failure, knots not yet started are dropped, not computed
+            # on a failure, blocks not yet started are dropped, not computed
             stack.callback(pool.shutdown, cancel_futures=True)
-            # a chunk's pieces come back as one list, and chunks finished
-            # ahead of the one being written wait in memory: capping the
-            # chunk keeps memory flat as the sweep grows
-            chunk = max(1, min(len(tasks) // (jobs * 8), MAX_CHUNK))
-            results = pool.map(_census_row_star, tasks, chunksize=chunk)
+            blocks = pool.map(_census_row_star, tasks, chunksize=MAX_CHUNK)
         else:
-            results = map(_census_row_star, tasks)
+            blocks = (_knot_pieces(*task) for task in tasks)
         # every knot has at least two surfaces, so no piece is empty
-        for *pieces, count in results:
+        for *pieces, count in (knot for block in blocks for knot in block):
             for fh, head, piece in zip(files, heads, pieces):
                 fh.write(head + piece)
             heads = (sep, sep)
             surface_total += count
     for fh in files:
         fh.write(tail)
-    return len(tasks), surface_total
+    return sum(len(task[1]) for task in tasks), surface_total

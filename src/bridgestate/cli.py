@@ -44,7 +44,7 @@ def cmd_surfaces(args) -> int:
     if args.json:
         sys.stdout.writelines(canonical_pieces(surfaces_to_dict(knot, surfaces)))
     elif args.csv:
-        sys.stdout.writelines(surfaces_to_csv(surfaces_to_dict(knot, surfaces)))
+        sys.stdout.writelines(surfaces_to_csv(knot, surfaces))
     else:
         print(f"{knot}: {len(surfaces)} essential spanning surfaces")
         width = max(len(str(s.expansion)) for s in surfaces)
@@ -59,12 +59,11 @@ def cmd_surfaces(args) -> int:
 
 def cmd_invariants(args) -> int:
     report = full_report(make_knot(args.alpha, args.beta))
-    row = report_to_dict(report)
     if args.json:
-        sys.stdout.writelines(canonical_pieces(row))
+        sys.stdout.writelines(canonical_pieces(report_to_dict(report)))
     elif args.csv:
         sys.stdout.writelines(
-            (KNOT_CSV_HEADER + "\n", knot_csv_row(row) + "\n"))
+            (KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
     else:
         knot = report.knot
         print(f"{knot}")

@@ -4,6 +4,10 @@
 knot-level value (determinant, signature, Alexander polynomial, genus,
 crosscap number) and every per-surface value is a field of its
 ``InvariantReport``, which the CLI prints and ``checks`` verifies.
+``inverse_report`` and ``mirror_report`` carry a report over to another
+presentation of the same knot or of its mirror image without a walk, and
+``check_derived_report`` checks what they give against the identities
+``full_report`` asserts.
 
 Conventions, fixed once here:
 
@@ -50,7 +54,12 @@ from .continued_fractions import Expansion, _expand_target, _targets
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
 from .state_matrices import StateMatrix, _scaled_nonzeros
-from .surfaces import EssentialSurface, TwoBridgeKnot, find_seifert
+from .surfaces import (
+    EssentialSurface,
+    TwoBridgeKnot,
+    find_seifert,
+    sign_counts,
+)
 from .values import Value
 
 # ---------------------------------------------------------------------------
@@ -172,6 +181,21 @@ def _surface_step(state: tuple, j: int, n: int) -> tuple:
     return (x - ((x - prev) << bits), bits, s + odd,
             sig + (1 if (new > 0) == (d > 0) else -1), plus + (a > 0),
             cur, s, m_new, m_cur, new, d)
+
+
+def _minor_signature(terms) -> int:
+    """Signature of V + V^T for the standard state matrix V of ``terms``
+    by Jacobi's rule on its leading principal minors D_j = a_j * D_{j-1}
+    - D_{j-2}, a_j = (-1)**(j+1) * nj: the minor half of
+    ``_surface_step``, without the packed polynomial."""
+    sig, d, dm = 0, 1, 0
+    for j, n in enumerate(terms, 1):
+        new = (n if j & 1 else -n) * d - dm
+        if not new:
+            raise ConsistencyError(f"zero leading principal minor at size {j}")
+        sig += 1 if (new > 0) == (d > 0) else -1
+        d, dm = new, d
+    return sig
 
 
 # d_0 = D_0 = 1 and d_-1 = D_-1 = 0, in 72-bit slots
@@ -510,29 +534,38 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     return _report_pass(knot, lambda report, det: None)
 
 
-def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
-    """``full_report``'s pass over the surfaces of ``knot``.
-
-    ``_surface_step`` is folded down the path of even terms (the Seifert
-    surface), then down every path of one walk of the expansion trees of
-    alpha/beta and alpha/(beta - alpha).  ``visit(surface_report, det)`` is
-    called as soon as each leaf is reported, with its determinant as
-    ``_det_scaled`` gives it, so the checks of ``verify`` run on the
-    reported values without the pass keeping every surface's determinant.
-    """
-    targets = _targets(knot)
-    p, q = targets[knot.beta & 1]  # alpha is odd: the target over an even q
-    seif, path = _START, []
+def _seifert_path(knot: TwoBridgeKnot) -> tuple:
+    """(path, sigma_K, sigma_K from minors) of ``knot``: the terms of its
+    all-even expansion, and the knot signature from their sign counts and
+    from their leading principal minors (``_minor_signature``).  The path
+    expands the target over an even q (alpha is odd), taking at each step
+    the one of floor and ceil that is even."""
+    p, q = _targets(knot)[knot.beta & 1]
+    path = []
     while q:
         n, rem = divmod(p, q)
         if n & 1 and rem:  # the ceil n + 1 is even
             n, rem = n + 1, rem - q
         path.append(n)
-        seif = _surface_step(seif, len(path), n)
         p, q = (q, rem) if rem >= 0 else (-q, -rem)
-    sigma_k, sigma_k_minors = 2 * seif[4] - len(path), seif[3]
+    plus, minus = sign_counts(Expansion._of(tuple(path), 0))
+    return path, plus - minus, _minor_signature(path)
+
+
+def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
+    """``full_report``'s pass over the surfaces of ``knot``.
+
+    The path of even terms (the Seifert surface) gives sigma_K
+    (``_seifert_path``); then ``_surface_step`` is folded down every path
+    of one walk of the expansion trees of alpha/beta and
+    alpha/(beta - alpha).  ``visit(surface_report, det)`` is
+    called as soon as each leaf is reported, with its determinant as
+    ``_det_scaled`` gives it, so the checks of ``verify`` run on the
+    reported values without the pass keeping every surface's determinant.
+    """
+    path, sigma_k, sigma_k_minors = _seifert_path(knot)
     reports = []
-    for r, (p, q) in enumerate(targets):
+    for r, (p, q) in enumerate(_targets(knot)):
         # the walk yields int terms of absolute value >= 2: its leaves are
         # built without the checks of the public constructors
         for terms, state in _expand_target(p, q, _surface_step, _START):
@@ -549,6 +582,14 @@ def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
                 2 * (sigma - sigma_k))
             reports.append(report)
             visit(report, det)
+    return _knot_report(knot, tuple(reports), sigma_k, path)
+
+
+def _knot_report(knot: TwoBridgeKnot, reports: tuple, sigma_k: int,
+                 path) -> InvariantReport:
+    """The report of ``knot`` with the surface reports ``reports``: its
+    Seifert surface must be the one the even-term ``path`` ends in, and
+    its knot-level values follow from that surface and the others."""
     seifert = find_seifert([r.surface for r in reports])
     if seifert.expansion.terms != tuple(path):
         _fail("Seifert expansion = path of even terms", knot,
@@ -561,10 +602,146 @@ def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
                                if not r.surface.orientable])
     return InvariantReport(
         knot=knot,
-        surfaces=tuple(reports),
+        surfaces=reports,
         determinant=knot.alpha,
         signature=sigma_k,
         alexander=alexander,
         genus_twice=g2,
         nonorientable_genus_twice=crosscap,
     )
+
+
+# ---------------------------------------------------------------------------
+# presentation maps
+#
+# K(alpha, beta) and K(alpha, beta') are the same knot exactly when
+# beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta) is its mirror
+# image (Schubert, Math. Z. 65, 1956).  The two maps below derive the
+# report of one presentation from that of another without a walk; the
+# census runs ``full_report`` once per orbit {beta, beta^-1, alpha - beta,
+# alpha - beta^-1} and passes every derived report through
+# ``check_derived_report`` before it is written.
+
+
+def _by_expansion(r: SurfaceReport) -> tuple:
+    """The order of ``full_report``'s surfaces: r = 0 first, then the
+    terms lexicographically (each target's walk yields them sorted)."""
+    e = r.surface.expansion
+    return e.r, e.terms
+
+
+def _derived(report: InvariantReport, beta: int, surfaces: list,
+             sign: int) -> InvariantReport:
+    """The report of K(alpha, beta), from ``report`` of another
+    presentation and the moved ``surfaces``; the knot signature is
+    multiplied by ``sign``, the other knot-level values carry over."""
+    surfaces.sort(key=_by_expansion)
+    return InvariantReport._of(
+        TwoBridgeKnot._of(report.knot.alpha, beta), tuple(surfaces),
+        report.determinant, sign * report.signature, report.alexander,
+        report.genus_twice, report.nonorientable_genus_twice)
+
+
+def inverse_report(report: InvariantReport) -> InvariantReport:
+    """The report of K(alpha, beta^-1 mod alpha), the same knot, from the
+    report of K(alpha, beta).
+
+    With M(n) = [[n, 1], [1, 0]], an expansion [n1, ..., nk] of p/q is
+    M(n1)...M(nk) = [[p, p'], [q, q']], of determinant (-1)**k; its
+    transpose is the reversed product, so the reversed terms expand p/p',
+    with p' * q = (-1)**(k+1) mod p.  The surfaces of K(alpha, beta^-1)
+    are therefore the reversed expansions, negated when k is even (which
+    negates the value), tagged r = 0 exactly when the first term, and so
+    the value, is positive.  Reversing a sequence of odd length, or
+    reversing and negating one of even length, keeps which terms match the
+    pattern +,-,+,-,..., so every other field carries over unchanged.
+    """
+    surfaces = []
+    for r in report.surfaces:
+        s = r.surface
+        terms = s.expansion.terms[::-1]
+        if not len(terms) & 1:
+            terms = tuple([-n for n in terms])
+        surfaces.append(SurfaceReport._of(
+            EssentialSurface._of(Expansion._of(terms, int(terms[0] < 0)),
+                                 s.orientable, s.genus_twice, s.n_plus,
+                                 s.n_minus),
+            r.polynomial, r.signature, r.slope))
+    knot = report.knot
+    return _derived(report, pow(knot.beta, -1, knot.alpha), surfaces, 1)
+
+
+def mirror_report(report: InvariantReport) -> InvariantReport:
+    """The report of K(alpha, alpha - beta), the mirror image, from the
+    report of K(alpha, beta).
+
+    Negating every term negates an expansion's value, so it maps the
+    expansions of alpha/beta onto those of -alpha/beta =
+    alpha/((alpha - beta) - alpha) and back: r flips, n_plus and n_minus
+    swap, and every signature and slope changes sign.  V becomes -V, and
+    det(-V + t*V^T) = (-1)**k * det(V - t*V^T) has the same canonical
+    representative, so the polynomials carry over.
+    """
+    surfaces = []
+    for r in report.surfaces:
+        s = r.surface
+        e = s.expansion
+        surfaces.append(SurfaceReport._of(
+            EssentialSurface._of(
+                Expansion._of(tuple([-n for n in e.terms]), 1 - e.r),
+                s.orientable, s.genus_twice, s.n_minus, s.n_plus),
+            r.polynomial, -r.signature, -r.slope))
+    knot = report.knot
+    return _derived(report, knot.alpha - knot.beta, surfaces, -1)
+
+
+# the knot-level fields of a report, with the rule each follows
+_KNOT_RULES = (
+    ("determinant", "determinant = alpha"),
+    ("signature", "knot signature = signature of the even-term path"),
+    ("alexander", "Alexander polynomial = Seifert surface polynomial"),
+    ("genus_twice", "genus2 = Seifert surface genus2"),
+    ("nonorientable_genus_twice", "crosscap rule"),
+)
+
+
+def check_derived_report(report: InvariantReport) -> None:
+    """Check a report that ``inverse_report`` or ``mirror_report`` derived,
+    on its own values, against every identity ``full_report`` asserts;
+    raise ConsistencyError naming the first that fails.
+
+    sigma_K and its minor signature come from the knot's own path of even
+    terms (``_seifert_path``).  Per surface: ``_check_identities`` (|p(-1)|
+    = alpha, minor-recurrence signature = N+ - N-, slope agreement) with
+    the minors folded over its terms (``_minor_signature``); degree k,
+    2**k-integrality and the canonical form of its polynomial; genus2 = k;
+    its signature and slope by the sign counts.  Then exactly one surface
+    must be orientable, the one whose terms are the path (so every flag is
+    right: the path is the only all-even expansion), and every knot-level
+    value must follow its rule (``_knot_report``).
+    """
+    knot = report.knot
+    path, sigma_k, sigma_k_minors = _seifert_path(knot)
+    for r in report.surfaces:
+        s, poly = r.surface, r.polynomial
+        terms = s.expansion.terms
+        k = len(terms)
+        coeffs = poly.coeffs_2k
+        sigma = _check_identities(knot, s, (coeffs, k),
+                                  _minor_signature(terms), sigma_k,
+                                  sigma_k_minors)
+        _canonical_from_scaled(coeffs, k, k)  # degree, 2**k-integrality
+        if poly.k != k or coeffs[0] <= 0 or s.genus_twice != k:
+            _fail("canonical polynomial of degree k = genus2", knot,
+                  s.expansion, f"got k = {poly.k}, coefficients {coeffs} "
+                  f"and genus2 {s.genus_twice}")
+        if r.signature != sigma or r.slope != 2 * (sigma - sigma_k):
+            _fail("signature and slope by sign counts", knot, s.expansion,
+                  f"got {r.signature} and {r.slope}, sign counts give "
+                  f"{sigma} and {2 * (sigma - sigma_k)}")
+    want = _knot_report(knot, report.surfaces, sigma_k, path)
+    for name, rule in _KNOT_RULES:
+        got, expected = getattr(report, name), getattr(want, name)
+        if got != expected:
+            raise ConsistencyError(
+                f"{rule} failed for {knot}: got {got}, expected {expected}")

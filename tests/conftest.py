@@ -199,15 +199,67 @@ def multisets_tagged_with_beta(monkeypatch):
 
 @pytest.fixture
 def census_slopes_with_a_second_zero(monkeypatch):
-    """Make every record ``bridgestate.census`` serializes list one more
-    slope, 0."""
-    import bridgestate.census as census
+    """Make every report's slope set, which the census checks for exactly
+    one zero, list one more slope, 0."""
+    from bridgestate.invariants import InvariantReport
 
-    real = census.report_to_dict
+    real = InvariantReport.slopes.fget
+    monkeypatch.setattr(InvariantReport, "slopes",
+                        property(lambda report: real(report) + [0]))
+
+
+@pytest.fixture
+def mirror_keeps_the_sign_counts(monkeypatch):
+    """Make the mirror map seen by ``bridgestate.census`` keep n_plus and
+    n_minus instead of swapping them."""
+    import bridgestate.census as census
+    from bridgestate.invariants import InvariantReport, SurfaceReport
+    from bridgestate.surfaces import EssentialSurface
+
+    real = census.mirror_report
 
     def faulty(report):
-        row = real(report)
-        row["slopes"].append(0)
-        return row
+        report = real(report)
+        surfaces = []
+        for r in report.surfaces:
+            s = r.surface
+            surfaces.append(SurfaceReport._of(
+                EssentialSurface._of(s.expansion, s.orientable,
+                                     s.genus_twice, s.n_minus, s.n_plus),
+                r.polynomial, r.signature, r.slope))
+        return InvariantReport._of(report.knot, tuple(surfaces),
+                                   *report._values()[2:])
 
-    monkeypatch.setattr(census, "report_to_dict", faulty)
+    monkeypatch.setattr(census, "mirror_report", faulty)
+
+
+@pytest.fixture
+def inverse_without_negation_for_even_k(monkeypatch):
+    """Make the inverse map seen by ``bridgestate.census`` skip negating
+    the reversed terms of surfaces with an even number k of bands."""
+    import bridgestate.census as census
+    from bridgestate.continued_fractions import Expansion
+    from bridgestate.invariants import InvariantReport, SurfaceReport
+    from bridgestate.surfaces import EssentialSurface
+
+    real = census.inverse_report
+
+    def faulty(report):
+        report = real(report)
+        surfaces = []
+        for r in report.surfaces:
+            s = r.surface
+            terms = s.expansion.terms
+            if not len(terms) & 1:  # undo the negation
+                terms = tuple(-n for n in terms)
+                s = EssentialSurface._of(
+                    Expansion(terms, int(terms[0] < 0)), s.orientable,
+                    s.genus_twice, s.n_plus, s.n_minus)
+            surfaces.append(SurfaceReport._of(s, r.polynomial, r.signature,
+                                              r.slope))
+        surfaces.sort(key=lambda r: (r.surface.expansion.r,
+                                     r.surface.expansion.terms))
+        return InvariantReport._of(report.knot, tuple(surfaces),
+                                   *report._values()[2:])
+
+    monkeypatch.setattr(census, "inverse_report", faulty)

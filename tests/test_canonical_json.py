@@ -9,11 +9,7 @@ import tracemalloc
 
 import pytest
 
-from bridgestate.census import (
-    canonical_pieces,
-    census_row,
-    report_to_dict,
-)
+from bridgestate.census import canonical_pieces, report_to_dict
 from bridgestate.checks import iter_knots
 from bridgestate.invariants import full_report
 from bridgestate.surfaces import make_knot
@@ -46,7 +42,7 @@ def test_every_census_record_to_61_matches_the_stdlib():
     knots = list(iter_knots(61))
     assert len(knots) == 788
     for alpha, beta in knots:
-        row = census_row(alpha, beta)
+        row = report_to_dict(full_report(make_knot(alpha, beta)))
         assert dumps_canonical(row) == stdlib(row)
         for s in row["surfaces"]:
             rec = dict(s, alpha=alpha, beta=beta)

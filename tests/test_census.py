@@ -7,11 +7,13 @@ from bridgestate import InvalidInputError
 from bridgestate.census import (
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
-    census_row,
     census_rows,
     knot_csv_row,
+    report_to_dict,
     surface_csv_rows,
 )
+from bridgestate.invariants import full_report
+from bridgestate.surfaces import make_knot
 from oracles import dumps_canonical
 
 
@@ -25,7 +27,7 @@ def census_files(max_alpha, jobs=1, as_json=False):
 
 
 def test_figure_eight_row():
-    row = census_row(5, 2)
+    row = report_to_dict(full_report(make_knot(5, 2)))
     assert row["alpha"] == 5 and row["beta"] == 2
     assert row["surface_count"] == 3
     assert row["signature"] == 0
@@ -35,11 +37,12 @@ def test_figure_eight_row():
 
 
 def test_knot_csv_row_rendering():
-    assert knot_csv_row(census_row(5, 2)) == "5,2,3,0,2,2,-4;0;4,4;-12;4"
+    report = full_report(make_knot(5, 2))
+    assert knot_csv_row(report) == "5,2,3,0,2,2,-4;0;4,4;-12;4"
 
 
 def test_surface_csv_rows_rendering():
-    rows = surface_csv_rows(census_row(5, 2))
+    rows = surface_csv_rows(full_report(make_knot(5, 2)))
     assert rows[0] == "5,2,2;2,0,true,2,1,1,0,0,4;-12;4"
     assert rows[1] == "5,2,3;-2,0,false,2,2,0,2,4,6;-8;6"
     assert rows[2] == "5,2,-2;3,1,false,2,0,2,-2,-4,6;-8;6"

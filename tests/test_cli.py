@@ -387,30 +387,56 @@ class TestCensusCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failure_mid_sweep_leaves_targets_untouched(
             self, capsys, tmp_path, monkeypatch, jobs, fmt):
-        # pool workers are forked after the patch, so they see it too
+        # pool workers are forked after the patch, so they see it too;
+        # K(13,5) is the least of its orbit {5, 8}, so its report is
+        # computed and K(13,8)'s is derived from it
         import bridgestate.census as census
         from bridgestate import ConsistencyError
 
-        real_row = census.census_row
+        real_report = census.full_report
+        real_check = census.check_derived_report
 
-        def row(alpha, beta):
-            if (alpha, beta) == (13, 5):
+        def computed(knot):
+            if (knot.alpha, knot.beta) == (13, 5):
                 raise ConsistencyError("injected at K(13,5)")
-            return real_row(alpha, beta)
+            return real_report(knot)
 
-        monkeypatch.setattr(census, "census_row", row)
+        def derived(report):
+            if (report.knot.alpha, report.knot.beta) == (13, 8):
+                raise ConsistencyError("injected at K(13,8)")
+            real_check(report)
+
         knots, surfaces = tmp_path / "knots", tmp_path / "surfaces"
         knots.write_text("previous knots\n")
         surfaces.write_text("previous surfaces\n")
+        for name, fault, knot in (("full_report", computed, "K(13,5)"),
+                                  ("check_derived_report", derived,
+                                   "K(13,8)")):
+            with monkeypatch.context() as patch:
+                patch.setattr(census, name, fault)
+                code, _, err = run(
+                    capsys, "census", "--max-alpha", "19", "--out", str(knots),
+                    "--out-surfaces", str(surfaces), "--jobs", jobs, *fmt)
+            assert code == 1
+            assert f"injected at {knot}" in err
+            assert knots.read_text() == "previous knots\n"
+            assert surfaces.read_text() == "previous surfaces\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["knots",
+                                                                  "surfaces"]
+
+    @pytest.mark.parametrize("fault", [
+        "mirror_keeps_the_sign_counts", "inverse_without_negation_for_even_k"])
+    def test_presentation_map_fault_exits_1(self, capsys, tmp_path, request,
+                                            fault):
+        # the faulty map's reports are derived, so only the checks of the
+        # derived reports see the fault
+        request.getfixturevalue(fault)
         code, _, err = run(capsys, "census", "--max-alpha", "19",
-                           "--out", str(knots), "--out-surfaces", str(surfaces),
-                           "--jobs", jobs, *fmt)
+                           "--out", str(tmp_path / "k.csv"),
+                           "--out-surfaces", str(tmp_path / "s.csv"))
         assert code == 1
-        assert "injected at K(13,5)" in err
-        assert knots.read_text() == "previous knots\n"
-        assert surfaces.read_text() == "previous surfaces\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["knots",
-                                                              "surfaces"]
+        assert "minor recurrence signature = N+ - N- failed" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdout_knots_with_dash_named_surface_file(self, capsys, tmp_path,
                                                        monkeypatch):

@@ -7,6 +7,8 @@ from bridgestate import (
     ConsistencyError,
     Expansion,
     InvalidInputError,
+    InvariantReport,
+    SurfaceReport,
     flip_normal,
     flip_orientation,
     full_report,
@@ -23,7 +25,14 @@ from bridgestate.checks import (
     invariant_multiset,
     iter_knots,
 )
-from bridgestate.invariants import _cuthill_mckee, _det_scaled, _oracle_scaled
+from bridgestate.invariants import (
+    _cuthill_mckee,
+    _det_scaled,
+    _oracle_scaled,
+    check_derived_report,
+    inverse_report,
+    mirror_report,
+)
 from bridgestate.state_matrices import permuted_state_matrix
 from oracles import (
     canonical_representative,
@@ -693,6 +702,59 @@ class TestPresentations:
         assert invariant_multiset(
             full_report(make_knot(alpha, alpha - beta))
         ) == mirrored
+
+
+@pytest.fixture(scope="module")
+def reports_to_99():
+    """full_report of every presentation with alpha <= 99, by (alpha, beta)."""
+    return {knot: full_report(make_knot(*knot)) for knot in iter_knots(99)}
+
+
+class TestPresentationMaps:
+    def test_maps_give_the_computed_reports(self, reports_to_99):
+        # from every presentation, the inverse, the mirror and their
+        # composition reach the report full_report computes for the target,
+        # surface order and r tags included, and pass the derived checks
+        two_member = {1: 0, -1: 0}
+        for (alpha, beta), report in reports_to_99.items():
+            inverse = inverse_report(report)
+            for derived, target in (
+                    (inverse, pow(beta, -1, alpha)),
+                    (mirror_report(report), alpha - beta),
+                    (mirror_report(inverse), alpha - pow(beta, -1, alpha))):
+                assert derived.knot == make_knot(alpha, target)
+                assert derived == reports_to_99[alpha, target]
+                check_derived_report(derived)
+            for unit in two_member:
+                two_member[unit] += (beta * beta - unit) % alpha == 0
+        # the two-member orbits are covered: beta**2 = 1 (beta^-1 = beta)
+        # and beta**2 = -1 (beta^-1 = alpha - beta) mod alpha
+        assert two_member == {1: 138, -1: 32}
+
+    @pytest.mark.parametrize("field, change, rule", [
+        ("signature", 2, "knot signature"),
+        ("genus_twice", 2, "genus2 = Seifert surface genus2"),
+        ("nonorientable_genus_twice", 1, "crosscap rule"),
+    ])
+    def test_derived_knot_fields_are_checked(self, reports_to_99, field,
+                                             change, rule):
+        report = mirror_report(reports_to_99[7, 2])
+        fields = dict(zip(InvariantReport._fields, report._values()))
+        fields[field] += change
+        with pytest.raises(ConsistencyError, match=rule):
+            check_derived_report(InvariantReport(**fields))
+
+    def test_derived_slope_is_checked(self, reports_to_99):
+        report = inverse_report(reports_to_99[7, 2])
+        r = report.surfaces[1]
+        moved = SurfaceReport(r.surface, r.polynomial, r.signature,
+                              r.slope + 2)
+        fields = dict(zip(InvariantReport._fields, report._values()))
+        fields["surfaces"] = (report.surfaces[0], moved,
+                              *report.surfaces[2:])
+        with pytest.raises(ConsistencyError,
+                           match="signature and slope by sign counts"):
+            check_derived_report(InvariantReport(**fields))
 
 
 def test_report_pass_checks_the_seifert_expansion(monkeypatch):

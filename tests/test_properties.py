@@ -28,8 +28,8 @@ from bridgestate import (  # noqa: E402
 from bridgestate.census import (  # noqa: E402
     KNOT_CSV_HEADER,
     SURFACE_CSV_HEADER,
-    census_row,
     knot_csv_row,
+    report_to_dict,
     surface_csv_rows,
 )
 from bridgestate.checks import invariant_multiset, iter_knots  # noqa: E402
@@ -197,10 +197,12 @@ def test_invariants_json_round_trips(knot):
 @settings(max_examples=12, deadline=None)
 @given(st.integers(3, 41), st.sampled_from((1, 2)), st.booleans())
 def test_census_from_pieces_equals_one_rendering(max_alpha, jobs, as_json):
-    # the files census streams piece by piece are the bytes of rendering
-    # the whole row list at once
+    # the files census streams piece by piece, from one report per
+    # presentation orbit, are the bytes of rendering the reports of every
+    # presentation at once
     knots_text, surfaces_text, counts = census_files(max_alpha, jobs, as_json)
-    rows = [census_row(a, b) for a, b in iter_knots(max_alpha)]
+    reports = [full_report(make_knot(a, b)) for a, b in iter_knots(max_alpha)]
+    rows = [report_to_dict(r) for r in reports]
     records = [dict(s, alpha=r["alpha"], beta=r["beta"])
                for r in rows for s in r["surfaces"]]
     assert counts == (len(rows), len(records))
@@ -208,9 +210,9 @@ def test_census_from_pieces_equals_one_rendering(max_alpha, jobs, as_json):
         assert knots_text == dumps_canonical(rows)
         assert surfaces_text == dumps_canonical(records)
     else:
-        lines = [knot_csv_row(r) for r in rows]
+        lines = [knot_csv_row(r) for r in reports]
         assert knots_text == "\n".join([KNOT_CSV_HEADER] + lines) + "\n"
-        lines = [line for r in rows for line in surface_csv_rows(r)]
+        lines = [line for r in reports for line in surface_csv_rows(r)]
         assert surfaces_text == "\n".join([SURFACE_CSV_HEADER] + lines) + "\n"
 
 
