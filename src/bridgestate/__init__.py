@@ -22,6 +22,7 @@ from .invariants import (
     SurfaceReport,
     full_report,
     state_polynomial,
+    stream_report,
     symmetric_signature,
 )
 from .laurent import LaurentPolynomial

@@ -25,7 +25,11 @@ Wire formats, fixed here and documented in the README:
 * JSON is rendered by ``canonical_pieces`` alone, with sorted keys and
   two-space indentation: its bytes are those of ``json.dumps(obj, indent=2,
   sort_keys=True)``, so parsing and re-dumping a report reproduces it byte
-  for byte.  It streams a report one surface record at a time.
+  for byte.  It streams a report one surface record at a time, and a long
+  int list a few hundred elements at a time.  The records of a
+  ``StreamedReport`` and of ``surfaces_to_dict`` are generators, so
+  ``invariants`` and ``surfaces`` write each surface as the walk yields it
+  and keep none.
 
 The census is one streaming pipeline over alpha blocks, the knots of one
 determinant in beta order.  K(alpha, beta) and K(alpha, beta') are the same
@@ -52,11 +56,13 @@ few alpha blocks.
 import operator
 import os
 from contextlib import ExitStack
+from types import GeneratorType
 
 from .errors import ConsistencyError, InvalidInputError
 from .invariants import (
     InvariantReport,
     StatePolynomial,
+    StreamedReport,
     check_derived_report,
     full_report,
     inverse_report,
@@ -79,6 +85,12 @@ MAX_CHUNK = 1
 
 _encode_str = None  # json.encoder's string quoting, once JSON is rendered
 
+PIECE_INTS = 256  # the most elements of an int list in one JSON piece
+
+
+class _Streamed(Exception):
+    """A value that ``canonical_pieces`` streams instead of rendering it."""
+
 
 def poly_to_dict(sp: StatePolynomial) -> dict:
     return {"min_degree": 0, "k": sp.k, "coeffs_2k": list(sp.coeffs_2k)}
@@ -96,26 +108,32 @@ def surface_record(s: EssentialSurface) -> dict:
     }
 
 
-def surfaces_to_dict(knot: TwoBridgeKnot, surfaces) -> dict:
-    """JSON-ready list of a knot's surfaces (the ``surfaces`` command)."""
+def surfaces_to_dict(knot: TwoBridgeKnot, surfaces, count: int) -> dict:
+    """JSON-ready list of the ``count`` surfaces of a knot (the ``surfaces``
+    command), their records a generator over ``surfaces``."""
     return {
         "alpha": knot.alpha,
         "beta": knot.beta,
-        "surface_count": len(surfaces),
-        "surfaces": [surface_record(s) for s in surfaces],
+        "surface_count": count,
+        "surfaces": (surface_record(s) for s in surfaces),
     }
 
 
-def report_to_dict(report: InvariantReport) -> dict:
-    """JSON-ready form of a full report (plain ints, strings, bools)."""
+def _report_record(sr) -> dict:
+    rec = surface_record(sr.surface)
+    rec["signature"] = sr.signature
+    rec["slope"] = sr.slope
+    rec["poly"] = poly_to_dict(sr.polynomial)
+    return rec
+
+
+def report_to_dict(report) -> dict:
+    """JSON-ready form of a report (plain ints, strings, bools): the
+    surfaces of an ``InvariantReport`` as a list of records, those of a
+    ``StreamedReport`` as a generator of them, each built as the walk
+    reports its surface."""
     knot = report.knot
-    surfaces = []
-    for sr in report.surfaces:
-        rec = surface_record(sr.surface)
-        rec["signature"] = sr.signature
-        rec["slope"] = sr.slope
-        rec["poly"] = poly_to_dict(sr.polynomial)
-        surfaces.append(rec)
+    surfaces = (_report_record(sr) for sr in report.surfaces)
     return {
         "alpha": knot.alpha,
         "beta": knot.beta,
@@ -123,10 +141,11 @@ def report_to_dict(report: InvariantReport) -> dict:
         "signature": report.signature,
         "genus2": report.genus_twice,
         "crosscap_genus2": report.nonorientable_genus_twice,
-        "surface_count": len(report.surfaces),
+        "surface_count": report.surface_count,
         "slopes": report.slopes,
         "alexander": poly_to_dict(report.alexander),
-        "surfaces": surfaces,
+        "surfaces": surfaces if isinstance(report, StreamedReport)
+        else list(surfaces),
     }
 
 
@@ -138,9 +157,12 @@ def canonical_pieces(obj, level: int = 0):
     of a document, without its leading indentation or a newline.
 
     A list whose elements include a dict or a list yields each element as
-    a piece of its own, so the ``surfaces`` of a report stream and no whole
-    document is ever built.  Only dicts with ``str`` keys, lists, ints, strings,
-    bools and None are accepted; anything else raises TypeError.
+    a piece of its own, and so does a generator, the document or a value
+    of its dicts, which renders as a list: so the ``surfaces`` of a report
+    stream and no whole document is ever built.  An int list longer than
+    ``PIECE_INTS`` goes out ``PIECE_INTS`` elements to a piece, and so does
+    the element that holds it.  Only dicts with ``str`` keys, lists, ints,
+    strings, bools and None are accepted; anything else raises TypeError.
     """
     global _encode_str
     if _encode_str is None:  # the first JSON output imports the json package
@@ -169,6 +191,8 @@ def canonical_pieces(obj, level: int = 0):
                 return "[]"
             pad = "\n" + "  " * (level + 1)
             if {*map(type, value)} == {int}:  # int.__repr__(True) is 'True'
+                if len(value) > PIECE_INTS:
+                    raise _Streamed
                 body = ("," + pad).join(map(int.__repr__, value))
             else:
                 body = ("," + pad).join([render(x, level + 1) for x in value])
@@ -203,14 +227,29 @@ def canonical_pieces(obj, level: int = 0):
                 yield from pieces(value[key], level + 1)
                 sep = "," + pad
             yield "\n" + "  " * level + "}"
-        elif kind is list and not {*map(type, value)}.isdisjoint((dict, list)):
+        elif (kind is list and len(value) > PIECE_INTS
+              and {*map(type, value)} == {int}):
             pad = "\n" + "  " * (level + 1)
             sep = "[" + pad
-            for x in value:
-                yield sep  # apart, so that no element is copied to add it
-                yield render(x, level + 1)
+            for i in range(0, len(value), PIECE_INTS):
+                yield sep + ("," + pad).join(
+                    map(int.__repr__, value[i:i + PIECE_INTS]))
                 sep = "," + pad
             yield "\n" + "  " * level + "]"
+        elif kind is GeneratorType or kind is list and not {
+                *map(type, value)}.isdisjoint((dict, list)):
+            pad = "\n" + "  " * (level + 1)
+            first = sep = "[" + pad
+            for x in value:
+                yield sep  # apart, so that no element is copied to add it
+                try:
+                    piece = render(x, level + 1)
+                except _Streamed:
+                    yield from pieces(x, level + 1)
+                else:
+                    yield piece
+                sep = "," + pad
+            yield "[]" if sep is first else "\n" + "  " * level + "]"
         else:
             yield render(value, level)
 
@@ -228,7 +267,7 @@ def knot_csv_row(report: InvariantReport) -> str:
     order of ``KNOT_CSV_HEADER``."""
     knot = report.knot
     return (
-        f"{knot.alpha},{knot.beta},{len(report.surfaces)},"
+        f"{knot.alpha},{knot.beta},{report.surface_count},"
         f"{report.signature},{report.genus_twice},"
         f"{report.nonorientable_genus_twice},{_join(report.slopes)},"
         f"{_join(report.alexander.coeffs_2k)}"
@@ -256,12 +295,14 @@ def surface_csv_rows(report: InvariantReport) -> list:
     ]
 
 
-def surfaces_to_csv(knot: TwoBridgeKnot, surfaces) -> list:
-    """CSV lines of a knot's surfaces (the ``surfaces`` command), header
-    first, each ending in a newline."""
+def surfaces_to_csv(knot: TwoBridgeKnot, surfaces):
+    """Yield the CSV lines of a knot's surfaces (the ``surfaces`` command),
+    header first, each ending in a newline, one per surface as
+    ``surfaces`` yields it."""
+    yield SURFACE_LIST_CSV_HEADER + "\n"
     head = f"{knot.alpha},{knot.beta},"
-    return [SURFACE_LIST_CSV_HEADER + "\n"] + [
-        f"{head}{_surface_fields(s)}\n" for s in surfaces]
+    for s in surfaces:
+        yield f"{head}{_surface_fields(s)}\n"
 
 
 def render_knot(report: InvariantReport, as_json: bool,
@@ -289,13 +330,14 @@ def render_knot(report: InvariantReport, as_json: bool,
 def _orbit(report: InvariantReport) -> dict:
     """The reports of the other presentations in the orbit {beta, beta^-1,
     alpha - beta, alpha - beta^-1} of ``report``'s, by beta: two or four
-    members, as beta**2 = +-1 mod alpha or not."""
+    members, as beta**2 = +-1 mod alpha or not.  With two, beta^-1 is beta
+    or alpha - beta, and the mirror alone is derived."""
+    mirror = mirror_report(report)
+    alpha, beta = report.knot.alpha, report.knot.beta
+    if beta * beta % alpha in (1, alpha - 1):
+        return {alpha - beta: mirror}
     inverse = inverse_report(report)
-    orbit = {}
-    for derived in (inverse, mirror_report(report), mirror_report(inverse)):
-        orbit.setdefault(derived.knot.beta, derived)
-    orbit.pop(report.knot.beta, None)
-    return orbit
+    return {r.knot.beta: r for r in (inverse, mirror, mirror_report(inverse))}
 
 
 def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):

@@ -46,6 +46,7 @@ from .errors import ConsistencyError
 from .invariants import (
     _det_scaled,  # unused here; perfbench's tracer rebinds it in this module
     _fail,
+    _knot_report,
     _oracle_scaled,
     _report_pass,
     _sparse_signature,
@@ -255,8 +256,11 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
     checks run on each surface as ``full_report``'s pass reports it, with
     the determinant-recurrence result behind it."""
     stats = CheckStats(knots=1)
-
-    def check(r, det):
+    pairs = _report_pass(knot)
+    seifert, _ = next(pairs)  # reported again in its place
+    reports = []
+    for r, det in pairs:
+        reports.append(r)
         e = r.surface.expansion
         _check_surface_fast(knot, e, det, r.signature)
         # its six fast checks and the three identities its report pass ran
@@ -271,9 +275,8 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
                 stats.checks += check_transformation_invariance(
                     e, rng, invariance_samples, det, base=v, sigma=r.signature
                 )
-
-    report = _report_pass(knot, check)
-    return stats, report
+    return stats, _knot_report(knot, tuple(reports), seifert.signature,
+                               seifert.surface.expansion.terms)
 
 
 def check_range(max_alpha: int, *, oracle: bool = False,

@@ -9,7 +9,9 @@ Commands::
                        [--json|--csv] [--jobs J]
 
 Exit codes: 0 success, 1 a mathematical consistency check failed,
-2 invalid input or I/O failure.
+2 invalid input or I/O failure.  ``surfaces`` and ``invariants`` in JSON
+or CSV write each surface as the walk yields it, so when they exit 1
+stdout keeps what they wrote before the failure.
 """
 
 import argparse
@@ -28,8 +30,8 @@ from .census import (
 )
 from .checks import check_knot, check_negative_control, check_range
 from .errors import ConsistencyError, InvalidInputError
-from .invariants import full_report
-from .surfaces import essential_surfaces, make_knot
+from .invariants import full_report, stream_report
+from .surfaces import essential_surfaces, make_knot, stream_surfaces
 
 
 def _add_format_flags(parser):
@@ -40,12 +42,13 @@ def _add_format_flags(parser):
 
 def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
-    surfaces = essential_surfaces(knot)
-    if args.json:
-        sys.stdout.writelines(canonical_pieces(surfaces_to_dict(knot, surfaces)))
-    elif args.csv:
-        sys.stdout.writelines(surfaces_to_csv(knot, surfaces))
+    if args.json or args.csv:  # each surface is written as the walk yields it
+        count, surfaces = stream_surfaces(knot)
+        sys.stdout.writelines(
+            canonical_pieces(surfaces_to_dict(knot, surfaces, count))
+            if args.json else surfaces_to_csv(knot, surfaces))
     else:
+        surfaces = essential_surfaces(knot)
         print(f"{knot}: {len(surfaces)} essential spanning surfaces")
         width = max(len(str(s.expansion)) for s in surfaces)
         for s in surfaces:
@@ -58,14 +61,18 @@ def cmd_surfaces(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    report = full_report(make_knot(args.alpha, args.beta))
-    if args.json:
-        sys.stdout.writelines(canonical_pieces(report_to_dict(report)))
+    knot = make_knot(args.alpha, args.beta)
+    if args.json:  # each surface is written as the walk reports it
+        sys.stdout.writelines(canonical_pieces(report_to_dict(
+            stream_report(knot))))
     elif args.csv:
+        report = stream_report(knot)
+        for _ in report.surfaces:  # every check runs before the row is written
+            pass
         sys.stdout.writelines(
             (KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
     else:
-        knot = report.knot
+        report = full_report(knot)
         print(f"{knot}")
         print(f"  determinant      {report.determinant}")
         print(f"  signature        {report.signature}")

@@ -8,6 +8,7 @@ alpha/(beta - alpha) together index the essential spanning surfaces of the
 """
 
 import operator
+from itertools import chain
 
 from .errors import InvalidInputError
 from .values import Value
@@ -43,11 +44,12 @@ class Expansion(Value):
         return "[" + ", ".join(str(n) for n in self.terms) + "]"
 
 
-def _expand_target(p: int, q: int, step=None, state=None):
+def _expand_target(p: int, q: int, step=None, state=None, path=()):
     """Every term tuple with value p/q, for gcd(p, q) = 1, q >= 1, |p| > q,
     in lexicographic order, each yielded with ``state`` folded along its
     terms by ``step(state, j, n)`` (n the j-th term), or unchanged if
-    ``step`` is None.
+    ``step`` is None; each starts with ``path``, the terms ``state`` has
+    folded already.
 
     The tuples are the leaves of one tree.  A non-integer target can only
     continue with n in {floor, ceil}: any other integer leaves a remainder
@@ -60,7 +62,7 @@ def _expand_target(p: int, q: int, step=None, state=None):
     followed in place; only the ceil child of a fork waits on the stack,
     with the state of its prefix, so siblings share their prefix's steps.
     """
-    stack, path = [], []
+    stack, path = [], list(path)
     while True:
         n, r = divmod(p, q)
         if not r:  # an integer target is the last term
@@ -79,6 +81,79 @@ def _expand_target(p: int, q: int, step=None, state=None):
         path.append(n)
         if step:
             state = step(state, len(path), n)
+
+
+def _even_first(p: int, q: int, step, state) -> tuple:
+    """(leaf, leaves) for p/q with q even: the (terms, state) of its one
+    expansion whose terms are all even, and an iterator over what
+    ``_expand_target(p, q, step, state)`` yields, in its order, ``leaf``
+    among it.  That path is folded first, taking the even one of floor and
+    ceil; the other child of each fork waits with its prefix's state, a
+    floor child to be walked before ``leaf`` and a ceil child after."""
+    path, before, after = [], [], []
+    while q != 1:
+        n, r = divmod(p, q)
+        if n & 1:  # the ceil n + 1 is even; the floor 1 is no term
+            if n != 1:
+                before.append((q, r, len(path), n, state))
+            n, p, q = n + 1, -q, q - r
+        else:  # the ceil -1 is no term
+            if n != -2:
+                after.append((-q, q - r, len(path), n + 1, state))
+            p, q = q, r
+        path.append(n)
+        state = step(state, len(path), n)
+    path.append(p)
+    leaf = tuple(path), step(state, len(path), p)
+
+    def walk(waiting):
+        for p, q, j, n, state in waiting:
+            yield from _expand_target(p, q, step, step(state, j + 1, n),
+                                      path[:j] + [n])
+
+    return leaf, chain(walk(before), [leaf], walk(reversed(after)))
+
+
+def _expansion_summary(targets) -> dict:
+    """{(k, n_plus - n_minus, 1 if every term is even else 0): count} over
+    the expansions of the (p, q) ``targets``, without listing them; n_plus
+    counts the terms that follow +,-,+,-,...  What lies below a node of the
+    walk depends only on its target and the parity of its next term's
+    index, so each such (p, q, parity) is summarised once, from its
+    children's summaries, with a chain of single children followed in
+    place."""
+    memo, stack = {None: {(0, 0, 1): 1}}, [(p, q, 1) for p, q in targets]
+    while stack:
+        p, q, odd = node = stack[-1]
+        k = sig = 0
+        even = 1
+        while True:
+            n, r = divmod(p, q)
+            if not r or n not in (1, -2):
+                break
+            # the floor 1 and the ceil -1 are no terms
+            n, p, q = (2, -q, q - r) if n == 1 else (n, q, r)
+            k, sig, even = k + 1, sig + (1 if (n > 0) == odd else -1), \
+                even & ~n & 1
+            odd ^= 1
+        kids = ((n, (q, r, odd ^ 1)), (n + 1, (-q, q - r, odd ^ 1))) if r \
+            else ((n, None),)  # a fork, or n is the last term
+        missing = [kid for _, kid in kids if kid not in memo]
+        if missing:  # summarised first; the chain is followed again
+            stack += missing
+            continue
+        summary = memo[node] = {}
+        for n, kid in kids:
+            k1, sig1 = k + 1, sig + (1 if (n > 0) == odd else -1)
+            for (k2, sig2, even2), count in memo[kid].items():
+                key = k1 + k2, sig1 + sig2, even & ~n & 1 & even2
+                summary[key] = summary.get(key, 0) + count
+        stack.pop()
+    total = {}
+    for p, q in targets:
+        for key, count in memo[p, q, 1].items():
+            total[key] = total.get(key, 0) + count
+    return total
 
 
 def enumerate_expansions(x) -> tuple:
@@ -117,8 +192,13 @@ def surfaces_expansions(knot) -> tuple:
     """The expansions indexing the essential spanning surfaces of a knot:
     those of each ``_targets`` block, sorted lexicographically, r = 0 first.
     """
+    return tuple(iter_expansions(knot))
+
+
+def iter_expansions(knot):
+    """The expansions of ``surfaces_expansions``, one at a time."""
     # the walk yields int terms of absolute value >= 2: its leaves are
     # built without the checks of the public constructor
-    return tuple(Expansion._of(terms, r)
-                 for r, (p, q) in enumerate(_targets(knot))
-                 for terms, _ in _expand_target(p, q))
+    for r, (p, q) in enumerate(_targets(knot)):
+        for terms, _ in _expand_target(p, q):
+            yield Expansion._of(terms, r)

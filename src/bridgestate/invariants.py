@@ -4,6 +4,8 @@
 knot-level value (determinant, signature, Alexander polynomial, genus,
 crosscap number) and every per-surface value is a field of its
 ``InvariantReport``, which the CLI prints and ``checks`` verifies.
+``stream_report`` gives the same values with the surfaces as an iterator,
+for output written surface by surface.
 ``inverse_report`` and ``mirror_report`` carry a report over to another
 presentation of the same knot or of its mirror image without a walk, and
 ``check_derived_report`` checks what they give against the identities
@@ -26,9 +28,16 @@ Conventions, fixed once here:
 
 The expansions of a target are the leaves of one floor/ceil tree, and the
 report pass walks it once (``_expand_target``), folding ``_surface_step``
-down each path, so sibling surfaces share the steps of their prefix.  A
-step advances three recurrences by one term: the leading principal minors
-of V + V^T, the sign counts, and the tridiagonal determinant d_0 = 1,
+down each path, so sibling surfaces share the steps of their prefix.  It
+walks the path of even terms first (``_even_first``), so the Seifert
+surface, and with it the Alexander polynomial, comes before any other
+from one fold of that path.  The surface count, slopes and crosscap
+number follow, without the walk, from the summary of the tree, whose
+repeated subtrees make it a DAG (``_expansion_summary``); a streamed
+report must end with the walk's multiset of (genus2, signature,
+orientable) equal to the summary's.  A step advances three recurrences by
+one term: the leading principal minors of V + V^T, the sign counts, and
+the tridiagonal determinant d_0 = 1,
 d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1} + t * d_{j-2} on 2**s-scaled
 integer coefficients (s counts the odd terms, so s <= k), each d_j one
 int, its value at t = 2**B (Kronecker substitution) with the coefficients
@@ -50,7 +59,13 @@ by it.
 
 import math
 
-from .continued_fractions import Expansion, _expand_target, _targets
+from .continued_fractions import (
+    Expansion,
+    _even_first,
+    _expand_target,
+    _expansion_summary,
+    _targets,
+)
 from .errors import ConsistencyError, InvalidInputError
 from .laurent import LaurentPolynomial
 from .state_matrices import StateMatrix, _scaled_nonzeros
@@ -59,6 +74,7 @@ from .surfaces import (
     TwoBridgeKnot,
     find_seifert,
     sign_counts,
+    walk_checked,
 )
 from .values import Value
 
@@ -480,6 +496,10 @@ class InvariantReport(Value):
                  "genus_twice", "nonorientable_genus_twice")
 
     @property
+    def surface_count(self) -> int:
+        return len(self.surfaces)
+
+    @property
     def slopes(self) -> list:
         """The knot's boundary slope set, sorted ascending.
 
@@ -531,58 +551,90 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     the polynomial has degree k and integral 2**k-scaled coefficients.
     The walk's Seifert surface must be the one the even-term path ends in.
     """
-    return _report_pass(knot, lambda report, det: None)
+    pairs = _report_pass(knot)
+    seifert, _ = next(pairs)
+    return _knot_report(knot, tuple([r for r, _ in pairs]), seifert.signature,
+                        seifert.surface.expansion.terms)
 
 
-def _seifert_path(knot: TwoBridgeKnot) -> tuple:
-    """(path, sigma_K, sigma_K from minors) of ``knot``: the terms of its
-    all-even expansion, and the knot signature from their sign counts and
-    from their leading principal minors (``_minor_signature``).  The path
-    expands the target over an even q (alpha is odd), taking at each step
-    the one of floor and ceil that is even."""
-    p, q = _targets(knot)[knot.beta & 1]
-    path = []
-    while q:
-        n, rem = divmod(p, q)
-        if n & 1 and rem:  # the ceil n + 1 is even
-            n, rem = n + 1, rem - q
-        path.append(n)
-        p, q = (q, rem) if rem >= 0 else (-q, -rem)
-    plus, minus = sign_counts(Expansion._of(tuple(path), 0))
-    return path, plus - minus, _minor_signature(path)
+class StreamedReport(Value):
+    """The knot-level values of an ``InvariantReport``, with its surface
+    count and slopes, and ``surfaces``, an iterator over its reports."""
+
+    __slots__ = InvariantReport.__slots__ + ("surface_count", "slopes")
 
 
-def _report_pass(knot: TwoBridgeKnot, visit) -> InvariantReport:
-    """``full_report``'s pass over the surfaces of ``knot``.
+def stream_report(knot: TwoBridgeKnot) -> StreamedReport:
+    """``full_report`` of ``knot`` for output that writes each surface as
+    the walk reports it and keeps none.  The surface count, slopes and
+    crosscap number come from the summary of the expansion DAG, the rest
+    from the Seifert surface, which the walk reports first and which must
+    be the summary's one orientable surface; when the walk ends, its
+    multiset must be the summary's (``walk_checked``)."""
+    summary = _expansion_summary(_targets(knot))
+    pairs = _report_pass(knot)
+    seifert, _ = next(pairs)
+    g2, sigma_k = seifert.surface.genus_twice, seifert.signature
+    orientable = {key: n for key, n in summary.items() if key[2]}
+    if orientable != {(g2, sigma_k, 1): 1}:
+        raise ConsistencyError(
+            f"Seifert surface = orientable surface of the summary failed for "
+            f"{knot}: got {(g2, sigma_k)}, the summary has {orientable}")
+    return StreamedReport._of(
+        knot, walk_checked(knot, (r for r, _ in pairs), summary), knot.alpha,
+        sigma_k, seifert.polynomial, g2,
+        min([g2 + 1] + [k for k, _, even in summary if not even]),
+        sum(summary.values()),
+        sorted({2 * (sig - sigma_k) for _, sig, _ in summary}))
 
-    The path of even terms (the Seifert surface) gives sigma_K
-    (``_seifert_path``); then ``_surface_step`` is folded down every path
-    of one walk of the expansion trees of alpha/beta and
-    alpha/(beta - alpha).  ``visit(surface_report, det)`` is
-    called as soon as each leaf is reported, with its determinant as
-    ``_det_scaled`` gives it, so the checks of ``verify`` run on the
-    reported values without the pass keeping every surface's determinant.
+
+def _seifert_path(knot: TwoBridgeKnot, step=lambda state, j, n: state,
+                  state=None) -> tuple:
+    """(path, sigma_K, sigma_K from minors, state, leaves) of ``knot``:
+    the terms of its all-even expansion, the knot signature from their
+    sign counts and from their leading principal minors, and what
+    ``_even_first`` gives on the expansion's target, the one over an even q
+    (alpha is odd): ``state`` folded down the path by ``step``, and every
+    leaf of the target."""
+    (path, state), leaves = _even_first(*_targets(knot)[knot.beta & 1], step,
+                                        state)
+    plus, minus = sign_counts(Expansion._of(path, 0))
+    return path, plus - minus, _minor_signature(path), state, leaves
+
+
+def _report_pass(knot: TwoBridgeKnot):
+    """Yield (surface report, det) for the Seifert surface of ``knot``,
+    then for every surface in report order, the Seifert surface again in
+    its place; det is its determinant as ``_det_scaled`` gives it, so the
+    checks of ``verify`` run on the reported values without the pass
+    keeping every surface's determinant.
+
+    ``_surface_step`` is folded down every path of one walk of the
+    expansion trees of alpha/beta and alpha/(beta - alpha), which takes the
+    path of even terms first (``_seifert_path``), so that it is folded once.
     """
-    path, sigma_k, sigma_k_minors = _seifert_path(knot)
-    reports = []
-    for r, (p, q) in enumerate(_targets(knot)):
+    path, sigma_k, sigma_k_minors, state, leaves = _seifert_path(
+        knot, _surface_step, _START)
+
+    def report(r, terms, state):
         # the walk yields int terms of absolute value >= 2: its leaves are
         # built without the checks of the public constructors
-        for terms, state in _expand_target(p, q, _surface_step, _START):
-            cur, bits, scale, sig, plus = state[:5]
-            k = len(terms)
-            s = EssentialSurface._of(Expansion._of(terms, r), scale == 0, k,
-                                     plus, k - plus)
-            coeffs = _unpack(cur, bits, k + 1)
-            det = coeffs, scale
-            sigma = _check_identities(knot, s, det, sig, sigma_k,
-                                      sigma_k_minors)
-            report = SurfaceReport._of(
-                s, _canonical_from_scaled(coeffs, scale, k), sigma,
-                2 * (sigma - sigma_k))
-            reports.append(report)
-            visit(report, det)
-    return _knot_report(knot, tuple(reports), sigma_k, path)
+        cur, bits, scale, sig, plus = state[:5]
+        k = len(terms)
+        s = EssentialSurface._of(Expansion._of(terms, r), scale == 0, k,
+                                 plus, k - plus)
+        coeffs = _unpack(cur, bits, k + 1)
+        det = coeffs, scale
+        sigma = _check_identities(knot, s, det, sig, sigma_k, sigma_k_minors)
+        return SurfaceReport._of(s, _canonical_from_scaled(coeffs, scale, k),
+                                 sigma, 2 * (sigma - sigma_k)), det
+
+    seifert = report(knot.beta & 1, path, state)
+    yield seifert
+    for r, (p, q) in enumerate(_targets(knot)):
+        for terms, state in (leaves if r == knot.beta & 1 else
+                             _expand_target(p, q, _surface_step, _START)):
+            yield seifert if terms is path else report(r, terms, state)
 
 
 def _knot_report(knot: TwoBridgeKnot, reports: tuple, sigma_k: int,
@@ -713,15 +765,16 @@ def check_derived_report(report: InvariantReport) -> None:
     sigma_K and its minor signature come from the knot's own path of even
     terms (``_seifert_path``).  Per surface: ``_check_identities`` (|p(-1)|
     = alpha, minor-recurrence signature = N+ - N-, slope agreement) with
-    the minors folded over its terms (``_minor_signature``); degree k,
-    2**k-integrality and the canonical form of its polynomial; genus2 = k;
-    its signature and slope by the sign counts.  Then exactly one surface
+    the minors folded over its terms (``_minor_signature``); degree k and
+    the canonical form of its polynomial (its coefficients are those of
+    2**k times it, so they are integral by type); genus2 = k; its
+    signature and slope by the sign counts.  Then exactly one surface
     must be orientable, the one whose terms are the path (so every flag is
     right: the path is the only all-even expansion), and every knot-level
     value must follow its rule (``_knot_report``).
     """
     knot = report.knot
-    path, sigma_k, sigma_k_minors = _seifert_path(knot)
+    path, sigma_k, sigma_k_minors = _seifert_path(knot)[:3]
     for r in report.surfaces:
         s, poly = r.surface, r.polynomial
         terms = s.expansion.terms
@@ -730,7 +783,9 @@ def check_derived_report(report: InvariantReport) -> None:
         sigma = _check_identities(knot, s, (coeffs, k),
                                   _minor_signature(terms), sigma_k,
                                   sigma_k_minors)
-        _canonical_from_scaled(coeffs, k, k)  # degree, 2**k-integrality
+        if coeffs[-1] == 0 or len(coeffs) != k + 1:
+            raise ConsistencyError(
+                f"state polynomial of a k={k} expansion must have degree {k}")
         if poly.k != k or coeffs[0] <= 0 or s.genus_twice != k:
             _fail("canonical polynomial of degree k = genus2", knot,
                   s.expansion, f"got k = {poly.k}, coefficients {coeffs} "

@@ -11,7 +11,12 @@ doubled to stay integral) and is orientable exactly when every ni is even.
 import math
 import operator
 
-from .continued_fractions import Expansion, surfaces_expansions
+from .continued_fractions import (
+    Expansion,
+    _expansion_summary,
+    _targets,
+    iter_expansions,
+)
 from .errors import ConsistencyError, InvalidInputError
 from .values import Value
 
@@ -95,7 +100,34 @@ def make_surface(e: Expansion) -> EssentialSurface:
 
 def essential_surfaces(knot: TwoBridgeKnot) -> tuple:
     """All essential spanning surfaces of the knot, in expansion order."""
-    return tuple(make_surface(e) for e in surfaces_expansions(knot))
+    return tuple(map(make_surface, iter_expansions(knot)))
+
+
+def stream_surfaces(knot: TwoBridgeKnot) -> tuple:
+    """(count, surfaces): the number of essential spanning surfaces of
+    ``knot``, from the summary of its expansion DAG, and an iterator over
+    them in expansion order, as the walk yields them (``walk_checked``)."""
+    summary = _expansion_summary(_targets(knot))
+    return sum(summary.values()), walk_checked(
+        knot, map(make_surface, iter_expansions(knot)), summary)
+
+
+def walk_checked(knot: TwoBridgeKnot, items, summary: dict):
+    """Yield ``items``, the surfaces of ``knot`` or their reports as a walk
+    yields them, then check that their multiset of (genus2, N+ - N-,
+    orientable) is ``summary``, the ``_expansion_summary`` of the knot's
+    targets: the closing identity of a streamed command."""
+    seen = {}
+    for item in items:
+        s = getattr(item, "surface", item)  # the surface of a report
+        key = s.genus_twice, s.n_plus - s.n_minus, s.orientable
+        seen[key] = seen.get(key, 0) + 1
+        yield item
+    if seen != summary:
+        raise ConsistencyError(
+            f"walk = expansion summary failed for {knot}: (genus2, signature, "
+            f"orientable) counts {sorted(seen.items())} from the walk, "
+            f"{sorted(summary.items())} from the summary")
 
 
 def find_seifert(surfaces) -> EssentialSurface:

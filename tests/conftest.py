@@ -161,11 +161,31 @@ def fast_check_fault(request, monkeypatch):
     real = checks._report_pass
     perturb = FAST_CHECK_FAULTS[request.param]
 
-    def faulty(knot, visit):
-        return real(knot, lambda report, det: visit(report, perturb(*det)))
+    def faulty(knot):
+        return ((report, perturb(*det)) for report, det in real(knot))
 
     monkeypatch.setattr(checks, "_report_pass", faulty)
     return request.param
+
+
+@pytest.fixture
+def walk_drops_a_leaf(monkeypatch):
+    """Make every walk of an expansion tree below a node skip its first
+    leaf, in ``bridgestate.continued_fractions`` (the surfaces, and the
+    subtrees off the path of even terms) and ``bridgestate.invariants``
+    (the other target of a report)."""
+    import bridgestate.continued_fractions as cf
+    import bridgestate.invariants as inv
+
+    real = cf._expand_target
+
+    def faulty(*args):
+        leaves = real(*args)
+        next(leaves)
+        return leaves
+
+    for module in (cf, inv):
+        monkeypatch.setattr(module, "_expand_target", faulty)
 
 
 @pytest.fixture

@@ -48,8 +48,9 @@ class TestExpansion:
         assert e.r == 1 and type(e.r) is int
         assert e == Expansion((2, 3), 1)
         knot, surfaces = make_knot(5, 2), [make_surface(e)]
-        assert surfaces_to_csv(knot, surfaces)[1] == "5,2,2;3,1,false,2,1,1\n"
-        doc = surfaces_to_dict(knot, surfaces)
+        lines = list(surfaces_to_csv(knot, surfaces))
+        assert lines[1] == "5,2,2;3,1,false,2,1,1\n"
+        doc = surfaces_to_dict(knot, surfaces, len(surfaces))
         assert '"r": 1' in dumps_canonical(doc)
 
 

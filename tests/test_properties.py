@@ -34,7 +34,12 @@ from bridgestate.census import (  # noqa: E402
 )
 from bridgestate.checks import invariant_multiset, iter_knots  # noqa: E402
 from bridgestate.cli import main  # noqa: E402
-from bridgestate.continued_fractions import _expand_target  # noqa: E402
+from bridgestate.continued_fractions import (  # noqa: E402
+    _even_first,
+    _expand_target,
+    _expansion_summary,
+    _targets,
+)
 from bridgestate import invariants  # noqa: E402
 from bridgestate.invariants import (  # noqa: E402
     _START,
@@ -160,6 +165,25 @@ def test_shared_walk_folds_each_leaf_like_the_independent_routes(p, data):
             fraction_recurrence_det(terms)
         assert sig == 2 * plus - len(terms) == sign_count_signature(terms)
         assert (scale == 0) == all(n % 2 == 0 for n in terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(knots(max_alpha=999))
+def test_expansion_summary_is_the_multiset_of_the_report(knot):
+    # the DAG summary against the surfaces full_report walks, and the walk
+    # that takes the path of even terms first against the walk in order
+    report = full_report(make_knot(*knot))
+    multiset = {}
+    for r in report.surfaces:
+        key = r.surface.genus_twice, r.signature, r.surface.orientable
+        multiset[key] = multiset.get(key, 0) + 1
+    assert _expansion_summary(_targets(report.knot)) == multiset
+    target = _targets(report.knot)[knot[1] & 1]
+    leaf, leaves = _even_first(*target, _surface_step, _START)
+    assert list(leaves) == list(_expand_target(*target, _surface_step,
+                                               _START))
+    assert [leaf[0]] == [r.surface.expansion.terms for r in report.surfaces
+                         if r.surface.orientable]
 
 
 @settings(max_examples=60, deadline=None)

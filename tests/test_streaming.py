@@ -1,0 +1,155 @@
+"""Streamed ``invariants`` and ``surfaces``: their bytes against a report
+collected whole, the closing check against the summary of the expansion
+DAG, and the size of a JSON piece."""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+
+from bridgestate.census import (
+    KNOT_CSV_HEADER,
+    PIECE_INTS,
+    canonical_pieces,
+    knot_csv_row,
+    report_to_dict,
+    surface_record,
+    surfaces_to_csv,
+    surfaces_to_dict,
+)
+from bridgestate.cli import main
+from bridgestate.invariants import full_report, stream_report
+from bridgestate.surfaces import (
+    essential_surfaces,
+    iter_knots,
+    make_knot,
+    stream_surfaces,
+)
+
+
+def run(*argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def collected_invariants(alpha, beta) -> tuple:
+    """``invariants --json`` and ``--csv`` of one report collected whole."""
+    report = full_report(make_knot(alpha, beta))
+    return ("".join(canonical_pieces(report_to_dict(report))),
+            f"{KNOT_CSV_HEADER}\n{knot_csv_row(report)}\n")
+
+
+def collected_surfaces(alpha, beta) -> tuple:
+    """``surfaces --json`` and ``--csv`` of the surfaces listed whole, the
+    JSON by the stdlib."""
+    knot = make_knot(alpha, beta)
+    surfaces = essential_surfaces(knot)
+    doc = {"alpha": alpha, "beta": beta, "surface_count": len(surfaces),
+           "surfaces": [surface_record(s) for s in surfaces]}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n",
+            "".join(surfaces_to_csv(knot, surfaces)))
+
+
+def test_streamed_outputs_to_61_equal_the_collected_ones():
+    knots = list(iter_knots(61))
+    assert len(knots) == 788
+    for alpha, beta in knots:
+        knot = make_knot(alpha, beta)
+        text, csv = collected_invariants(alpha, beta)
+        assert "".join(canonical_pieces(report_to_dict(
+            stream_report(knot)))) == text
+        report = stream_report(knot)
+        assert len(list(report.surfaces)) == report.surface_count
+        assert f"{KNOT_CSV_HEADER}\n{knot_csv_row(report)}\n" == csv
+        text, csv = collected_surfaces(alpha, beta)
+        count, surfaces = stream_surfaces(knot)
+        assert "".join(canonical_pieces(surfaces_to_dict(
+            knot, surfaces, count))) == text
+        assert "".join(surfaces_to_csv(knot, stream_surfaces(knot)[1])) == csv
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (1475503, 933981),  # the wide and the long knot of deep's seed 7
+    (4913, 2457),
+    (2489, 2488),  # the long knot of seed 3: its Seifert surface, k = 2,488
+])
+def test_streamed_deep_knots_equal_the_collected_ones(alpha, beta):
+    text, csv = collected_invariants(alpha, beta)
+    assert run("invariants", alpha, beta, "--json") == (0, text, "")
+    assert run("invariants", alpha, beta, "--csv") == (0, csv, "")
+    text, csv = collected_surfaces(alpha, beta)
+    assert run("surfaces", alpha, beta, "--json") == (0, text, "")
+    assert run("surfaces", alpha, beta, "--csv") == (0, csv, "")
+
+
+def ints_in(piece: str) -> int:
+    return len(re.findall(r"(?<![\w\"])-?\d+", piece))
+
+
+def test_no_json_piece_of_the_long_knot_holds_more_than_256_ints():
+    # its 2,457-band surface has 2,458 coefficients of about 740 digits
+    pieces = list(canonical_pieces(report_to_dict(
+        stream_report(make_knot(4913, 2457)))))
+    assert "".join(pieces) == collected_invariants(4913, 2457)[0]
+    assert PIECE_INTS == 256
+    assert max(map(ints_in, pieces)) == PIECE_INTS
+    assert ints_in("".join(pieces)) > 2 * 2458
+
+
+@pytest.mark.parametrize("doc", [
+    list(range(600)),
+    {"b": list(range(-300, 300)), "a": [list(range(257)), [1, 2]]},
+    [{"x": list(range(513)), "y": {"z": list(range(256))}}, {"x": []}],
+])
+@pytest.mark.parametrize("streamed", [False, True])
+def test_long_int_lists_go_out_in_pieces(doc, streamed):
+    # the same bytes as the stdlib, with a list or a generator for a list
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if streamed:
+        doc = {"all": (x for x in [doc])}
+        want = json.dumps({"all": [json.loads(want)]}, indent=2,
+                          sort_keys=True) + "\n"
+    pieces = list(canonical_pieces(doc))
+    assert "".join(pieces) == want
+    assert max(map(ints_in, pieces)) <= PIECE_INTS
+
+
+def test_an_empty_generator_renders_as_an_empty_list():
+    doc = {"a": (x for x in ()), "b": 1}
+    assert "".join(canonical_pieces(doc)) == json.dumps(
+        {"a": [], "b": 1}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "surfaces"])
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_a_walk_that_drops_a_leaf_exits_1(walk_drops_a_leaf, command, fmt):
+    code, out, err = run(command, 19, 7, fmt)
+    assert code == 1
+    assert "walk = expansion summary failed for K(19,7)" in err
+    # streamed JSON keeps what it wrote; the CSV of a report is one row,
+    # written after the walk
+    if fmt == "--json":
+        assert out.startswith("{") and not out.endswith("}\n")
+    elif command == "invariants":
+        assert out == ""
+
+
+def test_the_seifert_surface_must_be_the_summarys_orientable_one(
+        monkeypatch):
+    import bridgestate.invariants as inv
+
+    real = inv._expansion_summary
+
+    def faulty(targets):
+        summary = real(targets)
+        summary[2, 0, 1] = summary.get((2, 0, 1), 0) + 1
+        return summary
+
+    monkeypatch.setattr(inv, "_expansion_summary", faulty)
+    code, out, err = run("invariants", 5, 2, "--json")
+    assert code == 1 and out == ""
+    assert "Seifert surface = orientable surface of the summary" in err
