@@ -37,9 +37,9 @@ knot exactly when beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta)
 is its mirror image (Schubert), so a block splits into orbits {beta,
 beta^-1, alpha - beta, alpha - beta^-1} of two or four presentations.
 ``full_report`` runs once per orbit, on its least beta; the other members'
-reports are derived through ``inverse_report`` and ``mirror_report``, and
-each passes ``check_derived_report`` on its own values before it is
-rendered.  Every report, computed or derived, must have exactly one zero
+reports are derived through ``invariants._orbit`` (whose maps ``verify``
+checks against computed reports), and each passes ``check_derived_report``
+on its own values before it is rendered.  Every report, computed or derived, must have exactly one zero
 slope.  Each knot's rows are rendered in the requested format
 (``render_knot``) as soon as its report is ready.  On one job the blocks
 run in turn and each knot's pieces are written as they come; with more
@@ -63,10 +63,9 @@ from .invariants import (
     InvariantReport,
     StatePolynomial,
     StreamedReport,
+    _orbit,
     check_derived_report,
     full_report,
-    inverse_report,
-    mirror_report,
 )
 from .surfaces import EssentialSurface, TwoBridgeKnot, iter_knots
 
@@ -75,13 +74,6 @@ KNOT_CSV_HEADER = (
 )
 SURFACE_LIST_CSV_HEADER = "alpha,beta,terms,r,orientable,genus2,n_plus,n_minus"
 SURFACE_CSV_HEADER = SURFACE_LIST_CSV_HEADER + ",signature,slope,poly"
-
-# the most alpha blocks one pool task renders (see census_rows): the
-# blocks grow with alpha and the largest come last, so a task of one block
-# keeps every worker busy to the end of the sweep; a block's pieces come
-# back as one list, and blocks finished ahead of the one being written
-# wait in memory
-MAX_CHUNK = 1
 
 _encode_str = None  # json.encoder's string quoting, once JSON is rendered
 
@@ -327,19 +319,6 @@ def render_knot(report: InvariantReport, as_json: bool,
     return knot_csv_row(report) + "\n", "".join(line + "\n" for line in lines)
 
 
-def _orbit(report: InvariantReport) -> dict:
-    """The reports of the other presentations in the orbit {beta, beta^-1,
-    alpha - beta, alpha - beta^-1} of ``report``'s, by beta: two or four
-    members, as beta**2 = +-1 mod alpha or not.  With two, beta^-1 is beta
-    or alpha - beta, and the mirror alone is derived."""
-    mirror = mirror_report(report)
-    alpha, beta = report.knot.alpha, report.knot.beta
-    if beta * beta % alpha in (1, alpha - 1):
-        return {alpha - beta: mirror}
-    inverse = inverse_report(report)
-    return {r.knot.beta: r for r in (inverse, mirror, mirror_report(inverse))}
-
-
 def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
     """Yield (knot piece, surface piece, surface count) of K(alpha, beta)
     for each beta of the ascending ``betas``, computing the report of the
@@ -347,7 +326,7 @@ def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
     docstring)."""
     derived = {}
     for beta in betas:
-        report = derived.pop(beta, None)
+        _, report = derived.pop(beta, (None, None))
         if report is None:
             report = full_report(TwoBridgeKnot._of(alpha, beta))
             derived.update(_orbit(report))
@@ -418,7 +397,10 @@ def census_rows(max_alpha: int, files, jobs: int = 1,
             pool = ProcessPoolExecutor(max_workers=jobs)
             # on a failure, blocks not yet started are dropped, not computed
             stack.callback(pool.shutdown, cancel_futures=True)
-            blocks = pool.map(_census_row_star, tasks, chunksize=MAX_CHUNK)
+            # one alpha block to a task (map's default chunksize): the
+            # largest blocks come last, so every worker is busy to the end;
+            # blocks finished ahead of the one being written wait in memory
+            blocks = pool.map(_census_row_star, tasks)
         else:
             blocks = (_knot_pieces(*task) for task in tasks)
         # every knot has at least two surfaces, so no piece is empty

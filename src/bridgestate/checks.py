@@ -34,12 +34,17 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
   matrices reach both eliminations as their stored nonzeros: no dense
   rows are built on the check path.
 
-Across presentations, K(alpha, beta) and K(alpha, beta') with
-beta * beta' = 1 mod alpha present the same knot, and their reports must
-have equal multisets of (polynomial, signature, slope).  The negative
-control checks, on integer lists too, that the oracle tells a symmetric
-almost-state matrix from a state matrix.
+Across presentations, K(alpha, beta^-1 mod alpha) is the same knot as
+K(alpha, beta) and K(alpha, alpha - beta) its mirror image: the report
+computed for each must equal, field for field, the one the census's maps
+(``_orbit``) derive from the least beta of its orbit, and when
+beta**2 = -1 mod alpha, so that K(alpha, alpha - beta) is both, the one
+``inverse_report`` derives too.  The negative control checks, on integer
+lists too, that the oracle tells a symmetric almost-state matrix from a
+state matrix.
 """
+
+from operator import attrgetter
 
 from .continued_fractions import Expansion
 from .errors import ConsistencyError
@@ -48,8 +53,10 @@ from .invariants import (
     _fail,
     _knot_report,
     _oracle_scaled,
+    _orbit,
     _report_pass,
     _sparse_signature,
+    inverse_report,
     laurent_over,
     state_polynomial,
 )
@@ -197,18 +204,6 @@ def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix,
     return 2
 
 
-def invariant_multiset(report) -> tuple:
-    """Sorted multiset of (polynomial, signature, slope) over the surfaces
-    of a knot's ``InvariantReport``, the polynomial as its ``coeffs_2k``.
-
-    Equal for every presentation of the same knot; mirror presentations
-    (beta -> alpha - beta) get the same polynomials with negated
-    signatures and slopes.
-    """
-    return tuple(sorted((r.polynomial.coeffs_2k, r.signature, r.slope)
-                        for r in report.surfaces))
-
-
 def check_negative_control() -> int:
     """A symmetric almost-state matrix must NOT reproduce a state polynomial.
 
@@ -288,30 +283,55 @@ def check_range(max_alpha: int, *, oracle: bool = False,
     rng = random.Random(seed)
     stats = CheckStats()
     stats.checks += check_negative_control()
-    current_alpha = None
-    multisets = {}
+    derived = {}
     for alpha, beta in knots:
-        if alpha != current_alpha:
-            _check_presentations(current_alpha, multisets)
-            current_alpha, multisets = alpha, {}
         knot_stats, report = _check_knot(
             make_knot(alpha, beta), oracle, invariance_samples, rng
         )
         stats += knot_stats
-        multisets[beta] = invariant_multiset(report)
+        _check_presentations(report, derived)
         stats.checks += 1
-    _check_presentations(current_alpha, multisets)
     return stats
 
 
-def _check_presentations(alpha, multisets):
-    """K(alpha, beta) and K(alpha, beta^-1 mod alpha) agree invariant-wise."""
-    if alpha is None:
+# the fields of a report and of a surface report, read down to plain
+# values so that two reports compare as tuples, without a call per value
+_knot_row = attrgetter("knot.alpha", "knot.beta", "determinant", "signature",
+                       "alexander.k", "alexander.coeffs_2k", "genus_twice",
+                       "nonorientable_genus_twice")
+_surface_row = attrgetter(
+    "surface.expansion.terms", "surface.expansion.r", "surface.orientable",
+    "surface.genus_twice", "surface.n_plus", "surface.n_minus",
+    "polynomial.k", "polynomial.coeffs_2k", "signature", "slope")
+
+
+def _check_presentations(report, derived: dict) -> None:
+    """Check ``report``, computed for its own presentation, against each
+    (name, report) pair that ``derived`` holds for its beta, in every
+    field, surface order and r tags included.  The least beta of an orbit
+    (which lies in one alpha block, met in ascending beta) adds what
+    ``_orbit`` derives for the other members and, when beta**2 = -1 mod
+    alpha (the knot is its own mirror image), ``inverse_report``'s report
+    of the mirror presentation too."""
+    knot = report.knot
+    alpha, beta = knot.alpha, knot.beta
+    if beta not in derived:
+        derived.update((b, [d]) for b, d in _orbit(report).items())
+        if beta * beta % alpha == alpha - 1:
+            derived[alpha - beta].append(
+                (f"inverse_report({knot})", inverse_report(report)))
         return
-    for beta, value in multisets.items():
-        other = pow(beta, -1, alpha)
-        if multisets[other] != value:
-            raise ConsistencyError(
-                f"presentations K({alpha},{beta}) and K({alpha},{other}) "
-                f"disagree: {value} vs {multisets[other]}"
-            )
+    want = _knot_row(report), list(map(_surface_row, report.surfaces))
+    for name, got in derived.pop(beta):
+        if (_knot_row(got), list(map(_surface_row, got.surfaces))) == want:
+            continue
+        # the first field that differs, and the first surface if a surface
+        field, x, y = next(
+            d for d in zip(report._fields, got._values(), report._values())
+            if d[1] != d[2])
+        if field == "surfaces" and len(x) == len(y):
+            field, (x, y) = "surface", next(p for p in zip(x, y)
+                                            if p[0] != p[1])
+        raise ConsistencyError(
+            f"{name} = computed report failed for {knot}: "
+            f"{field} {x} derived, {y} computed")

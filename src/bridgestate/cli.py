@@ -9,9 +9,10 @@ Commands::
                        [--json|--csv] [--jobs J]
 
 Exit codes: 0 success, 1 a mathematical consistency check failed,
-2 invalid input or I/O failure.  ``surfaces`` and ``invariants`` in JSON
-or CSV write each surface as the walk yields it, so when they exit 1
-stdout keeps what they wrote before the failure.
+2 invalid input or I/O failure.  ``surfaces`` and ``invariants`` read
+the streamed walk in every format; in JSON, and ``surfaces`` in CSV, they
+write each surface as the walk yields it, so when they exit 1 stdout
+keeps what they wrote before the failure.
 """
 
 import argparse
@@ -30,8 +31,8 @@ from .census import (
 )
 from .checks import check_knot, check_negative_control, check_range
 from .errors import ConsistencyError, InvalidInputError
-from .invariants import full_report, stream_report
-from .surfaces import essential_surfaces, make_knot, stream_surfaces
+from .invariants import stream_report
+from .surfaces import make_knot, stream_surfaces
 
 
 def _add_format_flags(parser):
@@ -42,14 +43,14 @@ def _add_format_flags(parser):
 
 def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
+    count, surfaces = stream_surfaces(knot)
     if args.json or args.csv:  # each surface is written as the walk yields it
-        count, surfaces = stream_surfaces(knot)
         sys.stdout.writelines(
             canonical_pieces(surfaces_to_dict(knot, surfaces, count))
             if args.json else surfaces_to_csv(knot, surfaces))
-    else:
-        surfaces = essential_surfaces(knot)
-        print(f"{knot}: {len(surfaces)} essential spanning surfaces")
+    else:  # the widest expansion sets a column, so the walk ends first
+        surfaces = list(surfaces)
+        print(f"{knot}: {count} essential spanning surfaces")
         width = max(len(str(s.expansion)) for s in surfaces)
         for s in surfaces:
             kind = "orientable" if s.orientable else "nonorientable"
@@ -61,28 +62,26 @@ def cmd_surfaces(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    knot = make_knot(args.alpha, args.beta)
+    report = stream_report(make_knot(args.alpha, args.beta))
     if args.json:  # each surface is written as the walk reports it
-        sys.stdout.writelines(canonical_pieces(report_to_dict(
-            stream_report(knot))))
+        sys.stdout.writelines(canonical_pieces(report_to_dict(report)))
     elif args.csv:
-        report = stream_report(knot)
         for _ in report.surfaces:  # every check runs before the row is written
             pass
         sys.stdout.writelines(
             (KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
-    else:
-        report = full_report(knot)
-        print(f"{knot}")
+    else:  # the widest expansion sets a column, so the walk ends first
+        surfaces = list(report.surfaces)
+        print(report.knot)
         print(f"  determinant      {report.determinant}")
         print(f"  signature        {report.signature}")
         print(f"  genus2           {report.genus_twice}")
         print(f"  crosscap_genus2  {report.nonorientable_genus_twice}")
         print(f"  alexander        {report.alexander.canonical}")
         print(f"  slopes           {report.slopes}")
-        print(f"  surfaces ({len(report.surfaces)}):")
-        width = max(len(str(r.surface.expansion)) for r in report.surfaces)
-        for r in report.surfaces:
+        print(f"  surfaces ({report.surface_count}):")
+        width = max(len(str(r.surface.expansion)) for r in surfaces)
+        for r in surfaces:
             s = r.surface
             kind = "yes" if s.orientable else "no "
             print(
@@ -109,12 +108,8 @@ def cmd_verify(args) -> int:
             f"pass: {knot} - {stats.surfaces} surfaces, {stats.checks} checks"
         )
     else:
-        stats = check_range(
-            args.max_alpha,
-            oracle=True,
-            invariance_samples=1,
-            seed=0,
-        )
+        stats = check_range(args.max_alpha, oracle=True,
+                            invariance_samples=1)
         print(
             f"pass: {stats.knots} knots, {stats.surfaces} surfaces, "
             f"{stats.checks} checks (alpha <= {args.max_alpha})"

@@ -3,10 +3,10 @@
 ``full_report`` is the one place they are computed for a knot: every
 knot-level value (determinant, signature, Alexander polynomial, genus,
 crosscap number) and every per-surface value is a field of its
-``InvariantReport``, which the CLI prints and ``checks`` verifies.
+``InvariantReport``, which the census writes and ``checks`` verifies.
 ``stream_report`` gives the same values with the surfaces as an iterator,
-for output written surface by surface.
-``inverse_report`` and ``mirror_report`` carry a report over to another
+for the ``invariants`` command.  ``inverse_report`` and ``mirror_report``
+(and ``_orbit``, both over an orbit) carry a report over to another
 presentation of the same knot or of its mirror image without a walk, and
 ``check_derived_report`` checks what they give against the identities
 ``full_report`` asserts.
@@ -652,15 +652,8 @@ def _knot_report(knot: TwoBridgeKnot, reports: tuple, sigma_k: int,
     # crosscap added to a minimal Seifert surface) if that is smaller
     crosscap = min([g2 + 1] + [r.surface.genus_twice for r in reports
                                if not r.surface.orientable])
-    return InvariantReport(
-        knot=knot,
-        surfaces=reports,
-        determinant=knot.alpha,
-        signature=sigma_k,
-        alexander=alexander,
-        genus_twice=g2,
-        nonorientable_genus_twice=crosscap,
-    )
+    return InvariantReport(knot, reports, knot.alpha, sigma_k, alexander, g2,
+                           crosscap)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +662,9 @@ def _knot_report(knot: TwoBridgeKnot, reports: tuple, sigma_k: int,
 # K(alpha, beta) and K(alpha, beta') are the same knot exactly when
 # beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta) is its mirror
 # image (Schubert, Math. Z. 65, 1956).  The two maps below derive the
-# report of one presentation from that of another without a walk; the
-# census runs ``full_report`` once per orbit {beta, beta^-1, alpha - beta,
-# alpha - beta^-1} and passes every derived report through
-# ``check_derived_report`` before it is written.
+# report of one presentation from that of another without a walk, and
+# ``_orbit`` those of the rest of its orbit: the census checks each with
+# ``check_derived_report``, and ``verify`` compares it with the computed one.
 
 
 def _by_expansion(r: SurfaceReport) -> tuple:
@@ -745,6 +737,22 @@ def mirror_report(report: InvariantReport) -> InvariantReport:
             r.polynomial, -r.signature, -r.slope))
     knot = report.knot
     return _derived(report, knot.alpha - knot.beta, surfaces, -1)
+
+
+def _orbit(report: InvariantReport) -> dict:
+    """(name of the maps, report) of each other member of the orbit {beta,
+    beta^-1, alpha - beta, alpha - beta^-1} of ``report``'s, by beta: the
+    mirror alone when beta**2 = +-1 mod alpha (beta^-1 is beta or its
+    mirror), else all three."""
+    knot = report.knot
+    alpha, beta = knot.alpha, knot.beta
+    orbit = {alpha - beta: (f"mirror_report({knot})", mirror_report(report))}
+    if beta * beta % alpha not in (1, alpha - 1):
+        inverse = inverse_report(report)
+        orbit[inverse.knot.beta] = f"inverse_report({knot})", inverse
+        orbit[alpha - inverse.knot.beta] = (
+            f"mirror_report(inverse_report({knot}))", mirror_report(inverse))
+    return orbit
 
 
 # the knot-level fields of a report, with the rule each follows

@@ -98,11 +98,6 @@ def make_surface(e: Expansion) -> EssentialSurface:
     )
 
 
-def essential_surfaces(knot: TwoBridgeKnot) -> tuple:
-    """All essential spanning surfaces of the knot, in expansion order."""
-    return tuple(map(make_surface, iter_expansions(knot)))
-
-
 def stream_surfaces(knot: TwoBridgeKnot) -> tuple:
     """(count, surfaces): the number of essential spanning surfaces of
     ``knot``, from the summary of its expansion DAG, and an iterator over

@@ -203,21 +203,6 @@ def transformations_double_the_matrix(monkeypatch):
 
 
 @pytest.fixture
-def multisets_tagged_with_beta(monkeypatch):
-    """Make each invariant multiset of ``bridgestate.checks`` end in its
-    presentation's beta, so that K(alpha, beta) and K(alpha, beta^-1)
-    differ unless beta is its own inverse."""
-    import bridgestate.checks as checks
-
-    real = checks.invariant_multiset
-
-    def faulty(report):
-        return real(report) + (report.knot.beta,)
-
-    monkeypatch.setattr(checks, "invariant_multiset", faulty)
-
-
-@pytest.fixture
 def census_slopes_with_a_second_zero(monkeypatch):
     """Make every report's slope set, which the census checks for exactly
     one zero, list one more slope, 0."""
@@ -230,39 +215,40 @@ def census_slopes_with_a_second_zero(monkeypatch):
 
 @pytest.fixture
 def mirror_keeps_the_sign_counts(monkeypatch):
-    """Make the mirror map seen by ``bridgestate.census`` keep n_plus and
-    n_minus instead of swapping them."""
-    import bridgestate.census as census
-    from bridgestate.invariants import InvariantReport, SurfaceReport
+    """Make the mirror map that ``_orbit`` applies, for the census and for
+    ``verify``, keep n_plus and n_minus instead of swapping them."""
+    import bridgestate.invariants as inv
     from bridgestate.surfaces import EssentialSurface
 
-    real = census.mirror_report
+    real = inv.mirror_report
 
     def faulty(report):
         report = real(report)
         surfaces = []
         for r in report.surfaces:
             s = r.surface
-            surfaces.append(SurfaceReport._of(
+            surfaces.append(inv.SurfaceReport._of(
                 EssentialSurface._of(s.expansion, s.orientable,
                                      s.genus_twice, s.n_minus, s.n_plus),
                 r.polynomial, r.signature, r.slope))
-        return InvariantReport._of(report.knot, tuple(surfaces),
-                                   *report._values()[2:])
+        return inv.InvariantReport._of(report.knot, tuple(surfaces),
+                                       *report._values()[2:])
 
-    monkeypatch.setattr(census, "mirror_report", faulty)
+    monkeypatch.setattr(inv, "mirror_report", faulty)
 
 
 @pytest.fixture
 def inverse_without_negation_for_even_k(monkeypatch):
-    """Make the inverse map seen by ``bridgestate.census`` skip negating
-    the reversed terms of surfaces with an even number k of bands."""
-    import bridgestate.census as census
+    """Make the inverse map skip negating the reversed terms of surfaces
+    with an even number k of bands, as ``_orbit`` applies it for the census
+    and for ``verify`` and as ``verify`` applies it to a knot that is its
+    own mirror image."""
+    import bridgestate.checks as checks
+    import bridgestate.invariants as inv
     from bridgestate.continued_fractions import Expansion
-    from bridgestate.invariants import InvariantReport, SurfaceReport
     from bridgestate.surfaces import EssentialSurface
 
-    real = census.inverse_report
+    real = inv.inverse_report
 
     def faulty(report):
         report = real(report)
@@ -275,11 +261,12 @@ def inverse_without_negation_for_even_k(monkeypatch):
                 s = EssentialSurface._of(
                     Expansion(terms, int(terms[0] < 0)), s.orientable,
                     s.genus_twice, s.n_plus, s.n_minus)
-            surfaces.append(SurfaceReport._of(s, r.polynomial, r.signature,
-                                              r.slope))
+            surfaces.append(inv.SurfaceReport._of(s, r.polynomial,
+                                                  r.signature, r.slope))
         surfaces.sort(key=lambda r: (r.surface.expansion.r,
                                      r.surface.expansion.terms))
-        return InvariantReport._of(report.knot, tuple(surfaces),
-                                   *report._values()[2:])
+        return inv.InvariantReport._of(report.knot, tuple(surfaces),
+                                       *report._values()[2:])
 
-    monkeypatch.setattr(census, "inverse_report", faulty)
+    for module in (inv, checks):
+        monkeypatch.setattr(module, "inverse_report", faulty)

@@ -20,15 +20,25 @@ recurrence and elimination oracle into that container, so the tests can
 compare the two routes with each other and with the references above,
 exactly and up to the units +-t^j (``poly_equivalent``).  So is
 ``dumps_canonical``, the package's streamed JSON joined into one string,
-which the tests compare with the stdlib's ``json.dumps``.
+which the tests compare with the stdlib's ``json.dumps``, and so are
+``essential_surfaces``, the package's enumeration collected whole, and
+``invariant_multiset``, a report reduced to what two presentations of one
+knot must share, which the tests use as references for the streamed
+outputs and the presentation maps.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from bridgestate import Expansion, InvalidInputError, LaurentPolynomial
+from bridgestate import (
+    Expansion,
+    InvalidInputError,
+    LaurentPolynomial,
+    make_surface,
+)
 from bridgestate.census import canonical_pieces
+from bridgestate.continued_fractions import iter_expansions
 from bridgestate.invariants import _det_scaled, _oracle_scaled
 
 
@@ -205,6 +215,23 @@ def state_polynomial_oracle(v) -> LaurentPolynomial:
 def dumps_canonical(obj) -> str:
     """The one JSON rendering used everywhere (round-trips byte-for-byte)."""
     return "".join(canonical_pieces(obj))
+
+
+def essential_surfaces(knot) -> tuple:
+    """All essential spanning surfaces of the knot, in expansion order."""
+    return tuple(map(make_surface, iter_expansions(knot)))
+
+
+def invariant_multiset(report) -> tuple:
+    """Sorted multiset of (polynomial, signature, slope) over the surfaces
+    of a knot's ``InvariantReport``, the polynomial as its ``coeffs_2k``.
+
+    Equal for every presentation of the same knot; mirror presentations
+    (beta -> alpha - beta) get the same polynomials with negated
+    signatures and slopes.
+    """
+    return tuple(sorted((r.polynomial.coeffs_2k, r.signature, r.slope)
+                        for r in report.surfaces))
 
 
 def random_laurent(rng, max_span: int = 5, max_num: int = 6) -> LaurentPolynomial:

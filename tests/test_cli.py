@@ -147,12 +147,14 @@ class TestVerifyCommand:
         assert "transformed matrix of [11] gave inequivalent polynomial" in err
 
     def test_presentation_fault_exits_1(self, capsys,
-                                        multisets_tagged_with_beta):
-        # 1 and 2 are their own inverses mod 3; 2 and 3 are inverses mod 5
+                                        mirror_keeps_the_sign_counts):
+        # the orbit of K(3,1) is {1, 2}: K(3,2) is derived by the mirror map
+        # and compared with the report computed for it
         code, out, err = run(capsys, "verify", "--max-alpha", "5")
         assert code == 1
         assert "pass" not in out
-        assert "presentations K(5,2) and K(5,3) disagree" in err
+        assert ("mirror_report(K(3,1)) = computed report failed for K(3,2): "
+                "surface ") in err
 
     def test_max_alpha_below_3_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--max-alpha", "2")
@@ -428,8 +430,16 @@ class TestCensusCommand:
         "mirror_keeps_the_sign_counts", "inverse_without_negation_for_even_k"])
     def test_presentation_map_fault_exits_1(self, capsys, tmp_path, request,
                                             fault):
-        # the faulty map's reports are derived, so only the checks of the
-        # derived reports see the fault
+        # the faulty map's reports are derived, so in the census only the
+        # checks of the derived reports see the fault, and verify compares
+        # them with the reports it computes: 2**2 = -1 mod 5, so K(5,3) is
+        # the inverse presentation of K(5,2) as well as its mirror
+        identity = {
+            "mirror_keeps_the_sign_counts":
+                "mirror_report(K(3,1)) = computed report failed for K(3,2)",
+            "inverse_without_negation_for_even_k":
+                "inverse_report(K(5,2)) = computed report failed for K(5,3)",
+        }[fault]
         request.getfixturevalue(fault)
         code, _, err = run(capsys, "census", "--max-alpha", "19",
                            "--out", str(tmp_path / "k.csv"),
@@ -437,6 +447,10 @@ class TestCensusCommand:
         assert code == 1
         assert "minor recurrence signature = N+ - N- failed" in err
         assert list(tmp_path.iterdir()) == []
+        code, out, err = run(capsys, "verify", "--max-alpha", "19")
+        assert code == 1
+        assert out == ""
+        assert f"consistency failure: {identity}: surface " in err
 
     def test_stdout_knots_with_dash_named_surface_file(self, capsys, tmp_path,
                                                        monkeypatch):

@@ -35,6 +35,8 @@ def sha256(data: bytes) -> str:
      "85de51f68ab38f3d94b68d3c22991959a8e274738e2694e4c3486430b1dc5faa"),
     (["invariants", "1149851", "439204", "--json"],
      "96ad9ba79f4b3cbbbf6b4afe917f524267ed491451ed62bd5b8b1d52d488815c"),
+    (["surfaces", "19", "7"],
+     "45c24dd827515d49b56ffc0f9b79aaf5ac3c1c2dbc0e0884b06ac3a5879b225a"),
 ])
 def test_single_knot_output(capsys, argv, digest):
     assert main(argv) == 0

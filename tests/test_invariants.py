@@ -20,11 +20,7 @@ from bridgestate import (
     surfaces_expansions,
     symmetric_signature,
 )
-from bridgestate.checks import (
-    check_transformation_invariance,
-    invariant_multiset,
-    iter_knots,
-)
+from bridgestate.checks import check_transformation_invariance, iter_knots
 from bridgestate.invariants import (
     _cuthill_mckee,
     _det_scaled,
@@ -40,6 +36,7 @@ from oracles import (
     evaluate,
     frac,
     fraction_recurrence_det,
+    invariant_multiset,
     laurent,
     poly_equivalent,
     random_expansion,

@@ -32,7 +32,7 @@ from bridgestate.census import (  # noqa: E402
     report_to_dict,
     surface_csv_rows,
 )
-from bridgestate.checks import invariant_multiset, iter_knots  # noqa: E402
+from bridgestate.checks import iter_knots  # noqa: E402
 from bridgestate.cli import main  # noqa: E402
 from bridgestate.continued_fractions import (  # noqa: E402
     _even_first,
@@ -52,6 +52,7 @@ from oracles import (  # noqa: E402
     brute_force_expansions,
     dumps_canonical,
     fraction_recurrence_det,
+    invariant_multiset,
     laurent,
     poly_equivalent,
     sign_count_signature,

@@ -4,12 +4,12 @@ from bridgestate import (
     ConsistencyError,
     Expansion,
     InvalidInputError,
-    essential_surfaces,
     find_seifert,
     make_knot,
     make_surface,
     sign_counts,
 )
+from oracles import essential_surfaces
 
 
 class TestMakeKnot:
