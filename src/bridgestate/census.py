@@ -36,10 +36,11 @@ determinant in beta order.  K(alpha, beta) and K(alpha, beta') are the same
 knot exactly when beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta)
 is its mirror image (Schubert), so a block splits into orbits {beta,
 beta^-1, alpha - beta, alpha - beta^-1} of two or four presentations.
-``full_report`` runs once per orbit, on its least beta; the other members'
-reports are derived through ``invariants._orbit`` (whose maps ``verify``
-checks against computed reports), and each passes ``check_derived_report``
-on its own values before it is rendered.  Every report, computed or derived, must have exactly one zero
+``full_report`` runs once per orbit, on its least beta; each other
+member's report is built from its own walk (``invariants._mapped``), with
+the state polynomials, which do not depend on the presentation, moved
+from that report along a move ``invariants._orbit`` lists.  Every report,
+computed or built, must have exactly one zero
 slope.  Each knot's rows are rendered in the requested format
 (``render_knot``) as soon as its report is ready.  On one job the blocks
 run in turn and each knot's pieces are written as they come; with more
@@ -63,8 +64,8 @@ from .invariants import (
     InvariantReport,
     StatePolynomial,
     StreamedReport,
+    _mapped,
     _orbit,
-    check_derived_report,
     full_report,
 )
 from .surfaces import EssentialSurface, TwoBridgeKnot, iter_knots
@@ -322,16 +323,17 @@ def render_knot(report: InvariantReport, as_json: bool,
 def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
     """Yield (knot piece, surface piece, surface count) of K(alpha, beta)
     for each beta of the ascending ``betas``, computing the report of the
-    least beta of each orbit and deriving the others' (see the module
-    docstring)."""
-    derived = {}
+    least beta of each orbit and building the others' from their own walks
+    with its polynomials (see the module docstring)."""
+    pending = {}  # beta: (the report of its orbit's least beta, a move)
     for beta in betas:
-        _, report = derived.pop(beta, (None, None))
-        if report is None:
-            report = full_report(TwoBridgeKnot._of(alpha, beta))
-            derived.update(_orbit(report))
+        if beta in pending:
+            leader, (_, reverse, mirror) = pending.pop(beta)
+            report = _mapped(leader, beta, reverse, mirror)
         else:
-            check_derived_report(report)
+            report = full_report(TwoBridgeKnot._of(alpha, beta))
+            pending.update((b, (report, moves[0]))
+                           for b, moves in _orbit(report.knot).items())
         slopes = report.slopes
         if slopes.count(0) != 1:
             raise ConsistencyError(

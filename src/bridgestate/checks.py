@@ -35,16 +35,15 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
   rows are built on the check path.
 
 Across presentations, K(alpha, beta^-1 mod alpha) is the same knot as
-K(alpha, beta) and K(alpha, alpha - beta) its mirror image: the report
-computed for each must equal, field for field, the one the census's maps
-(``_orbit``) derive from the least beta of its orbit, and when
-beta**2 = -1 mod alpha, so that K(alpha, alpha - beta) is both, the one
-``inverse_report`` derives too.  The negative control checks, on integer
-lists too, that the oracle tells a symmetric almost-state matrix from a
-state matrix.
+K(alpha, beta) and K(alpha, alpha - beta) its mirror image, so a surface
+keeps its state polynomial: the {terms: polynomial} of the report computed
+for each must be what every move ``_orbit`` lists to it gives from the
+report of the least beta of its orbit (``_moved_polys``), the census's
+moves among them.  The other fields of a report the census builds that
+way come from the walk of its own knot, as here.  The negative control
+checks, on integer lists too, that the oracle tells a symmetric
+almost-state matrix from a state matrix.
 """
-
-from operator import attrgetter
 
 from .continued_fractions import Expansion
 from .errors import ConsistencyError
@@ -52,11 +51,11 @@ from .invariants import (
     _det_scaled,  # unused here; perfbench's tracer rebinds it in this module
     _fail,
     _knot_report,
+    _moved_polys,
     _oracle_scaled,
     _orbit,
     _report_pass,
     _sparse_signature,
-    inverse_report,
     laurent_over,
     state_polynomial,
 )
@@ -283,55 +282,40 @@ def check_range(max_alpha: int, *, oracle: bool = False,
     rng = random.Random(seed)
     stats = CheckStats()
     stats.checks += check_negative_control()
-    derived = {}
+    pending = {}
     for alpha, beta in knots:
         knot_stats, report = _check_knot(
             make_knot(alpha, beta), oracle, invariance_samples, rng
         )
         stats += knot_stats
-        _check_presentations(report, derived)
+        _check_presentations(report, pending)
         stats.checks += 1
     return stats
 
 
-# the fields of a report and of a surface report, read down to plain
-# values so that two reports compare as tuples, without a call per value
-_knot_row = attrgetter("knot.alpha", "knot.beta", "determinant", "signature",
-                       "alexander.k", "alexander.coeffs_2k", "genus_twice",
-                       "nonorientable_genus_twice")
-_surface_row = attrgetter(
-    "surface.expansion.terms", "surface.expansion.r", "surface.orientable",
-    "surface.genus_twice", "surface.n_plus", "surface.n_minus",
-    "polynomial.k", "polynomial.coeffs_2k", "signature", "slope")
-
-
-def _check_presentations(report, derived: dict) -> None:
+def _check_presentations(report, pending: dict) -> None:
     """Check ``report``, computed for its own presentation, against each
-    (name, report) pair that ``derived`` holds for its beta, in every
-    field, surface order and r tags included.  The least beta of an orbit
-    (which lies in one alpha block, met in ascending beta) adds what
-    ``_orbit`` derives for the other members and, when beta**2 = -1 mod
-    alpha (the knot is its own mirror image), ``inverse_report``'s report
-    of the mirror presentation too."""
+    move that ``pending`` holds for its beta: the {terms: polynomial} of
+    its surfaces must be what the move gives from the report of the least
+    beta of its orbit (``_moved_polys``).  That report (an orbit lies in
+    one alpha block, met in ascending beta) adds every move ``_orbit``
+    lists from it, both of them where two reach one beta."""
     knot = report.knot
-    alpha, beta = knot.alpha, knot.beta
-    if beta not in derived:
-        derived.update((b, [d]) for b, d in _orbit(report).items())
-        if beta * beta % alpha == alpha - 1:
-            derived[alpha - beta].append(
-                (f"inverse_report({knot})", inverse_report(report)))
+    if knot.beta not in pending:
+        pending.update((b, (report, moves))
+                       for b, moves in _orbit(knot).items())
         return
-    want = _knot_row(report), list(map(_surface_row, report.surfaces))
-    for name, got in derived.pop(beta):
-        if (_knot_row(got), list(map(_surface_row, got.surfaces))) == want:
+    leader, moves = pending.pop(knot.beta)
+    want = {r.surface.expansion.terms: r.polynomial for r in report.surfaces}
+    for name, reverse, mirror in moves:
+        got = _moved_polys(leader, reverse, mirror)
+        if got == want:
             continue
-        # the first field that differs, and the first surface if a surface
-        field, x, y = next(
-            d for d in zip(report._fields, got._values(), report._values())
-            if d[1] != d[2])
-        if field == "surfaces" and len(x) == len(y):
-            field, (x, y) = "surface", next(p for p in zip(x, y)
-                                            if p[0] != p[1])
+        # the first terms that differ, in report order
+        terms = next(t for t in [*want, *got] if got.get(t) != want.get(t))
+        moved, computed = (
+            "nothing" if p is None else str(p.canonical)
+            for p in (got.get(terms), want.get(terms)))
         raise ConsistencyError(
-            f"{name} = computed report failed for {knot}: "
-            f"{field} {x} derived, {y} computed")
+            f"{name} = computed report failed for {knot}: terms "
+            f"{list(terms)} have {moved} moved, {computed} computed")

@@ -214,59 +214,78 @@ def census_slopes_with_a_second_zero(monkeypatch):
 
 
 @pytest.fixture
-def mirror_keeps_the_sign_counts(monkeypatch):
-    """Make the mirror map that ``_orbit`` applies, for the census and for
-    ``verify``, keep n_plus and n_minus instead of swapping them."""
+def mirror_drops_a_nonorientable_surface(monkeypatch):
+    """Make every move with the mirror, in ``bridgestate.invariants`` (the
+    census) and ``bridgestate.checks`` (``verify``), drop the polynomial of
+    the first nonorientable surface without which the report keeps its
+    crosscap number and its slope set: the knot-level values and the
+    output's slope column stay as they were."""
+    import bridgestate.checks as checks
     import bridgestate.invariants as inv
-    from bridgestate.surfaces import EssentialSurface
 
-    real = inv.mirror_report
+    real = inv._moved_polys
 
-    def faulty(report):
-        report = real(report)
-        surfaces = []
-        for r in report.surfaces:
-            s = r.surface
-            surfaces.append(inv.SurfaceReport._of(
-                EssentialSurface._of(s.expansion, s.orientable,
-                                     s.genus_twice, s.n_minus, s.n_plus),
-                r.polynomial, r.signature, r.slope))
-        return inv.InvariantReport._of(report.knot, tuple(surfaces),
-                                       *report._values()[2:])
+    def faulty(report, reverse, mirror):
+        moved = real(report, reverse, mirror)
+        if not mirror:
+            return moved
+        # the moved terms come in the order of the report's surfaces
+        for r, terms in zip(report.surfaces, list(moved)):
+            others = [x for x in report.surfaces if x is not r]
+            if r.surface.orientable or sorted(
+                    {x.slope for x in others}) != report.slopes:
+                continue
+            if min([report.genus_twice + 1] + [
+                    x.surface.genus_twice for x in others
+                    if not x.surface.orientable]) == \
+                    report.nonorientable_genus_twice:
+                del moved[terms]
+                break
+        return moved
 
-    monkeypatch.setattr(inv, "mirror_report", faulty)
+    for module in (inv, checks):
+        monkeypatch.setattr(module, "_moved_polys", faulty)
 
 
 @pytest.fixture
 def inverse_without_negation_for_even_k(monkeypatch):
-    """Make the inverse map skip negating the reversed terms of surfaces
-    with an even number k of bands, as ``_orbit`` applies it for the census
-    and for ``verify`` and as ``verify`` applies it to a knot that is its
-    own mirror image."""
+    """Make every move with the inverse skip negating the reversed terms of
+    surfaces with an even number k of bands, in ``bridgestate.invariants``
+    (the census) and ``bridgestate.checks`` (``verify``)."""
     import bridgestate.checks as checks
     import bridgestate.invariants as inv
-    from bridgestate.continued_fractions import Expansion
-    from bridgestate.surfaces import EssentialSurface
 
-    real = inv.inverse_report
+    real = inv._moved_polys
 
-    def faulty(report):
-        report = real(report)
-        surfaces = []
-        for r in report.surfaces:
-            s = r.surface
-            terms = s.expansion.terms
-            if not len(terms) & 1:  # undo the negation
-                terms = tuple(-n for n in terms)
-                s = EssentialSurface._of(
-                    Expansion(terms, int(terms[0] < 0)), s.orientable,
-                    s.genus_twice, s.n_plus, s.n_minus)
-            surfaces.append(inv.SurfaceReport._of(s, r.polynomial,
-                                                  r.signature, r.slope))
-        surfaces.sort(key=lambda r: (r.surface.expansion.r,
-                                     r.surface.expansion.terms))
-        return inv.InvariantReport._of(report.knot, tuple(surfaces),
-                                       *report._values()[2:])
+    def faulty(report, reverse, mirror):
+        moved = real(report, reverse, mirror)
+        if not reverse:
+            return moved
+        return {terms if len(terms) & 1 else tuple(-n for n in terms): poly
+                for terms, poly in moved.items()}
 
     for module in (inv, checks):
-        monkeypatch.setattr(module, "inverse_report", faulty)
+        monkeypatch.setattr(module, "_moved_polys", faulty)
+
+
+@pytest.fixture
+def moves_swap_two_polynomials(monkeypatch):
+    """Make every move that ``verify`` compares swap the polynomials of the
+    first two moved surfaces with the same number of bands: both keep the
+    degree, |p(-1)| = alpha and a positive constant term, so only the
+    comparison with the computed report sees it."""
+    import bridgestate.checks as checks
+
+    real = checks._moved_polys
+
+    def faulty(report, reverse, mirror):
+        moved = real(report, reverse, mirror)
+        first = {}
+        for terms in moved:
+            other = first.setdefault(len(terms), terms)
+            if other is not terms:
+                moved[terms], moved[other] = moved[other], moved[terms]
+                break
+        return moved
+
+    monkeypatch.setattr(checks, "_moved_polys", faulty)

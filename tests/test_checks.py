@@ -15,8 +15,6 @@ import bridgestate.checks as checks
 from bridgestate.checks import (
     _check_presentations,
     _check_surface_fast,
-    _knot_row,
-    _surface_row,
     check_knot,
     check_negative_control,
     check_range,
@@ -30,7 +28,6 @@ from bridgestate.invariants import (
     _unpack,
     full_report,
 )
-from bridgestate.values import Value
 from oracles import invariant_multiset, random_expansion
 
 
@@ -58,51 +55,35 @@ def test_check_range_detects_disagreeing_presentations(
         inverse_without_negation_for_even_k):
     check_range(3)  # 1 and 2 are their own inverses mod 3
     # 2**2 = -1 mod 5: K(5,3) is both the mirror and the inverse
-    # presentation of K(5,2), and the faulty inverse map's report of it
-    # differs from the one computed
+    # presentation of K(5,2), and the faulty inverse move's polynomials
+    # miss the terms of a surface computed for it
     with pytest.raises(ConsistencyError, match=re.escape(
             "inverse_report(K(5,2)) = computed report failed for K(5,3): "
-            "surface ")):
+            "terms [2, -3] have nothing moved")):
         check_range(5)
 
 
 def test_presentation_check_names_the_maps_and_the_field(monkeypatch):
-    import bridgestate.invariants as inv
+    # the field is the polynomial of the first terms that differ
+    real = checks._moved_polys
 
-    real = inv.inverse_report
+    def faulty(report, reverse, mirror):
+        moved = real(report, reverse, mirror)
+        if reverse:  # every polynomial becomes the Alexander polynomial
+            moved = dict.fromkeys(moved, report.alexander)
+        return moved
 
-    def faulty(report):
-        fields = dict(zip(report._fields, real(report)._values()))
-        fields["genus_twice"] += 2
-        return inv.InvariantReport(**fields)
-
-    monkeypatch.setattr(inv, "inverse_report", faulty)
-    # {2, 3, 4, 5} mod 7 is the first orbit of four: K(7,3) is derived
-    # from K(7,2) through the inverse and then the mirror map
-    derived = {}
-    _check_presentations(full_report(make_knot(7, 2)), derived)
-    assert sorted(derived) == [3, 4, 5]
+    monkeypatch.setattr(checks, "_moved_polys", faulty)
+    # {2, 3, 4, 5} mod 7 is the first orbit of four: K(7,3) is reached
+    # from K(7,2) through the inverse and then the mirror move
+    pending = {}
+    _check_presentations(full_report(make_knot(7, 2)), pending)
+    assert sorted(pending) == [3, 4, 5]
     with pytest.raises(ConsistencyError, match=re.escape(
             "mirror_report(inverse_report(K(7,2))) = computed report failed "
-            "for K(7,3): genus_twice 4 derived, 2 computed")):
-        _check_presentations(full_report(make_knot(7, 3)), derived)
-
-
-def test_presentation_rows_read_every_field_of_a_report():
-    def leaves(value):
-        """Every field of ``value``, each value among them read down to its
-        own fields, in field order; a report's surfaces are left out."""
-        for name in value._fields:
-            field = getattr(value, name)
-            if isinstance(field, Value):
-                yield from leaves(field)
-            elif name != "surfaces":
-                yield field
-
-    report = full_report(make_knot(19, 7))
-    assert _knot_row(report) == tuple(leaves(report))
-    for r in report.surfaces:
-        assert _surface_row(r) == tuple(leaves(r))
+            "for K(7,3): terms [2, 3] have 2 - 3*t + 2*t^2 moved, "
+            "3/2 - 4*t + 3/2*t^2 computed")):
+        _check_presentations(full_report(make_knot(7, 3)), pending)
 
 
 def test_random_expansions_are_valid():

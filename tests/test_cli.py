@@ -147,14 +147,15 @@ class TestVerifyCommand:
         assert "transformed matrix of [11] gave inequivalent polynomial" in err
 
     def test_presentation_fault_exits_1(self, capsys,
-                                        mirror_keeps_the_sign_counts):
-        # the orbit of K(3,1) is {1, 2}: K(3,2) is derived by the mirror map
-        # and compared with the report computed for it
+                                        moves_swap_two_polynomials):
+        # the orbit of K(5,2) is {2, 3}: the mirror move takes its
+        # polynomials to K(5,3), two of them swapped, and verify compares
+        # them with the report computed for K(5,3)
         code, out, err = run(capsys, "verify", "--max-alpha", "5")
         assert code == 1
         assert "pass" not in out
-        assert ("mirror_report(K(3,1)) = computed report failed for K(3,2): "
-                "surface ") in err
+        assert ("mirror_report(K(5,2)) = computed report failed for K(5,3): "
+                "terms [-3, 2] have ") in err
 
     def test_max_alpha_below_3_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--max-alpha", "2")
@@ -391,29 +392,28 @@ class TestCensusCommand:
             self, capsys, tmp_path, monkeypatch, jobs, fmt):
         # pool workers are forked after the patch, so they see it too;
         # K(13,5) is the least of its orbit {5, 8}, so its report is
-        # computed and K(13,8)'s is derived from it
+        # computed and K(13,8)'s is built from its own walk
         import bridgestate.census as census
         from bridgestate import ConsistencyError
 
         real_report = census.full_report
-        real_check = census.check_derived_report
+        real_mapped = census._mapped
 
         def computed(knot):
             if (knot.alpha, knot.beta) == (13, 5):
                 raise ConsistencyError("injected at K(13,5)")
             return real_report(knot)
 
-        def derived(report):
-            if (report.knot.alpha, report.knot.beta) == (13, 8):
+        def mapped(report, beta, *move):
+            if (report.knot.alpha, beta) == (13, 8):
                 raise ConsistencyError("injected at K(13,8)")
-            real_check(report)
+            return real_mapped(report, beta, *move)
 
         knots, surfaces = tmp_path / "knots", tmp_path / "surfaces"
         knots.write_text("previous knots\n")
         surfaces.write_text("previous surfaces\n")
         for name, fault, knot in (("full_report", computed, "K(13,5)"),
-                                  ("check_derived_report", derived,
-                                   "K(13,8)")):
+                                  ("_mapped", mapped, "K(13,8)")):
             with monkeypatch.context() as patch:
                 patch.setattr(census, name, fault)
                 code, _, err = run(
@@ -427,30 +427,35 @@ class TestCensusCommand:
                                                                   "surfaces"]
 
     @pytest.mark.parametrize("fault", [
-        "mirror_keeps_the_sign_counts", "inverse_without_negation_for_even_k"])
+        "mirror_drops_a_nonorientable_surface",
+        "inverse_without_negation_for_even_k"])
     def test_presentation_map_fault_exits_1(self, capsys, tmp_path, request,
                                             fault):
-        # the faulty map's reports are derived, so in the census only the
-        # checks of the derived reports see the fault, and verify compares
-        # them with the reports it computes: 2**2 = -1 mod 5, so K(5,3) is
-        # the inverse presentation of K(5,2) as well as its mirror
-        identity = {
-            "mirror_keeps_the_sign_counts":
-                "mirror_report(K(3,1)) = computed report failed for K(3,2)",
-            "inverse_without_negation_for_even_k":
-                "inverse_report(K(5,2)) = computed report failed for K(5,3)",
+        # in the census, the faulty move's polynomials go to terms the walk
+        # of the knot they reach does not have, or miss one it has; verify
+        # compares them with the reports it computes: 2**2 = -1 mod 5, so
+        # K(5,3) is the inverse presentation of K(5,2) as well as its mirror
+        census_knot, identity = {
+            "mirror_drops_a_nonorientable_surface": (
+                "K(15,11)",
+                "mirror_report(K(15,4)) = computed report failed for "
+                "K(15,11)"),
+            "inverse_without_negation_for_even_k": (
+                "K(7,3)",
+                "inverse_report(K(5,2)) = computed report failed for K(5,3)"),
         }[fault]
         request.getfixturevalue(fault)
-        code, _, err = run(capsys, "census", "--max-alpha", "19",
+        code, _, err = run(capsys, "census", "--max-alpha", "35",
                            "--out", str(tmp_path / "k.csv"),
                            "--out-surfaces", str(tmp_path / "s.csv"))
         assert code == 1
-        assert "minor recurrence signature = N+ - N- failed" in err
+        assert "walk = moved surfaces failed for " in err
+        assert f" of {census_knot}: " in err
         assert list(tmp_path.iterdir()) == []
         code, out, err = run(capsys, "verify", "--max-alpha", "19")
         assert code == 1
         assert out == ""
-        assert f"consistency failure: {identity}: surface " in err
+        assert f"consistency failure: {identity}: terms " in err
 
     def test_stdout_knots_with_dash_named_surface_file(self, capsys, tmp_path,
                                                        monkeypatch):

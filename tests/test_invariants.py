@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,6 @@ from bridgestate import (
     ConsistencyError,
     Expansion,
     InvalidInputError,
-    InvariantReport,
-    SurfaceReport,
     flip_normal,
     flip_orientation,
     full_report,
@@ -24,10 +23,9 @@ from bridgestate.checks import check_transformation_invariance, iter_knots
 from bridgestate.invariants import (
     _cuthill_mckee,
     _det_scaled,
+    _mapped,
     _oracle_scaled,
-    check_derived_report,
-    inverse_report,
-    mirror_report,
+    _orbit,
 )
 from bridgestate.state_matrices import permuted_state_matrix
 from oracles import (
@@ -709,49 +707,62 @@ def reports_to_99():
 
 class TestPresentationMaps:
     def test_maps_give_the_computed_reports(self, reports_to_99):
-        # from every presentation, the inverse, the mirror and their
-        # composition reach the report full_report computes for the target,
-        # surface order and r tags included, and pass the derived checks
+        # from every presentation, each move _orbit lists builds the report
+        # full_report computes for the knot it reaches, surface order and
+        # r tags included
         two_member = {1: 0, -1: 0}
         for (alpha, beta), report in reports_to_99.items():
-            inverse = inverse_report(report)
-            for derived, target in (
-                    (inverse, pow(beta, -1, alpha)),
-                    (mirror_report(report), alpha - beta),
-                    (mirror_report(inverse), alpha - pow(beta, -1, alpha))):
-                assert derived.knot == make_knot(alpha, target)
-                assert derived == reports_to_99[alpha, target]
-                check_derived_report(derived)
+            for target, moves in _orbit(report.knot).items():
+                for _, reverse, mirror in moves:
+                    derived = _mapped(report, target, reverse, mirror)
+                    assert derived.knot == make_knot(alpha, target)
+                    assert derived == reports_to_99[alpha, target]
             for unit in two_member:
                 two_member[unit] += (beta * beta - unit) % alpha == 0
         # the two-member orbits are covered: beta**2 = 1 (beta^-1 = beta)
         # and beta**2 = -1 (beta^-1 = alpha - beta) mod alpha
         assert two_member == {1: 138, -1: 32}
 
-    @pytest.mark.parametrize("field, change, rule", [
-        ("signature", 2, "knot signature"),
-        ("genus_twice", 2, "genus2 = Seifert surface genus2"),
-        ("nonorientable_genus_twice", 1, "crosscap rule"),
-    ])
-    def test_derived_knot_fields_are_checked(self, reports_to_99, field,
-                                             change, rule):
-        report = mirror_report(reports_to_99[7, 2])
-        fields = dict(zip(InvariantReport._fields, report._values()))
-        fields[field] += change
-        with pytest.raises(ConsistencyError, match=rule):
-            check_derived_report(InvariantReport(**fields))
+    def test_a_polynomial_with_no_leaf_is_named(self, reports_to_99,
+                                                monkeypatch):
+        import bridgestate.invariants as inv
 
-    def test_derived_slope_is_checked(self, reports_to_99):
-        report = inverse_report(reports_to_99[7, 2])
-        r = report.surfaces[1]
-        moved = SurfaceReport(r.surface, r.polynomial, r.signature,
-                              r.slope + 2)
-        fields = dict(zip(InvariantReport._fields, report._values()))
-        fields["surfaces"] = (report.surfaces[0], moved,
-                              *report.surfaces[2:])
-        with pytest.raises(ConsistencyError,
-                           match="signature and slope by sign counts"):
-            check_derived_report(InvariantReport(**fields))
+        real = inv._moved_polys
+        monkeypatch.setattr(inv, "_moved_polys", lambda *move: {
+            **real(*move), (2, 2, 2): reports_to_99[7, 2].alexander})
+        with pytest.raises(ConsistencyError, match=re.escape(
+                "walk = moved surfaces failed for [2, 2, 2] of K(7,5): a "
+                "surface was moved to it, and the walk does not reach it")):
+            _mapped(reports_to_99[7, 2], 5, False, True)
+
+    @pytest.mark.parametrize("fault, identity", [
+        ("swap", "determinant identity |p(-1)| = alpha failed for "
+                 "[2, -2, 3] of K(7,5)"),
+        ("negate", "canonical polynomial of degree k failed for [-3, -2] of "
+                   "K(7,5)"),
+    ])
+    def test_each_moved_polynomial_is_checked(self, reports_to_99,
+                                              monkeypatch, fault, identity):
+        # swapped: the polynomials of the first and the last surface, of
+        # different k; negated: that of the first surface
+        import bridgestate.invariants as inv
+
+        real = inv._moved_polys
+
+        def faulty(*move):
+            moved = real(*move)
+            first, last = list(moved)[0], list(moved)[-1]
+            if fault == "swap":
+                moved[first], moved[last] = moved[last], moved[first]
+            else:
+                poly = moved[first]
+                moved[first] = inv.StatePolynomial(
+                    poly.k, tuple(-c for c in poly.coeffs_2k))
+            return moved
+
+        monkeypatch.setattr(inv, "_moved_polys", faulty)
+        with pytest.raises(ConsistencyError, match=re.escape(identity)):
+            _mapped(reports_to_99[7, 2], 5, False, True)
 
 
 def test_report_pass_checks_the_seifert_expansion(monkeypatch):
