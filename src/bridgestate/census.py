@@ -37,21 +37,21 @@ knot exactly when beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta)
 is its mirror image (Schubert), so a block splits into orbits {beta,
 beta^-1, alpha - beta, alpha - beta^-1} of two or four presentations.
 ``full_report`` runs once per orbit, on its least beta; each other
-member's report is built from its own walk (``invariants._mapped``), with
-the state polynomials, which do not depend on the presentation, moved
-from that report along a move ``invariants._orbit`` lists.  Every report,
-computed or built, must have exactly one zero
-slope.  Each knot's rows are rendered in the requested format
-(``render_knot``) as soon as its report is ready.  On one job the blocks
-run in turn and each knot's pieces are written as they come; with more
-jobs one pool task is one alpha block, whose knots' pieces come back as
-one list, in a process pool of at most one worker per usable CPU, and only
-then is the pool's machinery imported.  ``census_rows`` writes the pieces
-to the knot file and the surface file in (alpha, beta) order as soon as
-they arrive, the CSV header or the opening ``[`` with the first knot's
-pieces and the closing ``]`` after the last.  So output bytes do not
-depend on --jobs, and no table is held in memory: at most the pieces of a
-few alpha blocks.
+member's report is built by the report pass of its own knot, given the
+state polynomials, which do not depend on the presentation, moved from
+that report along a move ``invariants._orbit`` lists
+(``invariants._moved_polys``).  Every report, computed or built, must
+have exactly one zero slope.  Each knot's rows are rendered in the
+requested format (``render_knot``) as soon as its report is ready.  On
+one job the blocks run in turn and each knot's pieces are written as they
+come; with more jobs one pool task is one alpha block, whose knots'
+pieces come back as one list, in a process pool of at most one worker per
+usable CPU, and only then is the pool's machinery imported.
+``census_rows`` writes the pieces to the knot file and the surface file
+in (alpha, beta) order as soon as they arrive, the CSV header or the
+opening ``[`` with the first knot's pieces and the closing ``]`` after the
+last.  So output bytes do not depend on --jobs, and no table is held in
+memory: at most the pieces of a few alpha blocks.
 """
 
 import operator
@@ -64,8 +64,10 @@ from .invariants import (
     InvariantReport,
     StatePolynomial,
     StreamedReport,
-    _mapped,
+    _knot_report,
+    _moved_polys,
     _orbit,
+    _report_pass,
     full_report,
 )
 from .surfaces import EssentialSurface, TwoBridgeKnot, iter_knots
@@ -325,15 +327,15 @@ def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
     for each beta of the ascending ``betas``, computing the report of the
     least beta of each orbit and building the others' from their own walks
     with its polynomials (see the module docstring)."""
-    pending = {}  # beta: (the report of its orbit's least beta, a move)
+    pending = {}  # beta: the polynomials moved from its orbit's least beta
     for beta in betas:
+        knot = TwoBridgeKnot._of(alpha, beta)
         if beta in pending:
-            leader, (_, reverse, mirror) = pending.pop(beta)
-            report = _mapped(leader, beta, reverse, mirror)
+            report = _knot_report(knot, _report_pass(knot, pending.pop(beta)))
         else:
-            report = full_report(TwoBridgeKnot._of(alpha, beta))
-            pending.update((b, (report, moves[0]))
-                           for b, moves in _orbit(report.knot).items())
+            report = full_report(knot)
+            pending.update((b, _moved_polys(report, *moves[0][1:]))
+                           for b, moves in _orbit(knot).items())
         slopes = report.slopes
         if slopes.count(0) != 1:
             raise ConsistencyError(

@@ -39,10 +39,11 @@ K(alpha, beta) and K(alpha, alpha - beta) its mirror image, so a surface
 keeps its state polynomial: the {terms: polynomial} of the report computed
 for each must be what every move ``_orbit`` lists to it gives from the
 report of the least beta of its orbit (``_moved_polys``), the census's
-moves among them.  The other fields of a report the census builds that
-way come from the walk of its own knot, as here.  The negative control
-checks, on integer lists too, that the oracle tells a symmetric
-almost-state matrix from a state matrix.
+moves among them.  The census builds the report of such a member by the
+report pass of its own knot, given those polynomials, so its other fields
+come from the same walk as here.  The negative control checks, on integer
+lists too, that the oracle tells a symmetric almost-state matrix from a
+state matrix.
 """
 
 from .continued_fractions import Expansion
@@ -250,27 +251,27 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
     checks run on each surface as ``full_report``'s pass reports it, with
     the determinant-recurrence result behind it."""
     stats = CheckStats(knots=1)
-    pairs = _report_pass(knot)
-    seifert, _ = next(pairs)  # reported again in its place
-    reports = []
-    for r, det in pairs:
-        reports.append(r)
-        e = r.surface.expansion
-        _check_surface_fast(knot, e, det, r.signature)
-        # its six fast checks and the three identities its report pass ran
-        # (|p(-1)| = alpha, minor signature and slope agreement)
-        stats.surfaces += 1
-        stats.checks += 9
-        if oracle:
-            v = standard_state_matrix(e)
-            stats.checks += _check_surface_oracle(knot, e, det, v,
-                                                  r.polynomial)
-            if invariance_samples:
-                stats.checks += check_transformation_invariance(
-                    e, rng, invariance_samples, det, base=v, sigma=r.signature
-                )
-    return stats, _knot_report(knot, tuple(reports), seifert.signature,
-                               seifert.surface.expansion.terms)
+
+    def checked(pairs):
+        yield next(pairs)  # the Seifert surface, checked in its place
+        for r, det in pairs:
+            e = r.surface.expansion
+            _check_surface_fast(knot, e, det, r.signature)
+            # its six fast checks and the three identities its report pass
+            # ran (|p(-1)| = alpha, minor signature and slope agreement)
+            stats.surfaces += 1
+            stats.checks += 9
+            if oracle:
+                v = standard_state_matrix(e)
+                stats.checks += _check_surface_oracle(knot, e, det, v,
+                                                      r.polynomial)
+                if invariance_samples:
+                    stats.checks += check_transformation_invariance(
+                        e, rng, invariance_samples, det, base=v,
+                        sigma=r.signature)
+            yield r, det
+
+    return stats, _knot_report(knot, checked(_report_pass(knot)))
 
 
 def check_range(max_alpha: int, *, oracle: bool = False,
@@ -298,17 +299,18 @@ def _check_presentations(report, pending: dict) -> None:
     move that ``pending`` holds for its beta: the {terms: polynomial} of
     its surfaces must be what the move gives from the report of the least
     beta of its orbit (``_moved_polys``).  That report (an orbit lies in
-    one alpha block, met in ascending beta) adds every move ``_orbit``
-    lists from it, both of them where two reach one beta."""
+    one alpha block, met in ascending beta) adds the polynomials of every
+    move ``_orbit`` lists from it, both of them where two reach one beta,
+    each with the move's name."""
     knot = report.knot
     if knot.beta not in pending:
-        pending.update((b, (report, moves))
-                       for b, moves in _orbit(knot).items())
+        pending.update(
+            (b, [(name, _moved_polys(report, reverse, mirror))
+                 for name, reverse, mirror in moves])
+            for b, moves in _orbit(knot).items())
         return
-    leader, moves = pending.pop(knot.beta)
     want = {r.surface.expansion.terms: r.polynomial for r in report.surfaces}
-    for name, reverse, mirror in moves:
-        got = _moved_polys(leader, reverse, mirror)
+    for name, got in pending.pop(knot.beta):
         if got == want:
             continue
         # the first terms that differ, in report order

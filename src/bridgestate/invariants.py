@@ -5,11 +5,11 @@ knot-level value (determinant, signature, Alexander polynomial, genus,
 crosscap number) and every per-surface value is a field of its
 ``InvariantReport``, which the census writes and ``checks`` verifies.
 ``stream_report`` gives the same values with the surfaces as an iterator,
-for the ``invariants`` command.  ``_mapped`` builds the report of another
-presentation of the same knot or of its mirror image from that knot's own
-walk, without the determinant recurrence: only the state polynomials move
-over from a computed report (``_moved_polys``), along the moves ``_orbit``
-lists.
+for the ``invariants`` command.  Given the state polynomials of a computed
+report, moved to another presentation of the same knot or of its mirror
+image along a move ``_orbit`` lists (``_moved_polys``), the same report
+pass builds that presentation's report from its own walk, without the
+determinant recurrence.
 
 Conventions, fixed once here:
 
@@ -28,16 +28,17 @@ Conventions, fixed once here:
 
 The expansions of a target are the leaves of one floor/ceil tree, and the
 report pass walks it once (``_expand_target``), folding ``_surface_step``
-down each path, so sibling surfaces share the steps of their prefix.  It
-walks the path of even terms first (``_even_first``), so the Seifert
-surface, and with it the Alexander polynomial, comes before any other
-from one fold of that path.  The surface count, slopes and crosscap
-number follow, without the walk, from the summary of the tree, whose
-repeated subtrees make it a DAG (``_expansion_summary``); a streamed
-report must end with the walk's multiset of (genus2, signature,
-orientable) equal to the summary's.  A step advances three recurrences by
-one term: the leading principal minors of V + V^T, the sign counts, and
-the tridiagonal determinant d_0 = 1,
+(``_minor_step`` given moved polynomials) down each path, so sibling
+surfaces share the steps of their prefix.  It walks the path of even
+terms first (``_even_first``), so the Seifert surface, and with it the
+Alexander polynomial, comes before any other from one fold of that
+path.  The surface count, slopes and crosscap number follow, without
+the walk, from the summary of the tree, whose repeated subtrees make it a
+DAG (``_expansion_summary``); a streamed report must end with the walk's
+multiset of (genus2, signature, orientable) equal to the summary's.  A
+step advances three recurrences by one term: the leading principal
+minors of V + V^T, the sign counts, and the tridiagonal determinant
+d_0 = 1,
 d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1} + t * d_{j-2} on 2**s-scaled
 integer coefficients (s counts the odd terms, so s <= k), each d_j one
 int, its value at t = 2**B (Kronecker substitution) with the coefficients
@@ -198,28 +199,18 @@ def _surface_step(state: tuple, j: int, n: int) -> tuple:
             cur, s, m_new, m_cur, new, d)
 
 
-def _minor_counts(terms) -> tuple:
-    """(minor signature, n_plus, all even) of ``terms``: the signature of
-    V + V^T for their standard state matrix V by Jacobi's rule on its
-    leading principal minors D_j = a_j * D_{j-1} - D_{j-2}, a_j =
-    (-1)**(j+1) * nj, the number of a_j > 0, and whether every nj is even:
-    the minor and sign-count halves of ``_surface_step``, without the
-    packed polynomial.  (A flag for the sign of a_j, not an index, takes
-    about a third less time on Python 3.11.)"""
-    sig = plus = bits = 0
-    d, dm, odd = 1, 0, True
-    for n in terms:
-        a = n if odd else -n
-        odd = not odd
-        new = a * d - dm
-        if not new:
-            raise ConsistencyError(
-                f"zero leading principal minor of {list(terms)}")
-        sig += 1 if (new > 0) == (d > 0) else -1
-        plus += a > 0
-        bits |= n  # its lowest bit is set once a term is odd
-        d, dm = new, d
-    return sig, plus, not bits & 1
+def _minor_step(state: tuple, j: int, n: int) -> tuple:
+    """``_surface_step`` without the determinant: ``state``, in the same
+    layout, with s, sig, plus, d and dm advanced by the j-th term n and
+    the packed polynomial and its bounds left as they are."""
+    cur, bits, s, sig, plus, prev, s_prev, m_cur, m_prev, d, dm = state
+    a = n if j % 2 else -n
+    new = a * d - dm
+    if not new:
+        raise ConsistencyError(f"zero leading principal minor at size {j}")
+    return (cur, bits, s + (n & 1),
+            sig + (1 if (new > 0) == (d > 0) else -1), plus + (a > 0),
+            prev, s_prev, m_cur, m_prev, new, d)
 
 
 # d_0 = D_0 = 1 and d_-1 = D_-1 = 0, in 72-bit slots
@@ -559,10 +550,7 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     the polynomial has degree k and integral 2**k-scaled coefficients.
     The walk's Seifert surface must be the one the even-term path ends in.
     """
-    pairs = _report_pass(knot)
-    seifert, _ = next(pairs)
-    return _knot_report(knot, tuple([r for r, _ in pairs]), seifert.signature,
-                        seifert.surface.expansion.terms)
+    return _knot_report(knot, _report_pass(knot))
 
 
 class StreamedReport(Value):
@@ -596,33 +584,30 @@ def stream_report(knot: TwoBridgeKnot) -> StreamedReport:
         sorted({2 * (sig - sigma_k) for _, sig, _ in summary}))
 
 
-def _seifert_path(knot: TwoBridgeKnot, step=lambda state, j, n: state,
-                  state=None) -> tuple:
-    """(path, sigma_K, sigma_K from minors, state, leaves) of ``knot``:
-    the terms of its all-even expansion, the knot signature from their
-    sign counts and from their leading principal minors, and what
-    ``_even_first`` gives on the expansion's target, the one over an even q
-    (alpha is odd): ``state`` folded down the path by ``step``, and every
-    leaf of the target."""
-    (path, state), leaves = _even_first(*_targets(knot)[knot.beta & 1], step,
-                                        state)
-    sig, plus, _ = _minor_counts(path)
-    return path, 2 * plus - len(path), sig, state, leaves
-
-
-def _report_pass(knot: TwoBridgeKnot):
+def _report_pass(knot: TwoBridgeKnot, polys=None):
     """Yield (surface report, det) for the Seifert surface of ``knot``,
     then for every surface in report order, the Seifert surface again in
     its place; det is its determinant as ``_det_scaled`` gives it, so the
     checks of ``verify`` run on the reported values without the pass
     keeping every surface's determinant.
 
-    ``_surface_step`` is folded down every path of one walk of the
-    expansion trees of alpha/beta and alpha/(beta - alpha), which takes the
-    path of even terms first (``_seifert_path``), so that it is folded once.
+    A step is folded down every path of one walk of the expansion trees of
+    alpha/beta and alpha/(beta - alpha), which takes the path of even terms
+    first (``_even_first``), so that it is folded once; the knot signature
+    follows from the sign counts and the minors at its end.  The step is
+    ``_surface_step``, unless ``polys`` gives the state polynomials moved
+    to ``knot`` from another presentation ({terms: polynomial}, as
+    ``_moved_polys`` gives them): the step is then ``_minor_step``, each
+    leaf pops its polynomial from ``polys``, and det is (coeffs_2k, k).  A
+    moved polynomial must pass the identities and be canonical of degree
+    k, and a leaf with no polynomial, or a polynomial left with no leaf
+    when the walk ends, fails walk = moved surfaces.
     """
-    path, sigma_k, sigma_k_minors, state, leaves = _seifert_path(
-        knot, _surface_step, _START)
+    step = _surface_step if polys is None else _minor_step
+    (path, state), leaves = _even_first(*_targets(knot)[knot.beta & 1], step,
+                                        _START)
+    sigma_k_minors, plus = state[3:5]
+    sigma_k = 2 * plus - len(path)
 
     def report(r, terms, state):
         # the walk yields int terms of absolute value >= 2: its leaves are
@@ -631,37 +616,56 @@ def _report_pass(knot: TwoBridgeKnot):
         k = len(terms)
         s = EssentialSurface._of(Expansion._of(terms, r), scale == 0, k,
                                  plus, k - plus)
-        coeffs = _unpack(cur, bits, k + 1)
-        det = coeffs, scale
+        if polys is None:
+            det = _unpack(cur, bits, k + 1), scale
+        else:
+            poly = polys.pop(terms, None)
+            if poly is None:
+                _fail("walk = moved surfaces", knot, list(terms),
+                      "the walk reaches it, and no surface was moved to it")
+            det = poly.coeffs_2k, k
         sigma = _check_identities(knot, s, det, sig, sigma_k, sigma_k_minors)
-        return SurfaceReport._of(s, _canonical_from_scaled(coeffs, scale, k),
-                                 sigma, 2 * (sigma - sigma_k)), det
+        if polys is None:
+            poly = _canonical_from_scaled(*det, k)
+        else:
+            coeffs = poly.coeffs_2k
+            if (poly.k != k or len(coeffs) != k + 1 or coeffs[0] <= 0
+                    or coeffs[-1] == 0):
+                _fail("canonical polynomial of degree k", knot, s.expansion,
+                      f"got k = {poly.k} and coefficients {coeffs}")
+        return SurfaceReport._of(s, poly, sigma, 2 * (sigma - sigma_k)), det
 
     seifert = report(knot.beta & 1, path, state)
     yield seifert
     for r, (p, q) in enumerate(_targets(knot)):
         for terms, state in (leaves if r == knot.beta & 1 else
-                             _expand_target(p, q, _surface_step, _START)):
+                             _expand_target(p, q, step, _START)):
             yield seifert if terms is path else report(r, terms, state)
+    if polys:
+        _fail("walk = moved surfaces", knot, list(next(iter(polys))),
+              "a surface was moved to it, and the walk does not reach it")
 
 
-def _knot_report(knot: TwoBridgeKnot, reports: tuple, sigma_k: int,
-                 path) -> InvariantReport:
-    """The report of ``knot`` with the surface reports ``reports``: its
-    Seifert surface must be the one the even-term ``path`` ends in, and
-    its knot-level values follow from that surface and the others."""
+def _knot_report(knot: TwoBridgeKnot, pairs) -> InvariantReport:
+    """The report of ``knot`` from the (surface report, det) ``pairs`` of
+    its report pass.  The first is its Seifert surface, whose polynomial is
+    the Alexander polynomial; it must be the surface ``find_seifert`` finds
+    among the rest, every surface in report order, and the other
+    knot-level values follow from it and them."""
+    first, _ = next(pairs)
+    reports = tuple([r for r, _ in pairs])
     seifert = find_seifert([r.surface for r in reports])
-    if seifert.expansion.terms != tuple(path):
+    path = first.surface.expansion.terms
+    if seifert.expansion.terms != path:
         _fail("Seifert expansion = path of even terms", knot,
-              seifert.expansion, f"the path is {path}")
-    alexander = next(r.polynomial for r in reports if r.surface is seifert)
+              seifert.expansion, f"the path is {list(path)}")
     g2 = seifert.genus_twice
     # the crosscap number: the least nonorientable genus, or g(K) + 1/2 (a
     # crosscap added to a minimal Seifert surface) if that is smaller
     crosscap = min([g2 + 1] + [r.surface.genus_twice for r in reports
                                if not r.surface.orientable])
-    return InvariantReport(knot, reports, knot.alpha, sigma_k, alexander, g2,
-                           crosscap)
+    return InvariantReport(knot, reports, knot.alpha, first.signature,
+                           first.polynomial, g2, crosscap)
 
 
 # ---------------------------------------------------------------------------
@@ -701,47 +705,6 @@ def _moved_polys(report: InvariantReport, reverse: bool,
             terms = tuple([-n for n in terms])
         moved[terms] = r.polynomial
     return moved
-
-
-def _mapped(report: InvariantReport, beta: int, reverse: bool,
-            mirror: bool) -> InvariantReport:
-    """The report of K(alpha, beta), which ``report``'s knot reaches by the
-    move (``reverse``, ``mirror``) of ``_moved_polys``.
-
-    Both targets of K(alpha, beta) are walked without a step, each leaf
-    with its minor signature, N+ and parity from ``_minor_counts`` and its
-    moved polynomial, which must be canonical of degree k and pass
-    ``_check_identities``.  A leaf with no moved polynomial, or a moved
-    polynomial with no leaf, fails walk = moved surfaces.  The knot-level
-    values follow as in ``full_report``.
-    """
-    knot = TwoBridgeKnot._of(report.knot.alpha, beta)
-    polys = _moved_polys(report, reverse, mirror)
-    path, sigma_k, sigma_k_minors = _seifert_path(knot)[:3]
-    reports = []
-    for r, (p, q) in enumerate(_targets(knot)):
-        for terms, _ in _expand_target(p, q):
-            poly = polys.pop(terms, None)
-            if poly is None:
-                _fail("walk = moved surfaces", knot, list(terms),
-                      "the walk reaches it, and no surface was moved to it")
-            k = len(terms)
-            sig, plus, even = _minor_counts(terms)
-            s = EssentialSurface._of(Expansion._of(terms, r), even, k, plus,
-                                     k - plus)
-            coeffs = poly.coeffs_2k
-            sigma = _check_identities(knot, s, (coeffs, k), sig, sigma_k,
-                                      sigma_k_minors)
-            if (poly.k != k or len(coeffs) != k + 1 or coeffs[0] <= 0
-                    or coeffs[-1] == 0):
-                _fail("canonical polynomial of degree k", knot, s.expansion,
-                      f"got k = {poly.k} and coefficients {coeffs}")
-            reports.append(SurfaceReport._of(s, poly, sigma,
-                                             2 * (sigma - sigma_k)))
-    if polys:
-        _fail("walk = moved surfaces", knot, list(next(iter(polys))),
-              "a surface was moved to it, and the walk does not reach it")
-    return _knot_report(knot, tuple(reports), sigma_k, path)
 
 
 def _orbit(knot: TwoBridgeKnot) -> dict:

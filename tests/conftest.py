@@ -215,15 +215,15 @@ def census_slopes_with_a_second_zero(monkeypatch):
 
 @pytest.fixture
 def mirror_drops_a_nonorientable_surface(monkeypatch):
-    """Make every move with the mirror, in ``bridgestate.invariants`` (the
-    census) and ``bridgestate.checks`` (``verify``), drop the polynomial of
-    the first nonorientable surface without which the report keeps its
-    crosscap number and its slope set: the knot-level values and the
-    output's slope column stay as they were."""
+    """Make every move with the mirror, in ``bridgestate.census`` and
+    ``bridgestate.checks`` (``verify``), drop the polynomial of the first
+    nonorientable surface without which the report keeps its crosscap
+    number and its slope set: the knot-level values and the output's slope
+    column stay as they were."""
+    import bridgestate.census as census
     import bridgestate.checks as checks
-    import bridgestate.invariants as inv
 
-    real = inv._moved_polys
+    real = census._moved_polys
 
     def faulty(report, reverse, mirror):
         moved = real(report, reverse, mirror)
@@ -243,19 +243,19 @@ def mirror_drops_a_nonorientable_surface(monkeypatch):
                 break
         return moved
 
-    for module in (inv, checks):
+    for module in (census, checks):
         monkeypatch.setattr(module, "_moved_polys", faulty)
 
 
 @pytest.fixture
 def inverse_without_negation_for_even_k(monkeypatch):
     """Make every move with the inverse skip negating the reversed terms of
-    surfaces with an even number k of bands, in ``bridgestate.invariants``
-    (the census) and ``bridgestate.checks`` (``verify``)."""
+    surfaces with an even number k of bands, in ``bridgestate.census`` and
+    ``bridgestate.checks`` (``verify``)."""
+    import bridgestate.census as census
     import bridgestate.checks as checks
-    import bridgestate.invariants as inv
 
-    real = inv._moved_polys
+    real = census._moved_polys
 
     def faulty(report, reverse, mirror):
         moved = real(report, reverse, mirror)
@@ -264,7 +264,7 @@ def inverse_without_negation_for_even_k(monkeypatch):
         return {terms if len(terms) & 1 else tuple(-n for n in terms): poly
                 for terms, poly in moved.items()}
 
-    for module in (inv, checks):
+    for module in (census, checks):
         monkeypatch.setattr(module, "_moved_polys", faulty)
 
 

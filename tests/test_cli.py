@@ -397,23 +397,23 @@ class TestCensusCommand:
         from bridgestate import ConsistencyError
 
         real_report = census.full_report
-        real_mapped = census._mapped
+        real_pass = census._report_pass
 
         def computed(knot):
             if (knot.alpha, knot.beta) == (13, 5):
                 raise ConsistencyError("injected at K(13,5)")
             return real_report(knot)
 
-        def mapped(report, beta, *move):
-            if (report.knot.alpha, beta) == (13, 8):
+        def moved(knot, polys):  # the census passes polys to moved builds
+            if (knot.alpha, knot.beta) == (13, 8):
                 raise ConsistencyError("injected at K(13,8)")
-            return real_mapped(report, beta, *move)
+            return real_pass(knot, polys)
 
         knots, surfaces = tmp_path / "knots", tmp_path / "surfaces"
         knots.write_text("previous knots\n")
         surfaces.write_text("previous surfaces\n")
         for name, fault, knot in (("full_report", computed, "K(13,5)"),
-                                  ("_mapped", mapped, "K(13,8)")):
+                                  ("_report_pass", moved, "K(13,8)")):
             with monkeypatch.context() as patch:
                 patch.setattr(census, name, fault)
                 code, _, err = run(

@@ -23,7 +23,6 @@ from bridgestate.checks import check_transformation_invariance, iter_knots
 from bridgestate.invariants import (
     _cuthill_mckee,
     _det_scaled,
-    _mapped,
     _oracle_scaled,
     _orbit,
 )
@@ -705,6 +704,17 @@ def reports_to_99():
     return {knot: full_report(make_knot(*knot)) for knot in iter_knots(99)}
 
 
+def moved_report(report, beta, reverse, mirror):
+    """The report of K(alpha, beta) as the census builds it: by its own
+    report pass, given the polynomials the move (``reverse``, ``mirror``)
+    of ``_moved_polys`` takes to it from ``report``."""
+    import bridgestate.invariants as inv
+
+    knot = make_knot(report.knot.alpha, beta)
+    return inv._knot_report(knot, inv._report_pass(
+        knot, inv._moved_polys(report, reverse, mirror)))
+
+
 class TestPresentationMaps:
     def test_maps_give_the_computed_reports(self, reports_to_99):
         # from every presentation, each move _orbit lists builds the report
@@ -714,7 +724,7 @@ class TestPresentationMaps:
         for (alpha, beta), report in reports_to_99.items():
             for target, moves in _orbit(report.knot).items():
                 for _, reverse, mirror in moves:
-                    derived = _mapped(report, target, reverse, mirror)
+                    derived = moved_report(report, target, reverse, mirror)
                     assert derived.knot == make_knot(alpha, target)
                     assert derived == reports_to_99[alpha, target]
             for unit in two_member:
@@ -733,7 +743,7 @@ class TestPresentationMaps:
         with pytest.raises(ConsistencyError, match=re.escape(
                 "walk = moved surfaces failed for [2, 2, 2] of K(7,5): a "
                 "surface was moved to it, and the walk does not reach it")):
-            _mapped(reports_to_99[7, 2], 5, False, True)
+            moved_report(reports_to_99[7, 2], 5, False, True)
 
     @pytest.mark.parametrize("fault, identity", [
         ("swap", "determinant identity |p(-1)| = alpha failed for "
@@ -762,7 +772,38 @@ class TestPresentationMaps:
 
         monkeypatch.setattr(inv, "_moved_polys", faulty)
         with pytest.raises(ConsistencyError, match=re.escape(identity)):
-            _mapped(reports_to_99[7, 2], 5, False, True)
+            moved_report(reports_to_99[7, 2], 5, False, True)
+
+    def test_a_moved_build_folds_one_walk_of_minor_steps(self, monkeypatch):
+        # siblings share their prefix's steps and the Seifert path is
+        # folded once: for every move at alpha <= 35, building the report
+        # folds _minor_step as often as full_report of the same knot folds
+        # _surface_step, and never _surface_step
+        from collections import Counter
+
+        import bridgestate.invariants as inv
+
+        calls = Counter()
+        for name in ("_surface_step", "_minor_step"):
+            def counted(state, j, n, name=name, real=getattr(inv, name)):
+                calls[name] += 1
+                return real(state, j, n)
+
+            monkeypatch.setattr(inv, name, counted)
+        moves = 0
+        for alpha, beta in iter_knots(35):
+            report = full_report(make_knot(alpha, beta))
+            for target, orbit_moves in _orbit(report.knot).items():
+                calls.clear()
+                full_report(make_knot(alpha, target))
+                steps = calls["_surface_step"]
+                assert steps > 0
+                for _, reverse, mirror in orbit_moves:
+                    calls.clear()
+                    moved_report(report, target, reverse, mirror)
+                    assert calls == {"_minor_step": steps}
+                    moves += 1
+        assert moves == 674
 
 
 def test_report_pass_checks_the_seifert_expansion(monkeypatch):
@@ -772,8 +813,9 @@ def test_report_pass_checks_the_seifert_expansion(monkeypatch):
 
     monkeypatch.setattr(inv, "find_seifert", lambda surfaces: next(
         s for s in surfaces if not s.orientable))
-    with pytest.raises(ConsistencyError,
-                       match="Seifert expansion = path of even terms"):
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "Seifert expansion = path of even terms failed for [3, -2] of "
+            "K(5,2): the path is [2, 2]")):
         full_report(make_knot(5, 2))
 
 
