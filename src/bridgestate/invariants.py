@@ -42,7 +42,8 @@ d_0 = 1,
 d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1} + t * d_{j-2} on 2**s-scaled
 integer coefficients (s counts the odd terms, so s <= k), each d_j one
 int, its value at t = 2**B (Kronecker substitution) with the coefficients
-in signed B-bit slots, so a step is a handful of big-integer operations.
+in signed B-bit slots, so a step is a handful of big-integer operations;
+B is fixed per walk from alpha, which bounds every coefficient (``_start``).
 A ``StatePolynomial`` keeps the integer coefficients of 2**k times the
 canonical representative, so reports never leave integer arithmetic;
 Fraction-valued ``LaurentPolynomial``s are built only for display and
@@ -82,34 +83,6 @@ from .values import Value
 # state polynomial
 
 
-def _width(bound: int) -> int:
-    """Slot width in bits for coefficients of absolute value <= ``bound``:
-    a multiple of 8 that keeps the bound below 2**(B-2) with 64 bits to
-    spare."""
-    return (bound.bit_length() + 66 + 7) // 8 * 8
-
-
-def _slots(digit: int, bits: int, n: int) -> int:
-    """The int whose n base-2**bits digits all equal ``digit``, which lies
-    in [0, 2**bits)."""
-    return int.from_bytes(digit.to_bytes(bits // 8, "little") * n, "little")
-
-
-def _both_fit(cur: int, prev: int, bits: int, n: int, w: int) -> bool:
-    """Whether every signed base-2**bits digit of ``cur`` and ``prev`` (at
-    most n of them each, all of absolute value below 2**(bits-2)) lies in
-    [-2**(w-1), 2**(w-1)), for w < bits - 1.
-
-    Adding 2**(bits-1) + 2**(w-1) to every digit leaves each in
-    [0, 2**bits), so no carry crosses a slot; a digit then fits iff bits
-    [w, bits) of its slot read 100...0, which one mask tests for all."""
-    top = 1 << (bits - 1)
-    offset = _slots(top + (1 << (w - 1)), bits, n)
-    mask = _slots((1 << bits) - (1 << w), bits, n)
-    want = _slots(top, bits, n)
-    return (cur + offset) & mask == want and (prev + offset) & mask == want
-
-
 # the largest n * bits for which _unpack masks digits off one at a time
 _FEW_BITS = 4096
 
@@ -135,25 +108,43 @@ def _unpack(packed: int, bits: int, n: int) -> list:
             digits.append(digit)
         return digits
     size, top = bits // 8, 1 << (bits - 1)
-    raw = (packed + _slots(top, bits, n)).to_bytes(n * size, "little")
+    offset = int.from_bytes(top.to_bytes(size, "little") * n, "little")
+    raw = (packed + offset).to_bytes(n * size, "little")
     return [int.from_bytes(raw[i:i + size], "little") - top
             for i in range(0, n * size, size)]
 
 
-def _pack(coeffs, bits: int) -> int:
-    """sum_i coeffs[i] * 2**(bits*i), for |coeffs[i]| < 2**(bits-1)."""
-    size, top = bits // 8, 1 << (bits - 1)
-    raw = b"".join((c + top).to_bytes(size, "little") for c in coeffs)
-    return int.from_bytes(raw, "little") - _slots(top, bits, len(coeffs))
+def _start(alpha: int) -> tuple:
+    """The state of the empty expansion (d_0 = D_0 = 1, d_-1 = D_-1 = 0)
+    for a walk of determinant alpha, in B-bit slots for the least multiple
+    B of 8 above 2 * bit_length(alpha), so that alpha**2 < 2**(B-1).
+
+    Lemma: along terms with every |ni| >= 2, the coefficients of each d_j
+    alternate in sign and their absolute values sum to |D_j|.  Let
+    v_i = (-1)**(i+1) * ni/2, so |v_i| >= 1, and e_j(u) = d_j(-u), the
+    det(V_j + u*V_j^T) of the leading j x j block; expanding it gives
+    e_j = v_j(1+u) e_{j-1} - u e_{j-2}, so f_j = e_j * sign(v_1...v_j) has
+    f_j = |v_j|(1+u) f_{j-1} +- u f_{j-2}, from f_0 = 1 and f_-1 = 0.
+    Induction shows, coefficient by coefficient, f_j >= f_{j-1} >= 0 and
+    f_j >= u f_{j-1}, as f_j >= f_{j-1} + u(f_{j-1} - f_{j-2})
+    = u f_{j-1} + (f_{j-1} - u f_{j-2}); and d_j(t) = +-f_j(-t), whose
+    absolute values sum to f_j(1) = |D_j|.  At u = 1, |D_j| >= |nj|
+    |D_{j-1}| - |D_{j-2}| > (|nj| - 1) |D_{j-1}|, so |D_j| grows at every
+    term and more than doubles at an odd one (|nj| >= 3).  Hence
+    2**s <= |D_j| <= alpha, and every coefficient of every 2**s * d_j on
+    the walk is at most alpha**2.  A packed int is the exact value at
+    t = 2**B whatever its digits, and only a leaf's digits are ever read.
+    """
+    return (1, (2 * alpha.bit_length() + 8) // 8 * 8, 0, 0, 0, 0, 0, 1, 0)
 
 
 def _surface_step(state: tuple, j: int, n: int) -> tuple:
     """``state`` advanced by the j-th term n of an expansion, from
-    ``_START``.  The state (cur, bits, s, sig, plus, prev, s_prev, m_cur,
-    m_prev, d, dm) carries three recurrences:
+    ``_start``.  The state (cur, bits, s, sig, plus, prev, s_prev, d, dm)
+    carries three recurrences:
 
     * cur and prev, d_j and d_{j-1} in signed bits-wide slots and scaled
-      by 2**s and 2**s_prev, with bounds m_cur and m_prev on their slots;
+      by 2**s and 2**s_prev;
     * the leading principal minors d, dm (D_j, D_{j-1}) of V + V^T, whose
       diagonal is a_j = (-1)**(j+1) * nj and whose off-diagonal pairs
       multiply to 1, so D_j = a_j * D_{j-1} - D_{j-2}; sig counts their
@@ -161,33 +152,15 @@ def _surface_step(state: tuple, j: int, n: int) -> tuple:
     * plus, the number of terms with a_j > 0 (the pattern +,-,+,-,...).
 
     A determinant step is mult * (cur - (cur << B)) + (prev << (shift + B))
-    for B = bits, and bounds the new coefficients by
-    2*|mult|*m_cur + (m_prev << shift); every bound stays below 2**(B-2),
-    so slots never carry into each other.  When a step would break that,
-    both are first tested to fit B/2 bits (``_both_fit``), which
-    re-tightens the bounds to 2**(B/2-1) in O(1) big-int operations;
-    otherwise, or if the step still does not fit, their coefficients are
-    read out and packed again at max(1.25*B, 64 bits over the new bound).
-    Each D_j is a product of pivots of absolute value > 1: a zero is a bug.
+    for B = bits, set once per walk by ``_start``, whose bound keeps the
+    slots from carrying into each other.  Each D_j is a product of pivots
+    of absolute value > 1: a zero is a bug.
     """
-    cur, bits, s, sig, plus, prev, s_prev, m_cur, m_prev, d, dm = state
+    cur, bits, s, sig, plus, prev, s_prev, d, dm = state
     a = n if j % 2 else -n
     odd = n & 1
     mult = a if odd else a >> 1
     shift = s + odd - s_prev
-    m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
-    if m_new >> (bits - 2):
-        w = bits // 2
-        if _both_fit(cur, prev, bits, j, w):
-            m_cur = min(m_cur, 1 << (w - 1))
-            m_prev = min(m_prev, 1 << (w - 1))
-            m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
-        if m_new >> (bits - 2):
-            x, y = _unpack(cur, bits, j), _unpack(prev, bits, j)
-            m_cur, m_prev = max(map(abs, x)), max(map(abs, y))
-            m_new = 2 * abs(mult) * m_cur + (m_prev << shift)
-            bits = max((bits * 5 // 4 + 7) // 8 * 8, _width(m_new))
-            cur, prev = _pack(x, bits), _pack(y, bits)
     x = mult * cur
     if shift:  # a shift by 0 would still copy prev
         prev <<= shift
@@ -196,37 +169,38 @@ def _surface_step(state: tuple, j: int, n: int) -> tuple:
         raise ConsistencyError(f"zero leading principal minor at size {j}")
     return (x - ((x - prev) << bits), bits, s + odd,
             sig + (1 if (new > 0) == (d > 0) else -1), plus + (a > 0),
-            cur, s, m_new, m_cur, new, d)
+            cur, s, new, d)
 
 
 def _minor_step(state: tuple, j: int, n: int) -> tuple:
     """``_surface_step`` without the determinant: ``state``, in the same
     layout, with s, sig, plus, d and dm advanced by the j-th term n and
-    the packed polynomial and its bounds left as they are."""
-    cur, bits, s, sig, plus, prev, s_prev, m_cur, m_prev, d, dm = state
+    the packed polynomial left as it is."""
+    cur, bits, s, sig, plus, prev, s_prev, d, dm = state
     a = n if j % 2 else -n
     new = a * d - dm
     if not new:
         raise ConsistencyError(f"zero leading principal minor at size {j}")
     return (cur, bits, s + (n & 1),
             sig + (1 if (new > 0) == (d > 0) else -1), plus + (a > 0),
-            prev, s_prev, m_cur, m_prev, new, d)
-
-
-# d_0 = D_0 = 1 and d_-1 = D_-1 = 0, in 72-bit slots
-_START = (1, _width(0), 0, 0, 0, 0, 0, 1, 0, 1, 0)
+            prev, s_prev, new, d)
 
 
 def _det_scaled(terms) -> tuple:
     """Integer coefficient list of 2**s * det(V - t*V^T), plus s, by
-    folding ``_surface_step`` along ``terms``.
+    folding ``_surface_step`` along ``terms``, whose |n| are all >= 2.
 
     V is the standard state matrix of ``terms``; the determinant is returned
     uncanonicalized, lowest degree first (its constant term det(V) is never
     zero).  s is the number of odd terms: every denominator in the exact
-    determinant divides 2**s, so the scaled coefficients are integers.
+    determinant divides 2**s, so the scaled coefficients are integers.  The
+    fold starts from ``_start`` of |D_k|, the determinant of V + V^T, which
+    k steps of its minor recurrence give first.
     """
-    state = _START
+    d, dm = 1, 0
+    for j, n in enumerate(terms, 1):
+        d, dm = (n if j % 2 else -n) * d - dm, d
+    state = _start(abs(d))
     for j, n in enumerate(terms, 1):
         state = _surface_step(state, j, n)
     return _unpack(state[0], state[1], len(terms) + 1), state[2]
@@ -604,8 +578,9 @@ def _report_pass(knot: TwoBridgeKnot, polys=None):
     when the walk ends, fails walk = moved surfaces.
     """
     step = _surface_step if polys is None else _minor_step
+    start = _start(knot.alpha)
     (path, state), leaves = _even_first(*_targets(knot)[knot.beta & 1], step,
-                                        _START)
+                                        start)
     sigma_k_minors, plus = state[3:5]
     sigma_k = 2 * plus - len(path)
 
@@ -639,7 +614,7 @@ def _report_pass(knot: TwoBridgeKnot, polys=None):
     yield seifert
     for r, (p, q) in enumerate(_targets(knot)):
         for terms, state in (leaves if r == knot.beta & 1 else
-                             _expand_target(p, q, step, _START)):
+                             _expand_target(p, q, step, start)):
             yield seifert if terms is path else report(r, terms, state)
     if polys:
         _fail("walk = moved surfaces", knot, list(next(iter(polys))),

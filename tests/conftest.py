@@ -70,15 +70,15 @@ def step_determinant_off_beyond_depth_8(monkeypatch):
     degree, the symmetry, the values at 1 and -1 and the end coefficients
     of every d_j after it, so only the elimination oracle can see it."""
     import bridgestate.invariants as inv
+    from oracles import _pack
 
     real = inv._surface_step
 
     def faulty(state, j, n):
         state = list(real(state, j, n))
         if j > 8 and j % 2 == 0:
-            state[0] += inv._pack([0] * (j // 2 - 2) + [1, 0, -2, 0, 1],
-                                  state[1])
-            state[7] += 2  # the bound on the coefficients of d_j
+            state[0] += _pack([0] * (j // 2 - 2) + [1, 0, -2, 0, 1],
+                              state[1])
         return tuple(state)
 
     monkeypatch.setattr(inv, "_surface_step", faulty)

@@ -9,7 +9,7 @@ polynomial recurrence (run on packed big integers in the package) is rerun
 over them too, state matrices are built and signatures computed with dense
 ``Fraction`` arithmetic, the matrix moves are redone on dense integer rows,
 and signatures and slopes of expansions are counted from the signs of
-their terms.
+their terms, and signed digits are packed into one int by shifts.
 ``LaurentPolynomial`` serves only as the container results are compared
 in, and ``InvalidInputError`` as the error raised for inputs outside a
 helper's domain.
@@ -194,6 +194,13 @@ def fraction_recurrence_det(terms) -> LaurentPolynomial:
                         {d + 1: c for d, c in prev.items()})
         prev, cur = cur, step
     return dict_to_poly(cur)
+
+
+def _pack(coeffs, bits: int) -> int:
+    """The value at t = 2**bits of the polynomial with coefficients
+    ``coeffs``, lowest degree first: the int whose signed base-2**bits
+    digits they are, for |coeffs[i]| < 2**(bits-1)."""
+    return sum(c << (bits * i) for i, c in enumerate(coeffs))
 
 
 def state_polynomial_det(e: Expansion) -> LaurentPolynomial:

@@ -22,8 +22,8 @@ from bridgestate.checks import (
 )
 from bridgestate.continued_fractions import _expand_target
 from bridgestate.invariants import (
-    _START,
     _check_identities,
+    _start,
     _surface_step,
     _unpack,
     full_report,
@@ -196,7 +196,7 @@ def walked_leaf(p, q, terms):
     """(determinant, minor signature) of the leaf ``terms`` of the shared
     walk of p/q, read off its state as the report pass reads them."""
     cur, bits, scale, sig, _ = dict(
-        _expand_target(p, q, _surface_step, _START))[terms][:5]
+        _expand_target(p, q, _surface_step, _start(p)))[terms][:5]
     return (_unpack(cur, bits, len(terms) + 1), scale), sig
 
 

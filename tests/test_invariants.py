@@ -25,6 +25,7 @@ from bridgestate.invariants import (
     _det_scaled,
     _oracle_scaled,
     _orbit,
+    _start,
 )
 from bridgestate.state_matrices import permuted_state_matrix
 from oracles import (
@@ -253,54 +254,45 @@ class TestOracle:
 
 
 class TestPackedRecurrence:
-    """``_det_scaled`` holds each polynomial as one int of signed slots;
-    these chains take each of its checkpoint branches."""
+    """``_det_scaled`` holds each polynomial as one int of signed slots,
+    their width fixed by ``_start`` from |D_k|."""
 
-    @staticmethod
-    def run(monkeypatch, terms):
-        """(det(V - t*V^T) by ``_det_scaled``, re-tightenings, widenings)."""
-        import bridgestate.invariants as inv
-
-        fits, widths = [], []
-        both_fit, pack = inv._both_fit, inv._pack
-
-        def counted_fit(*args):
-            fits.append(both_fit(*args))
-            return fits[-1]
-
-        def counted_pack(*args):
-            widths.append(args[1])
-            return pack(*args)
-
-        monkeypatch.setattr(inv, "_both_fit", counted_fit)
-        monkeypatch.setattr(inv, "_pack", counted_pack)
-        coeffs, scale = inv._det_scaled(terms)
+    @pytest.mark.parametrize("terms", [
+        (2, -2) * 300,  # |D_j| = j + 1
+        (2,) * 300,
+        (3,) * 200,
+        (2, 2**200 + 1, 3) + (2, -2) * 50,  # one huge term
+        tuple(random.Random(24).choice((2, 3, 4, 5, 6, -2, -3, -4, -5, -6))
+              for _ in range(100)),
+    ], ids=["alternating", "growing-even", "growing-odd", "huge-term",
+            "random"])
+    def test_chain_matches_both_routes(self, terms):
+        coeffs, scale = _det_scaled(terms)
         det = laurent([Fraction(c, 1 << scale) for c in coeffs])
         assert det == fraction_recurrence_det(terms)
-        return det, fits.count(True), len(widths) // 2  # cur and prev
-
-    def test_alternating_chain_retightens(self, monkeypatch):
-        # the coefficient bound grows at every step, the coefficients do not
-        terms = (2, -2) * 300
-        det, tightened, widened = self.run(monkeypatch, terms)
-        assert tightened > 0 and widened == 0
         assert det == state_polynomial_oracle(
             standard_state_matrix(Expansion(terms)))
 
-    @pytest.mark.parametrize("terms", [(2,) * 300, (3,) * 200])
-    def test_growing_chain_widens(self, monkeypatch, terms):
-        det, tightened, widened = self.run(monkeypatch, terms)
-        assert tightened == 0 and widened > 1
-        assert det == state_polynomial_oracle(
-            standard_state_matrix(Expansion(terms)))
+    @pytest.mark.parametrize("alpha",
+                             [3, 255, 256, 2**32 - 1, 2**32, 2**200 + 1])
+    def test_start_width_holds_alpha_squared(self, alpha):
+        bits = _start(alpha)[1]
+        assert bits % 8 == 0 and alpha**2 < 1 << (bits - 1)
+        assert bits <= 72 or alpha >= 2**32
 
-    def test_jump_in_the_bound_widens(self, monkeypatch):
-        # re-tightening passes at the huge term but cannot make room for it
-        terms = (2, 2**200 + 1, 3) + (2, -2) * 50
-        det, tightened, widened = self.run(monkeypatch, terms)
-        assert tightened > 0 and widened > 0
-        assert det == state_polynomial_oracle(
-            standard_state_matrix(Expansion(terms)))
+    def test_a_72_bit_knot_matches_the_oracle_through_the_report_pass(self):
+        # no census knot has slots wider than 72 bits; this alpha has 72
+        # bits, so the report pass folds its walk in 152-bit slots
+        report = full_report(
+            make_knot(4559477258008557710025, 17880028005215534626))
+        assert len(report.surfaces) == 89
+        short = [r for r in report.surfaces
+                 if len(r.surface.expansion.terms) <= 262]
+        assert len(short) == 10
+        for r in short:
+            oracle = state_polynomial_oracle(
+                standard_state_matrix(r.surface.expansion))
+            assert poly_equivalent(oracle, r.polynomial.canonical)
 
 
 class TestPolyEquivalent:
@@ -635,7 +627,7 @@ class TestScaledRepresentation:
         def coarse(state, j, n):
             new = list(real(state, j, n))
             if new[2] and not state[2]:
-                for i in (0, 5, 7, 8):  # d_j, d_{j-1} and their bounds
+                for i in (0, 5):  # d_j and d_{j-1}
                     new[i] <<= 3
                 new[2] += 3  # the scales of d_j and d_{j-1}
                 new[6] += 3

@@ -42,13 +42,14 @@ from bridgestate.continued_fractions import (  # noqa: E402
 )
 from bridgestate import invariants  # noqa: E402
 from bridgestate.invariants import (  # noqa: E402
-    _START,
-    _pack,
+    _det_scaled,
+    _start,
     _surface_step,
     _unpack,
 )
 from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
 from oracles import (  # noqa: E402
+    _pack,
     brute_force_expansions,
     dumps_canonical,
     fraction_recurrence_det,
@@ -71,8 +72,8 @@ MOVES = st.lists(st.sampled_from(("normal", "orientation", "renumber")),
                  max_size=6)
 
 
-# terms of either parity up to 2**80, so single steps jump the coefficient
-# bound by up to 80 bits
+# terms of either parity up to 2**80, so the slots _det_scaled folds in,
+# _start of |D_k|, run to thousands of bits
 BIG_TERMS = st.integers(1, 200).flatmap(lambda k: st.lists(
     st.integers(2, 2**80).flatmap(lambda n: st.sampled_from((n, -n))),
     min_size=k,
@@ -87,12 +88,31 @@ def test_packed_recurrence_matches_fraction_recurrence(terms):
         fraction_recurrence_det(terms)
 
 
-# slot widths, multiples of 8 as _width makes them, and digits that fit:
-# together they reach past _FEW_BITS, where _unpack turns to bytes
-SLOTS = st.sampled_from((72, 80, 136, 1024)).flatmap(lambda bits: st.tuples(
-    st.just(bits),
-    st.lists(st.integers(-2**(bits - 2), 2**(bits - 2)), min_size=1,
-             max_size=80)))
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(2, 9), st.integers(2, 2**80)).flatmap(
+    lambda n: st.sampled_from((n, -n))), min_size=1, max_size=30))
+def test_coefficients_alternate_and_sum_to_the_minor(terms):
+    # the lemma of _start, on every prefix: the coefficients of 2**s * d_j
+    # alternate in sign and their absolute values sum to 2**s * |D_j|, for
+    # the minor D_j of V + V^T from its own recurrence, and 2**s <= |D_j|
+    d, dm = 1, 0
+    for j, n in enumerate(terms, 1):
+        d, dm = (n if j % 2 else -n) * d - dm, d
+        coeffs, scale = _det_scaled(terms[:j])
+        sign = 1 if coeffs[0] > 0 else -1
+        assert all(sign * (-1)**i * c > 0 for i, c in enumerate(coeffs))
+        assert sum(map(abs, coeffs)) == abs(d) << scale
+        assert 1 << scale <= abs(d)
+
+
+# slot widths, multiples of 8 as _start makes them (8 to 72 bits for every
+# alpha < 2**32), and digits over the whole signed range the lemma of
+# _start allows: together they reach past _FEW_BITS, where _unpack turns to
+# bytes
+SLOTS = st.sampled_from((*range(8, 80, 8), 136, 1024)).flatmap(
+    lambda bits: st.tuples(st.just(bits), st.lists(
+        st.integers(1 - 2**(bits - 1), 2**(bits - 1) - 1), min_size=1,
+        max_size=80)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,7 +174,7 @@ def test_shared_walk_folds_each_leaf_like_the_independent_routes(p, data):
     q = data.draw(st.sampled_from(
         [q for q in range(1, p) if gcd(p, q) == 1]), label="q")
     p *= data.draw(st.sampled_from((1, -1)), label="sign")
-    leaves = list(_expand_target(p, q, _surface_step, _START))
+    leaves = list(_expand_target(p, q, _surface_step, _start(p)))
     got = [terms for terms, _ in leaves]
     assert all(a < b for a, b in zip(got, got[1:]))
     assert got == brute_force_expansions(Fraction(p, q), abs(p) + 1,
@@ -180,9 +200,9 @@ def test_expansion_summary_is_the_multiset_of_the_report(knot):
         multiset[key] = multiset.get(key, 0) + 1
     assert _expansion_summary(_targets(report.knot)) == multiset
     target = _targets(report.knot)[knot[1] & 1]
-    leaf, leaves = _even_first(*target, _surface_step, _START)
-    assert list(leaves) == list(_expand_target(*target, _surface_step,
-                                               _START))
+    start = _start(knot[0])
+    leaf, leaves = _even_first(*target, _surface_step, start)
+    assert list(leaves) == list(_expand_target(*target, _surface_step, start))
     assert [leaf[0]] == [r.surface.expansion.terms for r in report.surfaces
                          if r.surface.orientable]
 
