@@ -23,7 +23,6 @@ from .invariants import (
     full_report,
     state_polynomial,
     stream_report,
-    symmetric_signature,
 )
 from .laurent import LaurentPolynomial
 from .state_matrices import (
@@ -34,6 +33,7 @@ from .state_matrices import (
     gl_matrix,
     standard_state_matrix,
     state_matrix,
+    symmetric_signature,
 )
 from .surfaces import (
     EssentialSurface,

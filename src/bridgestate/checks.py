@@ -30,9 +30,9 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
   check fails.  Every transformed matrix, renumbered or not, is signed by
   general sparse elimination (``_sparse_signature`` on the nonzeros of
   D*(V + V^T), integral and symmetric as ``gl_matrix`` builds it), a
-  route independent of the minor recurrence the report pass uses.  The
-  matrices reach both eliminations as their stored nonzeros: no dense
-  rows are built on the check path.
+  route independent of the minor recurrence the report pass uses.  Both
+  eliminations live in ``state_matrices``, apart from that pass, and read
+  the stored nonzeros: no dense rows are built on the check path.
 
 Across presentations, K(alpha, beta^-1 mod alpha) is the same knot as
 K(alpha, beta) and K(alpha, alpha - beta) its mirror image, so a surface
@@ -53,21 +53,20 @@ from .invariants import (
     _fail,
     _knot_report,
     _moved_polys,
-    _oracle_scaled,
     _orbit,
     _report_pass,
-    _sparse_signature,
     laurent_over,
     state_polynomial,
 )
 from .state_matrices import (
     StateMatrix,
+    _oracle_scaled,
+    _sparse_signature,
     flip_normal,
     flip_orientation,
     gl_matrix,
     permuted_state_matrix,
     standard_state_matrix,
-    state_matrix,
 )
 from .surfaces import iter_knots, make_knot
 from .values import Value
@@ -158,13 +157,11 @@ def check_transformation_invariance(e: Expansion, rng: "random.Random",
     oracle * 2**s against recurrence * den**k; each transformed V + V^T,
     renumbered or not, is signed by ``_sparse_signature``."""
     coeffs, scale = det
-    k = base.size
     want = _unit_class(coeffs)
     checks = 0
     for _ in range(samples):
         v = apply_random_transformations(base, rng)
-        got, den = _oracle_scaled(v)
-        den_k = den ** k
+        got, den_k = _oracle_scaled(v)
         if ([x << scale for x in _unit_class(got)]
                 != [x * den_k for x in want]):
             raise ConsistencyError(
@@ -191,8 +188,7 @@ def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix,
     ``StatePolynomial`` ``poly`` against the oracle's unit class:
     2**k * class = coeffs_2k * den**k."""
     coeffs, scale = det
-    got, den = _oracle_scaled(v)
-    den_k = den ** v.size
+    got, den_k = _oracle_scaled(v)
     if [x << scale for x in got] != [x * den_k for x in coeffs]:
         _fail("recurrence = oracle determinant", knot, e,
               f"recurrence {laurent_over(coeffs, 1 << scale)}, "
@@ -213,10 +209,10 @@ def check_negative_control() -> int:
     3/2 - 4t + (3/2)t^2 of [2, 3].  Both are compared on integer lists,
     as in the oracle checks.
     """
-    from fractions import Fraction
-    wrong = state_matrix([[Fraction(1, 2), 1], [1, Fraction(-3, 2)]])
-    got, den = _oracle_scaled(wrong)
-    den_k = den ** wrong.size
+    # 2 * [[1/2, 1], [1, -3/2]], stored with den 2
+    wrong = StateMatrix(2, 2, frozenset(
+        {((0, 0), 1), ((0, 1), 2), ((1, 0), 2), ((1, 1), -3)}))
+    got, den_k = _oracle_scaled(wrong)
     degenerate = [-7, 14, -7]  # 4 * -(7/4)*(1-t)**2
     if [x * 4 for x in got] != [x * den_k for x in degenerate]:
         raise ConsistencyError(

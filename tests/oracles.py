@@ -39,7 +39,8 @@ from bridgestate import (
 )
 from bridgestate.census import canonical_pieces
 from bridgestate.continued_fractions import iter_expansions
-from bridgestate.invariants import _det_scaled, _oracle_scaled
+from bridgestate.invariants import _det_scaled
+from bridgestate.state_matrices import _oracle_scaled
 
 
 def frac(p: int, q: int = 1) -> Fraction:
@@ -215,8 +216,8 @@ def state_polynomial_oracle(v) -> LaurentPolynomial:
     """det(V - t*V^T) for the state matrix ``v``, from the package's
     elimination oracle, uncanonicalized: the oracle eliminates the integer
     matrix D*V (``v.nonzeros``), whose determinant is D**k times this one."""
-    coeffs, den = _oracle_scaled(v)
-    return laurent([Fraction(c, den ** v.size) for c in coeffs])
+    coeffs, scale = _oracle_scaled(v)
+    return laurent([Fraction(c, scale) for c in coeffs])
 
 
 def dumps_canonical(obj) -> str:

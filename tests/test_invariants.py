@@ -20,14 +20,12 @@ from bridgestate import (
     symmetric_signature,
 )
 from bridgestate.checks import check_transformation_invariance, iter_knots
-from bridgestate.invariants import (
+from bridgestate.invariants import _det_scaled, _orbit, _start
+from bridgestate.state_matrices import (
     _cuthill_mckee,
-    _det_scaled,
     _oracle_scaled,
-    _orbit,
-    _start,
+    permuted_state_matrix,
 )
-from bridgestate.state_matrices import permuted_state_matrix
 from oracles import (
     canonical_representative,
     cf_value,
