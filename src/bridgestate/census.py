@@ -1,12 +1,12 @@
 """Report serialization and the census sweep.
 
 This module owns the record schema: every record any command writes is
-built here, and every CSV row is rendered here.  ``surface_record`` holds
-the combinatorial fields of a surface (terms, r, orientable, genus2,
-n_plus, n_minus) for the ``surfaces`` command, and ``report_to_dict`` adds
-each surface's signature, slope and polynomial to them for the JSON of
-``invariants`` and ``census``.  CSV rows are rendered straight from the
-fields of the surfaces and reports, in the column order of the headers.
+rendered here, straight from the fields of the surfaces and reports.  A
+listed surface (the ``surfaces`` command) holds the combinatorial fields
+(terms, r, orientable, genus2, n_plus, n_minus), a reported surface adds
+its signature, slope and polynomial, and a knot record holds its report's
+values and surfaces.  JSON is written from one template per record kind,
+its keys in sorted order, and CSV rows in the column order of the headers.
 
 Wire formats, fixed here and documented in the README:
 
@@ -22,12 +22,12 @@ Wire formats, fixed here and documented in the README:
   ``surfaces --csv`` writes its first eight columns.
 * The JSON companion file is one list of surface records, each with its
   knot's alpha and beta.
-* JSON is rendered by ``canonical_pieces`` alone, with sorted keys and
-  two-space indentation: its bytes are those of ``json.dumps(obj, indent=2,
+* JSON is written by the templates alone, with sorted keys and two-space
+  indentation: its bytes are those of ``json.dumps(obj, indent=2,
   sort_keys=True)``, so parsing and re-dumping a report reproduces it byte
-  for byte.  It streams a report one surface record at a time, and a long
-  int list a few hundred elements at a time.  The records of a
-  ``StreamedReport`` and of ``surfaces_to_dict`` are generators, so
+  for byte.  They yield a report a surface record at a time, and a long int
+  list ``PIECE_INTS`` elements at a time; the surfaces of a
+  ``StreamedReport`` and of ``stream_surfaces`` are generators, so
   ``invariants`` and ``surfaces`` write each surface as the walk yields it
   and keep none.
 
@@ -57,13 +57,11 @@ memory: at most the pieces of a few alpha blocks.
 import operator
 import os
 from contextlib import ExitStack
-from types import GeneratorType
 
 from .errors import ConsistencyError, InvalidInputError
 from .invariants import (
     InvariantReport,
     StatePolynomial,
-    StreamedReport,
     _knot_report,
     _moved_polys,
     _orbit,
@@ -78,179 +76,104 @@ KNOT_CSV_HEADER = (
 SURFACE_LIST_CSV_HEADER = "alpha,beta,terms,r,orientable,genus2,n_plus,n_minus"
 SURFACE_CSV_HEADER = SURFACE_LIST_CSV_HEADER + ",signature,slope,poly"
 
-_encode_str = None  # json.encoder's string quoting, once JSON is rendered
-
 PIECE_INTS = 256  # the most elements of an int list in one JSON piece
 
-
-class _Streamed(Exception):
-    """A value that ``canonical_pieces`` streams instead of rendering it."""
-
-
-def poly_to_dict(sp: StatePolynomial) -> dict:
-    return {"min_degree": 0, "k": sp.k, "coeffs_2k": list(sp.coeffs_2k)}
+# Every list the JSON templates write is non-empty (a surface has k >= 1
+# terms and k + 1 coefficients, a knot at least two surfaces and so a
+# slope), so none is the "[]" of an empty list.
 
 
-def surface_record(s: EssentialSurface) -> dict:
-    """The combinatorial fields of one surface, the same in every format."""
-    return {
-        "terms": list(s.expansion.terms),
-        "r": s.expansion.r,
-        "orientable": s.orientable,
-        "genus2": s.genus_twice,
-        "n_plus": s.n_plus,
-        "n_minus": s.n_minus,
-    }
+def _ints(values, level: int):
+    """Yield the JSON of an int list whose brackets stand at indentation
+    ``level``: whole when it has at most ``PIECE_INTS`` elements, else
+    ``PIECE_INTS`` elements to a piece."""
+    pad = "\n" + "  " * (level + 1)
+    end = "\n" + "  " * level + "]"
+    if len(values) <= PIECE_INTS:
+        yield f"[{pad}{(',' + pad).join(map(str, values))}{end}"
+        return
+    sep = "[" + pad
+    for i in range(0, len(values), PIECE_INTS):
+        yield sep + ("," + pad).join(map(str, values[i:i + PIECE_INTS]))
+        sep = "," + pad
+    yield end
 
 
-def surfaces_to_dict(knot: TwoBridgeKnot, surfaces, count: int) -> dict:
-    """JSON-ready list of the ``count`` surfaces of a knot (the ``surfaces``
-    command), their records a generator over ``surfaces``."""
-    return {
-        "alpha": knot.alpha,
-        "beta": knot.beta,
-        "surface_count": count,
-        "surfaces": (surface_record(s) for s in surfaces),
-    }
+def _records(records, level: int):
+    """Yield the JSON list, its brackets at indentation ``level``, of
+    ``records``, each the pieces of one record."""
+    sep = "[\n" + "  " * (level + 1)
+    for record in records:
+        yield sep
+        yield from record
+        sep = ",\n" + "  " * (level + 1)
+    yield "\n" + "  " * level + "]"
 
 
-def _report_record(sr) -> dict:
-    rec = surface_record(sr.surface)
-    rec["signature"] = sr.signature
-    rec["slope"] = sr.slope
-    rec["poly"] = poly_to_dict(sr.polynomial)
-    return rec
+def _poly_json(sp: StatePolynomial, level: int):
+    """Yield the JSON of a polynomial, its braces at indentation ``level``."""
+    pad = "\n" + "  " * (level + 1)
+    yield f'{{{pad}"coeffs_2k": '
+    yield from _ints(sp.coeffs_2k, level + 1)
+    yield f',{pad}"k": {sp.k},{pad}"min_degree": 0\n{"  " * level}}}'
 
 
-def report_to_dict(report) -> dict:
-    """JSON-ready form of a report (plain ints, strings, bools): the
-    surfaces of an ``InvariantReport`` as a list of records, those of a
-    ``StreamedReport`` as a generator of them, each built as the walk
-    reports its surface."""
+def _surface_json(s: EssentialSurface, level: int, sr=None, knot=None):
+    """Yield the JSON of the surface ``s``, its braces at indentation
+    ``level``: its combinatorial fields, the same in every format; given
+    its report ``sr``, also its polynomial, signature and slope; given
+    ``knot``, also the knot's alpha and beta, as in the census surface
+    file."""
+    pad = "\n" + "  " * (level + 1)
+    e = s.expansion
+    yield (
+        (f'{{{pad}"alpha": {knot.alpha},{pad}"beta": {knot.beta},'
+         if knot is not None else "{")
+        + f'{pad}"genus2": {s.genus_twice},{pad}"n_minus": {s.n_minus},'
+        f'{pad}"n_plus": {s.n_plus},'
+        f'{pad}"orientable": {"true" if s.orientable else "false"},'
+    )
+    if sr is not None:
+        yield f'{pad}"poly": '
+        yield from _poly_json(sr.polynomial, level + 1)
+        yield ","
+    yield f'{pad}"r": {e.r},'
+    if sr is not None:
+        yield f'{pad}"signature": {sr.signature},{pad}"slope": {sr.slope},'
+    yield f'{pad}"terms": '
+    yield from _ints(e.terms, level + 1)
+    yield "\n" + "  " * level + "}"
+
+
+def report_json(report, level: int = 0):
+    """Yield the JSON of a knot report, its braces at indentation ``level``
+    (0 for ``invariants --json``, 1 in a census), each surface as the
+    report yields it."""
     knot = report.knot
-    surfaces = (_report_record(sr) for sr in report.surfaces)
-    return {
-        "alpha": knot.alpha,
-        "beta": knot.beta,
-        "determinant": report.determinant,
-        "signature": report.signature,
-        "genus2": report.genus_twice,
-        "crosscap_genus2": report.nonorientable_genus_twice,
-        "surface_count": report.surface_count,
-        "slopes": report.slopes,
-        "alexander": poly_to_dict(report.alexander),
-        "surfaces": surfaces if isinstance(report, StreamedReport)
-        else list(surfaces),
-    }
+    pad = "\n" + "  " * (level + 1)
+    yield f'{{{pad}"alexander": '
+    yield from _poly_json(report.alexander, level + 1)
+    yield (
+        f',{pad}"alpha": {knot.alpha},{pad}"beta": {knot.beta},'
+        f'{pad}"crosscap_genus2": {report.nonorientable_genus_twice},'
+        f'{pad}"determinant": {report.determinant},'
+        f'{pad}"genus2": {report.genus_twice},'
+        f'{pad}"signature": {report.signature},{pad}"slopes": '
+    )
+    yield from _ints(report.slopes, level + 1)
+    yield f',{pad}"surface_count": {report.surface_count},{pad}"surfaces": '
+    yield from _records((_surface_json(sr.surface, level + 2, sr)
+                         for sr in report.surfaces), level + 1)
+    yield "\n" + "  " * level + "}"
 
 
-def canonical_pieces(obj, level: int = 0):
-    """Yield the canonical JSON text of ``obj`` in pieces: sorted keys and
-    two-space indentation, the bytes of ``json.dumps(obj, indent=2,
-    sort_keys=True)``.  At level 0 the text is a whole document and ends in
-    a newline; at a deeper level it is ``obj`` as it appears at that depth
-    of a document, without its leading indentation or a newline.
-
-    A list whose elements include a dict or a list yields each element as
-    a piece of its own, and so does a generator, the document or a value
-    of its dicts, which renders as a list: so the ``surfaces`` of a report
-    stream and no whole document is ever built.  An int list longer than
-    ``PIECE_INTS`` goes out ``PIECE_INTS`` elements to a piece, and so does
-    the element that holds it.  Only dicts with ``str`` keys, lists, ints,
-    strings, bools and None are accepted; anything else raises TypeError.
-    """
-    global _encode_str
-    if _encode_str is None:  # the first JSON output imports the json package
-        from json.encoder import encode_basestring_ascii as _encode_str
-
-    # per tuple of keys in insertion order: (key, '"key": ') in sorted order
-    heads = {}
-
-    def items(d):
-        keys = tuple(d)
-        entries = heads.get(keys)
-        if entries is None:
-            for key in keys:
-                if type(key) is not str:
-                    raise TypeError(f"JSON object keys must be str, not {key!r}")
-            entries = heads[keys] = [(key, _encode_str(key) + ": ")
-                                     for key in sorted(keys)]
-        return entries
-
-    def render(value, level):
-        kind = type(value)
-        if kind is int:
-            return int.__repr__(value)
-        if kind is list:
-            if not value:
-                return "[]"
-            pad = "\n" + "  " * (level + 1)
-            if {*map(type, value)} == {int}:  # int.__repr__(True) is 'True'
-                if len(value) > PIECE_INTS:
-                    raise _Streamed
-                body = ("," + pad).join(map(int.__repr__, value))
-            else:
-                body = ("," + pad).join([render(x, level + 1) for x in value])
-            return f"[{pad}{body}\n{'  ' * level}]"
-        if kind is dict:
-            if not value:
-                return "{}"
-            pad = "\n" + "  " * (level + 1)
-            parts = []  # one join copies a large value once
-            sep = "{" + pad
-            for key, head in items(value):
-                parts += sep, head, render(value[key], level + 1)
-                sep = "," + pad
-            parts.append("\n" + "  " * level + "}")
-            return "".join(parts)
-        if kind is str:
-            return _encode_str(value)
-        if kind is bool:
-            return "true" if value else "false"
-        if value is None:
-            return "null"
-        raise TypeError(
-            f"{kind.__name__} is not part of the record schema: {value!r}")
-
-    def pieces(value, level):
-        kind = type(value)
-        if kind is dict and value:
-            pad = "\n" + "  " * (level + 1)
-            sep = "{" + pad
-            for key, head in items(value):
-                yield sep + head
-                yield from pieces(value[key], level + 1)
-                sep = "," + pad
-            yield "\n" + "  " * level + "}"
-        elif (kind is list and len(value) > PIECE_INTS
-              and {*map(type, value)} == {int}):
-            pad = "\n" + "  " * (level + 1)
-            sep = "[" + pad
-            for i in range(0, len(value), PIECE_INTS):
-                yield sep + ("," + pad).join(
-                    map(int.__repr__, value[i:i + PIECE_INTS]))
-                sep = "," + pad
-            yield "\n" + "  " * level + "]"
-        elif kind is GeneratorType or kind is list and not {
-                *map(type, value)}.isdisjoint((dict, list)):
-            pad = "\n" + "  " * (level + 1)
-            first = sep = "[" + pad
-            for x in value:
-                yield sep  # apart, so that no element is copied to add it
-                try:
-                    piece = render(x, level + 1)
-                except _Streamed:
-                    yield from pieces(x, level + 1)
-                else:
-                    yield piece
-                sep = "," + pad
-            yield "[]" if sep is first else "\n" + "  " * level + "]"
-        else:
-            yield render(value, level)
-
-    yield from pieces(obj, level)
-    if level == 0:
-        yield "\n"
+def surfaces_json(knot: TwoBridgeKnot, surfaces, count: int):
+    """Yield the JSON document of the ``count`` surfaces of a knot (the
+    ``surfaces`` command), each surface as ``surfaces`` yields it."""
+    yield (f'{{\n  "alpha": {knot.alpha},\n  "beta": {knot.beta},'
+           f'\n  "surface_count": {count},\n  "surfaces": ')
+    yield from _records((_surface_json(s, 2) for s in surfaces), 1)
+    yield "\n}\n"
 
 
 def _join(values) -> str:
@@ -307,17 +230,16 @@ def render_knot(report: InvariantReport, as_json: bool,
 
     A CSV piece is whole lines, each ending in a newline, rendered from
     the report's fields; a JSON piece is list elements separated by a
-    comma and a newline, rendered from ``report_to_dict``.  ``census_rows``
-    puts the pieces of every knot together into the bytes of one CSV table
-    or of one ``canonical_pieces`` list.
+    comma and a newline, rendered by ``report_json`` and
+    ``_surface_json``.  ``census_rows`` puts the pieces of every knot
+    together into the bytes of one CSV table or of one JSON list.
     """
     if as_json:
-        row = report_to_dict(report)
-        records = [dict(s, alpha=row["alpha"], beta=row["beta"])
-                   for s in row["surfaces"]] if with_surfaces else []
-        knot, *surfaces = ("  " + "".join(canonical_pieces(element, 1))
-                           for element in [row] + records)
-        return knot, ",\n".join(surfaces)
+        knot = report.knot
+        surfaces = ",\n".join(
+            "  " + "".join(_surface_json(sr.surface, 1, sr, knot))
+            for sr in report.surfaces) if with_surfaces else ""
+        return "  " + "".join(report_json(report, 1)), surfaces
     lines = surface_csv_rows(report) if with_surfaces else ()
     return knot_csv_row(report) + "\n", "".join(line + "\n" for line in lines)
 

@@ -22,12 +22,11 @@ import sys
 
 from .census import (
     KNOT_CSV_HEADER,
-    canonical_pieces,
     census_rows,
     knot_csv_row,
-    report_to_dict,
+    report_json,
+    surfaces_json,
     surfaces_to_csv,
-    surfaces_to_dict,
 )
 from .checks import check_knot, check_negative_control, check_range
 from .errors import ConsistencyError, InvalidInputError
@@ -46,8 +45,8 @@ def cmd_surfaces(args) -> int:
     count, surfaces = stream_surfaces(knot)
     if args.json or args.csv:  # each surface is written as the walk yields it
         sys.stdout.writelines(
-            canonical_pieces(surfaces_to_dict(knot, surfaces, count))
-            if args.json else surfaces_to_csv(knot, surfaces))
+            surfaces_json(knot, surfaces, count) if args.json
+            else surfaces_to_csv(knot, surfaces))
     else:  # the widest expansion sets a column, so the walk ends first
         surfaces = list(surfaces)
         print(f"{knot}: {count} essential spanning surfaces")
@@ -64,7 +63,8 @@ def cmd_surfaces(args) -> int:
 def cmd_invariants(args) -> int:
     report = stream_report(make_knot(args.alpha, args.beta))
     if args.json:  # each surface is written as the walk reports it
-        sys.stdout.writelines(canonical_pieces(report_to_dict(report)))
+        sys.stdout.writelines(report_json(report))
+        sys.stdout.write("\n")
     elif args.csv:
         for _ in report.surfaces:  # every check runs before the row is written
             pass
@@ -228,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # coefficients pass the 4,300 digits Python >= 3.10.7 converts by default
+    # once a surface has about 14,280 bands; argv is parsed under that limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a reader that has gone is an I/O failure too

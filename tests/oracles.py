@@ -18,13 +18,13 @@ Two helpers are views, not references: ``state_polynomial_det`` and
 ``state_polynomial_oracle`` put the integer results of the package's
 recurrence and elimination oracle into that container, so the tests can
 compare the two routes with each other and with the references above,
-exactly and up to the units +-t^j (``poly_equivalent``).  So is
-``dumps_canonical``, the package's streamed JSON joined into one string,
-which the tests compare with the stdlib's ``json.dumps``, and so are
-``essential_surfaces``, the package's enumeration collected whole, and
-``invariant_multiset``, a report reduced to what two presentations of one
-knot must share, which the tests use as references for the streamed
-outputs and the presentation maps.
+exactly and up to the units +-t^j (``poly_equivalent``).  So are
+``report_fields`` and ``surface_fields``, a report's and a surface's fields
+in the dicts of the record schema, whose stdlib ``json.dumps`` the tests
+compare with the package's JSON; ``essential_surfaces``, the package's
+enumeration collected whole; and ``invariant_multiset``, a report reduced
+to what two presentations of one knot must share, which the tests use as
+references for the streamed outputs and the presentation maps.
 """
 
 import math
@@ -37,7 +37,6 @@ from bridgestate import (
     LaurentPolynomial,
     make_surface,
 )
-from bridgestate.census import canonical_pieces
 from bridgestate.continued_fractions import iter_expansions
 from bridgestate.invariants import _det_scaled
 from bridgestate.state_matrices import _oracle_scaled
@@ -125,7 +124,7 @@ def brute_force_expansions(x: Fraction, max_abs_term: int, max_length: int):
     return sorted(found)
 
 
-def poly_to_dict(p: LaurentPolynomial) -> dict:
+def laurent_dict(p: LaurentPolynomial) -> dict:
     return {
         p.min_degree + i: c for i, c in enumerate(p.coeffs) if c != 0
     }
@@ -160,12 +159,12 @@ def dict_eval(d: dict, x: Fraction) -> Fraction:
 
 def evaluate(p: LaurentPolynomial, x) -> Fraction:
     """Exact value of p at the nonzero rational point x."""
-    return dict_eval(poly_to_dict(p), x)
+    return dict_eval(laurent_dict(p), x)
 
 
 def reciprocal(p: LaurentPolynomial) -> LaurentPolynomial:
     """The polynomial p(1/t)."""
-    return dict_to_poly({-d: c for d, c in poly_to_dict(p).items()})
+    return dict_to_poly({-d: c for d, c in laurent_dict(p).items()})
 
 
 def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
@@ -220,9 +219,29 @@ def state_polynomial_oracle(v) -> LaurentPolynomial:
     return laurent([Fraction(c, scale) for c in coeffs])
 
 
-def dumps_canonical(obj) -> str:
-    """The one JSON rendering used everywhere (round-trips byte-for-byte)."""
-    return "".join(canonical_pieces(obj))
+def surface_fields(s) -> dict:
+    """The fields of a listed surface, as its JSON record holds them."""
+    e = s.expansion
+    return {"terms": list(e.terms), "r": e.r, "orientable": s.orientable,
+            "genus2": s.genus_twice, "n_plus": s.n_plus, "n_minus": s.n_minus}
+
+
+def report_fields(report) -> dict:
+    """The fields of a knot report, as its JSON record holds them."""
+    def poly(sp):
+        return {"min_degree": 0, "k": sp.k, "coeffs_2k": list(sp.coeffs_2k)}
+
+    return {
+        "alpha": report.knot.alpha, "beta": report.knot.beta,
+        "determinant": report.determinant, "signature": report.signature,
+        "genus2": report.genus_twice,
+        "crosscap_genus2": report.nonorientable_genus_twice,
+        "surface_count": report.surface_count, "slopes": report.slopes,
+        "alexander": poly(report.alexander),
+        "surfaces": [dict(surface_fields(sr.surface), signature=sr.signature,
+                          slope=sr.slope, poly=poly(sr.polynomial))
+                     for sr in report.surfaces],
+    }
 
 
 def essential_surfaces(knot) -> tuple:

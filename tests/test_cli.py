@@ -7,6 +7,18 @@ import pytest
 from bridgestate.cli import main
 
 
+@pytest.fixture
+def least_int_digit_limit():
+    """Python's least limit on the digits of an int-str conversion, 640,
+    for the test; the limit it had is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-str conversion limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -82,6 +94,21 @@ class TestInvariantsCommand:
         lines = out.splitlines()
         assert lines[0].startswith("alpha,beta,")
         assert lines[1] == "5,2,3,0,2,2,-4;0;4,4;-12;4"
+
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_coefficients_past_the_int_digit_limit(self, capsys,
+                                                    least_int_digit_limit,
+                                                    fmt):
+        # 2**2200 times the Alexander polynomial of K(2201, 1) has
+        # 663-digit coefficients
+        code, out, _ = run(capsys, "invariants", "2201", "1", fmt)
+        assert code == 0
+        sys.set_int_max_str_digits(0)  # to parse them
+        if fmt == "--json":
+            k = json.loads(out)["alexander"]["k"]
+        else:
+            k = len(out.splitlines()[1].split(",")[7].split(";")) - 1
+        assert k == 2200
 
     def test_consistency_failure_exits_1(self, capsys,
                                          step_minor_signature_plus_1):

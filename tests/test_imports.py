@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bridgestate"
 
 # imported where they are used: fractions for display, failure messages
-# and Fraction input, json for JSON output, and dataclasses not at all
+# and Fraction input, and dataclasses and json not at all
 NOT_AT_START = ("dataclasses", "inspect", "fractions", "decimal", "json")
 
 
@@ -66,6 +66,17 @@ def test_surfaces_json_does_not_need_fractions():
     loaded = modules_after("from bridgestate.cli import main\n"
                            "assert main(['surfaces', '5', '2', '--json']) == 0")
     assert "fractions" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "5", "2", "--json"],
+    ["census", "--max-alpha", "5", "--json"],
+])
+def test_json_output_does_not_need_json(argv):
+    # the record templates hold their keys as literals, and no strings
+    loaded = modules_after("from bridgestate.cli import main\n"
+                           f"assert main({argv!r}) == 0")
+    assert "json" not in loaded
 
 
 def test_a_passing_verify_does_not_need_fractions():

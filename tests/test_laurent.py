@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from bridgestate import InvalidInputError, LaurentPolynomial
-from oracles import dict_mul, frac, laurent, poly_to_dict, random_laurent
+from oracles import dict_mul, frac, laurent, laurent_dict, random_laurent
 
 
 class TestFrac:
@@ -42,7 +42,7 @@ class TestArithmetic:
         rng = random.Random(2)
         for _ in range(100):
             p, q = random_laurent(rng), random_laurent(rng)
-            assert poly_to_dict(p * q) == dict_mul(poly_to_dict(p), poly_to_dict(q))
+            assert laurent_dict(p * q) == dict_mul(laurent_dict(p), laurent_dict(q))
 
     def test_normalization_restored(self):
         # ends of the stored span stay nonzero after multiplication
