@@ -38,7 +38,6 @@ from .state_matrices import (
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
-    find_seifert,
     make_knot,
     make_surface,
     sign_counts,

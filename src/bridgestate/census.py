@@ -27,7 +27,7 @@ Wire formats, fixed here and documented in the README:
   sort_keys=True)``, so parsing and re-dumping a report reproduces it byte
   for byte.  They yield a report a surface record at a time, and a long int
   list ``PIECE_INTS`` elements at a time; the surfaces of a
-  ``StreamedReport`` and of ``stream_surfaces`` are generators, so
+  ``stream_report`` and of ``stream_surfaces`` are generators, so
   ``invariants`` and ``surfaces`` write each surface as the walk yields it
   and keep none.
 
@@ -261,8 +261,8 @@ def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
         slopes = report.slopes
         if slopes.count(0) != 1:
             raise ConsistencyError(
-                f"{report.knot} has slopes {slopes}: expected exactly one "
-                f"zero (the Seifert surface)"
+                f"{report.knot} has slopes {list(slopes)}: expected exactly "
+                f"one zero (the Seifert surface)"
             )
         yield (*render_knot(report, as_json, with_surfaces),
                len(report.surfaces))

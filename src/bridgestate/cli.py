@@ -78,7 +78,7 @@ def cmd_invariants(args) -> int:
         print(f"  genus2           {report.genus_twice}")
         print(f"  crosscap_genus2  {report.nonorientable_genus_twice}")
         print(f"  alexander        {report.alexander.canonical}")
-        print(f"  slopes           {report.slopes}")
+        print(f"  slopes           {list(report.slopes)}")
         print(f"  surfaces ({report.surface_count}):")
         width = max(len(str(r.surface.expansion)) for r in surfaces)
         for r in surfaces:

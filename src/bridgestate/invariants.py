@@ -4,12 +4,12 @@
 knot-level value (determinant, signature, Alexander polynomial, genus,
 crosscap number) and every per-surface value is a field of its
 ``InvariantReport``, which the census writes and ``checks`` verifies.
-``stream_report`` gives the same values with the surfaces as an iterator,
-for the ``invariants`` command.  Given the state polynomials of a computed
-report, moved to another presentation of the same knot or of its mirror
-image along a move ``_orbit`` lists (``_moved_polys``), the same report
-pass builds that presentation's report from its own walk, without the
-determinant recurrence.
+``stream_report`` gives the same report with its ``surfaces`` an
+iterator, for the ``invariants`` command.  Given the state polynomials of
+a computed report, moved to another presentation of the same knot or of
+its mirror image along a move ``_orbit`` lists (``_moved_polys``), the
+same report pass builds that presentation's report from its own walk,
+without the determinant recurrence.
 
 Conventions, fixed once here:
 
@@ -32,13 +32,14 @@ report pass walks it once (``_expand_target``), folding ``_surface_step``
 surfaces share the steps of their prefix.  It walks the path of even
 terms first (``_even_first``), so the Seifert surface, and with it the
 Alexander polynomial, comes before any other from one fold of that
-path.  The surface count, slopes and crosscap number follow, without
-the walk, from the summary of the tree, whose repeated subtrees make it a
-DAG (``_expansion_summary``); a streamed report must end with the walk's
-multiset of (genus2, signature, orientable) equal to the summary's.  A
-step advances three recurrences by one term: the leading principal
-minors of V + V^T, the sign counts, and the tridiagonal determinant
-d_0 = 1,
+path; a collected report must find it again as the walk's one orientable
+surface, of even genus2.  A streamed report takes the surface count,
+slopes and crosscap number, without the walk, from the summary of the
+tree, whose repeated subtrees make it a DAG (``_expansion_summary``), and
+must end with the walk's multiset of (genus2, signature, orientable)
+equal to the summary's.  A step advances three recurrences by one term:
+the leading principal minors of V + V^T, the sign counts, and the
+tridiagonal determinant d_0 = 1,
 d_j = (-1)**(j+1) * (nj/2)(1-t) * d_{j-1} + t * d_{j-2} on 2**s-scaled
 integer coefficients (s counts the odd terms, so s <= k), each d_j one
 int, its value at t = 2**B (Kronecker substitution) with the coefficients
@@ -64,7 +65,6 @@ from .laurent import LaurentPolynomial
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
-    find_seifert,
     walk_checked,
 )
 from .values import Value
@@ -253,22 +253,14 @@ class SurfaceReport(Value):
 
 
 class InvariantReport(Value):
+    """The report of a knot.  ``slopes``, its boundary slope set, is a
+    sorted tuple, and distinct surfaces may share a slope (first at
+    K(19,7), where a nonorientable surface joins the Seifert surface at
+    slope 0), so it can be shorter than ``surfaces``."""
+
     __slots__ = ("knot", "surfaces", "determinant", "signature", "alexander",
-                 "genus_twice", "nonorientable_genus_twice")
-
-    @property
-    def surface_count(self) -> int:
-        return len(self.surfaces)
-
-    @property
-    def slopes(self) -> list:
-        """The knot's boundary slope set, sorted ascending.
-
-        Distinct surfaces may share a slope (first at K(19,7), where a
-        nonorientable surface joins the Seifert surface at slope 0), so
-        this can be shorter than the surface list.
-        """
-        return sorted({r.slope for r in self.surfaces})
+                 "genus_twice", "nonorientable_genus_twice", "surface_count",
+                 "slopes")
 
 
 def _fail(what: str, knot, e, detail: str):
@@ -310,25 +302,20 @@ def full_report(knot: TwoBridgeKnot) -> InvariantReport:
     sign-count signature equals the minor-recurrence signature, the
     signature-difference slope equals the sign-count slope formula, and
     the polynomial has degree k and integral 2**k-scaled coefficients.
-    The walk's Seifert surface must be the one the even-term path ends in.
+    The Seifert surface, which the path of even terms ends in, must be the
+    walk's one orientable surface, of even genus2.
     """
     return _knot_report(knot, _report_pass(knot))
 
 
-class StreamedReport(Value):
-    """The knot-level values of an ``InvariantReport``, with its surface
-    count and slopes, and ``surfaces``, an iterator over its reports."""
-
-    __slots__ = InvariantReport.__slots__ + ("surface_count", "slopes")
-
-
-def stream_report(knot: TwoBridgeKnot) -> StreamedReport:
-    """``full_report`` of ``knot`` for output that writes each surface as
-    the walk reports it and keeps none.  The surface count, slopes and
-    crosscap number come from the summary of the expansion DAG, the rest
-    from the Seifert surface, which the walk reports first and which must
-    be the summary's one orientable surface; when the walk ends, its
-    multiset must be the summary's (``walk_checked``)."""
+def stream_report(knot: TwoBridgeKnot) -> InvariantReport:
+    """``full_report`` of ``knot``, its ``surfaces`` an iterator, for
+    output that writes each surface as the walk reports it and keeps
+    none.  The surface count, slopes and crosscap number come from the
+    summary of the expansion DAG, the rest from the Seifert surface, which
+    the walk reports first and which must be the summary's one orientable
+    surface; when the walk ends, its multiset must be the summary's
+    (``walk_checked``)."""
     summary = _expansion_summary(_targets(knot))
     pairs = _report_pass(knot)
     seifert, _ = next(pairs)
@@ -338,12 +325,12 @@ def stream_report(knot: TwoBridgeKnot) -> StreamedReport:
         raise ConsistencyError(
             f"Seifert surface = orientable surface of the summary failed for "
             f"{knot}: got {(g2, sigma_k)}, the summary has {orientable}")
-    return StreamedReport._of(
+    return InvariantReport._of(
         knot, walk_checked(knot, (r for r, _ in pairs), summary), knot.alpha,
         sigma_k, seifert.polynomial, g2,
         min([g2 + 1] + [k for k, _, even in summary if not even]),
         sum(summary.values()),
-        sorted({2 * (sig - sigma_k) for _, sig, _ in summary}))
+        tuple(sorted({2 * (sig - sigma_k) for _, sig, _ in summary})))
 
 
 def _report_pass(knot: TwoBridgeKnot, polys=None):
@@ -412,23 +399,27 @@ def _report_pass(knot: TwoBridgeKnot, polys=None):
 def _knot_report(knot: TwoBridgeKnot, pairs) -> InvariantReport:
     """The report of ``knot`` from the (surface report, det) ``pairs`` of
     its report pass.  The first is its Seifert surface, whose polynomial is
-    the Alexander polynomial; it must be the surface ``find_seifert`` finds
-    among the rest, every surface in report order, and the other
-    knot-level values follow from it and them."""
+    the Alexander polynomial; it must be the one orientable surface among
+    the rest, every surface in report order, and have even genus2, and the
+    other knot-level values follow from it and them."""
     first, _ = next(pairs)
     reports = tuple([r for r, _ in pairs])
-    seifert = find_seifert([r.surface for r in reports])
-    path = first.surface.expansion.terms
-    if seifert.expansion.terms != path:
-        _fail("Seifert expansion = path of even terms", knot,
-              seifert.expansion, f"the path is {list(path)}")
+    seifert = first.surface
     g2 = seifert.genus_twice
+    orientable = [r for r in reports if r.surface.orientable]
+    if orientable != [first] or g2 % 2:
+        _fail("Seifert surface = the walk's one orientable surface, of "
+              "even genus2", knot, seifert.expansion,
+              f"the orientable surfaces are "
+              f"{[str(r.surface.expansion) for r in orientable]}, and it "
+              f"has genus2 {g2}")
     # the crosscap number: the least nonorientable genus, or g(K) + 1/2 (a
     # crosscap added to a minimal Seifert surface) if that is smaller
     crosscap = min([g2 + 1] + [r.surface.genus_twice for r in reports
                                if not r.surface.orientable])
     return InvariantReport(knot, reports, knot.alpha, first.signature,
-                           first.polynomial, g2, crosscap)
+                           first.polynomial, g2, crosscap, len(reports),
+                           tuple(sorted({r.slope for r in reports})))
 
 
 # ---------------------------------------------------------------------------

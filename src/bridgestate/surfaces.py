@@ -123,25 +123,3 @@ def walk_checked(knot: TwoBridgeKnot, items, summary: dict):
             f"walk = expansion summary failed for {knot}: (genus2, signature, "
             f"orientable) counts {sorted(seen.items())} from the walk, "
             f"{sorted(summary.items())} from the summary")
-
-
-def find_seifert(surfaces) -> EssentialSurface:
-    """The unique orientable (all-even expansion) surface of a knot.
-
-    Anything other than exactly one orientable surface in the full set, or
-    one of odd length (its genus k/2 must be an integer), signals an
-    enumeration bug, not a property of the input.
-    """
-    orientable = [s for s in surfaces if s.orientable]
-    if len(orientable) != 1:
-        raise ConsistencyError(
-            f"expected exactly one all-even expansion, found "
-            f"{[str(s.expansion) for s in orientable]}"
-        )
-    seifert = orientable[0]
-    if seifert.genus_twice % 2:
-        raise ConsistencyError(
-            f"orientable expansion {seifert.expansion} has odd length "
-            f"(the Seifert genus must be integral)"
-        )
-    return seifert

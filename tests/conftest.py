@@ -203,14 +203,40 @@ def transformations_double_the_matrix(monkeypatch):
 
 
 @pytest.fixture
-def census_slopes_with_a_second_zero(monkeypatch):
-    """Make every report's slope set, which the census checks for exactly
-    one zero, list one more slope, 0."""
-    from bridgestate.invariants import InvariantReport
+def census_slopes_without_a_zero(monkeypatch):
+    """Make every report the census computes or builds, whose slope set it
+    checks for exactly one zero, lose its slope 0."""
+    import bridgestate.census as census
 
-    real = InvariantReport.slopes.fget
-    monkeypatch.setattr(InvariantReport, "slopes",
-                        property(lambda report: real(report) + [0]))
+    def faulty(real):
+        def producer(*args):
+            report = real(*args)
+            fields = {name: getattr(report, name) for name in report._fields}
+            fields["slopes"] = tuple([s for s in report.slopes if s])
+            return type(report)(**fields)
+        return producer
+
+    for name in ("full_report", "_knot_report"):
+        monkeypatch.setattr(census, name, faulty(getattr(census, name)))
+
+
+@pytest.fixture
+def report_pass_fault(monkeypatch):
+    """Return ``install(fault)``, which makes the report pass of
+    ``bridgestate.invariants`` yield (fault(i, report), det) for its i-th
+    (surface report, det), the Seifert surface first at i = 0."""
+    import bridgestate.invariants as inv
+
+    real = inv._report_pass
+
+    def install(fault):
+        def faulty(knot, polys=None):
+            for i, (report, det) in enumerate(real(knot, polys)):
+                yield fault(i, report), det
+
+        monkeypatch.setattr(inv, "_report_pass", faulty)
+
+    return install
 
 
 @pytest.fixture
@@ -232,8 +258,8 @@ def mirror_drops_a_nonorientable_surface(monkeypatch):
         # the moved terms come in the order of the report's surfaces
         for r, terms in zip(report.surfaces, list(moved)):
             others = [x for x in report.surfaces if x is not r]
-            if r.surface.orientable or sorted(
-                    {x.slope for x in others}) != report.slopes:
+            if r.surface.orientable or tuple(sorted(
+                    {x.slope for x in others})) != report.slopes:
                 continue
             if min([report.genus_twice + 1] + [
                     x.surface.genus_twice for x in others

@@ -8,11 +8,13 @@ from bridgestate import (
     ConsistencyError,
     Expansion,
     InvalidInputError,
+    SurfaceReport,
     flip_normal,
     flip_orientation,
     full_report,
     gl_matrix,
     make_knot,
+    make_surface,
     standard_state_matrix,
     state_matrix,
     state_polynomial,
@@ -555,7 +557,7 @@ class TestFullReport:
         assert len(r.surfaces) == 3
         assert r.determinant == 5
         assert r.signature == 0
-        assert r.slopes == [-4, 0, 4]
+        assert r.slopes == (-4, 0, 4)
         assert sorted(x.signature for x in r.surfaces) == [-2, 0, 2]
         for x in r.surfaces:
             assert abs(evaluate(x.polynomial.canonical, -1)) == 5
@@ -567,14 +569,14 @@ class TestFullReport:
             (3, -2, 2),
             (-2, 4),
         ]
-        assert r.slopes == [0, 4, 10]
+        assert r.slopes == (0, 4, 10)
         for x in r.surfaces:
             assert abs(evaluate(x.polynomial.canonical, -1)) == 7
 
     def test_trefoil(self):
         r = full_report(make_knot(3, 1))
         assert len(r.surfaces) == 2
-        assert r.slopes == [0, 6]
+        assert r.slopes == (0, 6)
         assert r.alexander.canonical == laurent([1, -1, 1])
 
     def test_shared_slope(self):
@@ -582,7 +584,7 @@ class TestFullReport:
         # is shorter than the surface list
         r = full_report(make_knot(19, 7))
         assert len(r.surfaces) == 6
-        assert r.slopes == [-4, 0, 4, 6, 10]
+        assert r.slopes == (-4, 0, 4, 6, 10)
         assert sum(1 for x in r.surfaces if x.slope == 0) == 2
 
     def test_alexander_is_the_seifert_polynomial(self):
@@ -796,16 +798,16 @@ class TestPresentationMaps:
         assert moves == 674
 
 
-def test_report_pass_checks_the_seifert_expansion(monkeypatch):
-    # slopes are measured from the path of even terms, so the walk must
-    # find the Seifert surface at the end of that path
-    import bridgestate.invariants as inv
-
-    monkeypatch.setattr(inv, "find_seifert", lambda surfaces: next(
-        s for s in surfaces if not s.orientable))
+def test_report_pass_checks_the_seifert_expansion(report_pass_fault):
+    # slopes are measured from the surface the report pass yields first, so
+    # it must be the walk's one orientable surface
+    first = make_surface(Expansion((3, -2)))
+    report_pass_fault(lambda i, r: SurfaceReport(
+        first, r.polynomial, r.signature, r.slope) if i == 0 else r)
     with pytest.raises(ConsistencyError, match=re.escape(
-            "Seifert expansion = path of even terms failed for [3, -2] of "
-            "K(5,2): the path is [2, 2]")):
+            "Seifert surface = the walk's one orientable surface, of even "
+            "genus2 failed for [3, -2] of K(5,2): the orientable surfaces "
+            "are ['[2, 2]'], and it has genus2 2")):
         full_report(make_knot(5, 2))
 
 

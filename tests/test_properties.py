@@ -225,7 +225,7 @@ def test_mirror_negates_signatures_and_slopes(knot):
         (poly, -sigma, -slope)
         for poly, sigma, slope in invariant_multiset(ours)))
     assert mirror.signature == -ours.signature
-    assert mirror.slopes == [-s for s in reversed(ours.slopes)]
+    assert mirror.slopes == tuple([-s for s in reversed(ours.slopes)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,7 +18,7 @@ def test_full_report_of_seven_three():
     assert report.signature == -2
     assert report.genus_twice == 2
     assert report.nonorientable_genus_twice == 2
-    assert report.slopes == [0, 4, 10]
+    assert report.slopes == (0, 4, 10)
     assert report.alexander.k == 2
     assert report.alexander.coeffs_2k == (8, -12, 8)
     assert str(report.alexander.canonical) == "2 - 3*t + 2*t^2"

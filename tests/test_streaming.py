@@ -18,7 +18,11 @@ from bridgestate.census import (
     surfaces_to_csv,
 )
 from bridgestate.cli import main
-from bridgestate.invariants import full_report, stream_report
+from bridgestate.invariants import (
+    InvariantReport,
+    full_report,
+    stream_report,
+)
 from bridgestate.surfaces import iter_knots, make_knot, stream_surfaces
 from oracles import essential_surfaces, report_fields, surface_fields
 
@@ -61,7 +65,11 @@ def test_streamed_outputs_to_61_equal_the_collected_ones():
         text, csv = collected_invariants(alpha, beta)
         assert "".join(report_json(stream_report(knot))) + "\n" == text
         report = stream_report(knot)
-        assert len(list(report.surfaces)) == report.surface_count
+        # drained, the streamed report is the collected one
+        fields = {name: getattr(report, name) for name in report._fields}
+        fields["surfaces"] = tuple(report.surfaces)
+        assert InvariantReport(**fields) == full_report(knot)
+        assert len(fields["surfaces"]) == report.surface_count
         assert f"{KNOT_CSV_HEADER}\n{knot_csv_row(report)}\n" == csv
         text, csv = collected_surfaces(alpha, beta)
         count, surfaces = stream_surfaces(knot)

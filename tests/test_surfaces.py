@@ -1,10 +1,14 @@
+import re
+
 import pytest
 
 from bridgestate import (
     ConsistencyError,
+    EssentialSurface,
     Expansion,
     InvalidInputError,
-    find_seifert,
+    SurfaceReport,
+    full_report,
     make_knot,
     make_surface,
     sign_counts,
@@ -78,30 +82,60 @@ class TestMakeSurface:
         assert s.n_plus + s.n_minus == 4
 
 
+def with_surface(report, surface):
+    """``report`` with ``surface`` in place of its surface."""
+    return SurfaceReport(surface, report.polynomial, report.signature,
+                         report.slope)
+
+
+def flagged(report, orientable: bool):
+    """``report`` with its surface flagged ``orientable``."""
+    s = report.surface
+    return with_surface(report, EssentialSurface(
+        s.expansion, orientable, s.genus_twice, s.n_plus, s.n_minus))
+
+
+SEIFERT_IDENTITY = ("Seifert surface = the walk's one orientable surface, "
+                    "of even genus2 failed for ")
+
+
 class TestFindSeifert:
+    """The report pass yields the Seifert surface first, from the path of
+    even terms, and ``full_report`` must find it again as the walk's one
+    orientable surface, of even genus2."""
+
     @pytest.mark.parametrize(
         "alpha,beta,expected",
         [(5, 2, (2, 2)), (3, 1, (-2, 2)), (7, 3, (-2, 4))],
     )
     def test_unique_even_expansion(self, alpha, beta, expected):
-        surfaces = essential_surfaces(make_knot(alpha, beta))
-        assert find_seifert(surfaces).expansion.terms == expected
+        report = full_report(make_knot(alpha, beta))
+        assert [r.surface.expansion.terms for r in report.surfaces
+                if r.surface.orientable] == [expected]
 
-    def test_no_orientable_surface_is_a_bug(self):
-        only_odd = [make_surface(Expansion((3,)))]
-        with pytest.raises(ConsistencyError):
-            find_seifert(only_odd)
+    def test_no_orientable_surface_is_a_bug(self, report_pass_fault):
+        report_pass_fault(lambda i, r: flagged(r, False) if i else r)
+        with pytest.raises(ConsistencyError, match=re.escape(
+                SEIFERT_IDENTITY + "[2, 2] of K(5,2): the orientable "
+                "surfaces are [], and it has genus2 2")):
+            full_report(make_knot(5, 2))
 
-    def test_two_orientable_surfaces_is_a_bug(self):
-        twice = [make_surface(Expansion((2, 2))), make_surface(Expansion((-2, 4)))]
-        with pytest.raises(ConsistencyError):
-            find_seifert(twice)
+    def test_two_orientable_surfaces_is_a_bug(self, report_pass_fault):
+        report_pass_fault(lambda i, r: flagged(r, True)
+                          if r.surface.expansion.terms == (3, -2) else r)
+        with pytest.raises(ConsistencyError, match=re.escape(
+                SEIFERT_IDENTITY + "[2, 2] of K(5,2): the orientable "
+                "surfaces are ['[2, 2]', '[3, -2]'], and it has genus2 2")):
+            full_report(make_knot(5, 2))
 
-    def test_odd_length_orientable_surface_is_a_bug(self):
-        odd = [make_surface(Expansion((2, -2, 2))),
-               make_surface(Expansion((3,)))]
-        with pytest.raises(ConsistencyError, match="odd length"):
-            find_seifert(odd)
+    def test_odd_length_orientable_surface_is_a_bug(self, report_pass_fault):
+        odd = make_surface(Expansion((2, -2, 2)))
+        report_pass_fault(lambda i, r: with_surface(r, odd)
+                          if r.surface.orientable else r)
+        with pytest.raises(ConsistencyError, match=re.escape(
+                SEIFERT_IDENTITY + "[2, -2, 2] of K(5,2): the orientable "
+                "surfaces are ['[2, -2, 2]'], and it has genus2 3")):
+            full_report(make_knot(5, 2))
 
 
 def test_essential_surfaces_preserve_expansion_order():

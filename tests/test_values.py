@@ -135,7 +135,8 @@ def test_reprs():
         + seifert + ", SurfaceReport(")
     assert repr(report).endswith(
         "determinant=5, signature=0, alexander=StatePolynomial(k=2, "
-        "coeffs_2k=(4, -12, 4)), genus_twice=2, nonorientable_genus_twice=2)")
+        "coeffs_2k=(4, -12, 4)), genus_twice=2, nonorientable_genus_twice=2, "
+        "surface_count=3, slopes=(-4, 0, 4))")
     nonzeros = frozenset({((1, 1), -3)})
     assert repr(StateMatrix(2, 2, nonzeros)) == (
         "StateMatrix(size=2, den=2, nonzeros=frozenset({((1, 1), -3)}))")
