@@ -26,13 +26,13 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
   and renumbering transformations leave the polynomial class and the
   reported signature unchanged.  These compare integer coefficient lists:
   the oracle's, of D**k * p for the integer matrix D*V, times 2**s against
-  the recurrence's, of 2**s * p, times D**k; no Fraction is built unless a
-  check fails.  Every transformed matrix, renumbered or not, is signed by
-  general sparse elimination (``_sparse_signature`` on the nonzeros of
-  D*(V + V^T), integral and symmetric as ``gl_matrix`` builds it), a
-  route independent of the minor recurrence the report pass uses.  Both
-  eliminations live in ``state_matrices``, apart from that pass, and read
-  the stored nonzeros: no dense rows are built on the check path.
+  the recurrence's, of 2**s * p, times D**k, and a failure prints them with
+  ``poly_text``: no Fraction is built.  Every transformed matrix, renumbered
+  or not, is signed by general sparse elimination (``_sparse_signature`` on
+  the nonzeros of D*(V + V^T), integral and symmetric as ``gl_matrix``
+  builds it), a route independent of the minor recurrence the report pass
+  uses.  Both eliminations live in ``state_matrices``, apart from that pass,
+  and read the stored nonzeros: no dense rows are built on the check path.
 
 Across presentations, K(alpha, beta^-1 mod alpha) is the same knot as
 K(alpha, beta) and K(alpha, alpha - beta) its mirror image, so a surface
@@ -55,9 +55,9 @@ from .invariants import (
     _moved_polys,
     _orbit,
     _report_pass,
-    laurent_over,
     state_polynomial,
 )
+from .laurent import poly_text
 from .state_matrices import (
     StateMatrix,
     _oracle_scaled,
@@ -106,16 +106,14 @@ def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
     at_one = sum(coeffs)
     expected_at_one = (1 << scale) if k % 2 == 0 else 0
     if at_one != expected_at_one:
-        from fractions import Fraction
         _fail("p(1) by parity of k", knot, e,
-              f"got {Fraction(at_one, 1 << scale)}")
+              f"got {poly_text([at_one], 1 << scale)}")
     prod = 1
     for n in terms:
         prod *= abs(n)
     if abs(coeffs[-1]) << (k - scale) != prod:
-        from fractions import Fraction
         _fail("leading coefficient |n1...nk| / 2^k", knot, e,
-              f"got {Fraction(abs(coeffs[-1]), 1 << scale)}")
+              f"got {poly_text([abs(coeffs[-1])], 1 << scale)}")
     if all(n % 2 == 0 for n in terms) and scale != 0:
         _fail("integrality of all-even polynomials", knot, e,
               f"denominator exponent {scale}")
@@ -166,8 +164,8 @@ def check_transformation_invariance(e: Expansion, rng: "random.Random",
                 != [x * den_k for x in want]):
             raise ConsistencyError(
                 f"transformed matrix of {e} gave inequivalent polynomial "
-                f"{laurent_over(got, den_k)} (expected class of "
-                f"{laurent_over(coeffs, 1 << scale)})"
+                f"{poly_text(got, den_k)} (expected class of "
+                f"{poly_text(coeffs, 1 << scale)})"
             )
         g = gl_matrix(v)
         sig = _sparse_signature(g.size, g.nonzeros)
@@ -191,12 +189,12 @@ def _check_surface_oracle(knot, e, det: tuple, v: StateMatrix,
     got, den_k = _oracle_scaled(v)
     if [x << scale for x in got] != [x * den_k for x in coeffs]:
         _fail("recurrence = oracle determinant", knot, e,
-              f"recurrence {laurent_over(coeffs, 1 << scale)}, "
-              f"oracle {laurent_over(got, den_k)}")
+              f"recurrence {poly_text(coeffs, 1 << scale)}, "
+              f"oracle {poly_text(got, den_k)}")
     if ([x << poly.k for x in _unit_class(got)]
             != [x * den_k for x in poly.coeffs_2k]):
         _fail("reported polynomial = oracle class", knot, e,
-              f"reported {poly.canonical}, oracle {laurent_over(got, den_k)}")
+              f"reported {poly}, oracle {poly_text(got, den_k)}")
     return 2
 
 
@@ -216,15 +214,15 @@ def check_negative_control() -> int:
     degenerate = [-7, 14, -7]  # 4 * -(7/4)*(1-t)**2
     if [x * 4 for x in got] != [x * den_k for x in degenerate]:
         raise ConsistencyError(
-            f"negative control produced {laurent_over(got, den_k)}, "
-            f"expected {laurent_over(degenerate, 4)}"
+            f"negative control produced {poly_text(got, den_k)}, "
+            f"expected {poly_text(degenerate, 4)}"
         )
     true_poly = state_polynomial(Expansion((2, 3)))
     if ([x << true_poly.k for x in _unit_class(got)]
             == [x * den_k for x in true_poly.coeffs_2k]):
         raise ConsistencyError(
             "symmetric matrix polynomial unexpectedly matches the state "
-            f"polynomial of [2, 3]: {laurent_over(got, den_k)}"
+            f"polynomial of [2, 3]: {poly_text(got, den_k)}"
         )
     return 2
 
@@ -312,7 +310,7 @@ def _check_presentations(report, pending: dict) -> None:
         # the first terms that differ, in report order
         terms = next(t for t in [*want, *got] if got.get(t) != want.get(t))
         moved, computed = (
-            "nothing" if p is None else str(p.canonical)
+            "nothing" if p is None else str(p)
             for p in (got.get(terms), want.get(terms)))
         raise ConsistencyError(
             f"{name} = computed report failed for {knot}: terms "

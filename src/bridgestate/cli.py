@@ -77,7 +77,7 @@ def cmd_invariants(args) -> int:
         print(f"  signature        {report.signature}")
         print(f"  genus2           {report.genus_twice}")
         print(f"  crosscap_genus2  {report.nonorientable_genus_twice}")
-        print(f"  alexander        {report.alexander.canonical}")
+        print(f"  alexander        {report.alexander}")
         print(f"  slopes           {list(report.slopes)}")
         print(f"  surfaces ({report.surface_count}):")
         width = max(len(str(r.surface.expansion)) for r in surfaces)
@@ -88,7 +88,7 @@ def cmd_invariants(args) -> int:
                 f"    {str(s.expansion):<{width}}  orientable={kind}  "
                 f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}  "
                 f"sigma={r.signature:>3}  slope={r.slope:>4}  "
-                f"poly: {r.polynomial.canonical}"
+                f"poly: {r.polynomial}"
             )
     return 0
 

@@ -46,9 +46,9 @@ int, its value at t = 2**B (Kronecker substitution) with the coefficients
 in signed B-bit slots, so a step is a handful of big-integer operations;
 B is fixed per walk from alpha, which bounds every coefficient (``_start``).
 A ``StatePolynomial`` keeps the integer coefficients of 2**k times the
-canonical representative, so reports never leave integer arithmetic;
-Fraction-valued ``LaurentPolynomial``s are built only for display and
-failure messages.  The second routes that ``checks`` runs, the
+canonical representative, so reports never leave integer arithmetic, and
+text output and failure messages print it from them (``poly_text``): no
+command builds a Fraction.  The second routes that ``checks`` runs, the
 elimination oracle and the sparse signature, live in ``state_matrices``,
 and this module imports nothing from it.
 """
@@ -61,7 +61,7 @@ from .continued_fractions import (
     _targets,
 )
 from .errors import ConsistencyError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, poly_text
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
@@ -196,27 +196,25 @@ def _det_scaled(terms) -> tuple:
     return _unpack(state[0], state[1], len(terms) + 1), state[2]
 
 
-def laurent_over(coeffs, den: int) -> LaurentPolynomial:
-    """The polynomial sum_i coeffs[i] / den * t**i."""
-    from fractions import Fraction
-    return LaurentPolynomial(0, tuple(Fraction(c, den) for c in coeffs))
-
-
 class StatePolynomial(Value):
     """Canonical state polynomial of a surface with k bands.
 
     ``coeffs_2k`` holds the integer coefficients of 2**k times the canonical
     representative, lowest degree first: k + 1 of them, the first positive
     and the last nonzero, palindromic for even k and anti-palindromic for
-    odd k.  ``canonical`` is the same polynomial with exact Fraction
-    coefficients, built on each access.
+    odd k.  ``str`` prints it from those integers; ``canonical`` is the
+    same polynomial with exact Fraction coefficients, built on each access.
     """
 
     __slots__ = ("k", "coeffs_2k")
 
+    def __str__(self) -> str:
+        return poly_text(self.coeffs_2k, 1 << self.k)
+
     @property
     def canonical(self) -> LaurentPolynomial:
-        return laurent_over(self.coeffs_2k, 1 << self.k)
+        from fractions import Fraction
+        return LaurentPolynomial(0, self.coeffs_2k) * Fraction(1, 1 << self.k)
 
 
 def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:
@@ -238,7 +236,7 @@ def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:
 def state_polynomial(e: Expansion) -> StatePolynomial:
     """Canonical state polynomial of the surface of ``e``.
 
-    >>> str(state_polynomial(Expansion((2, 3))).canonical)
+    >>> str(state_polynomial(Expansion((2, 3))))
     '3/2 - 4*t + 3/2*t^2'
     """
     return _canonical_from_scaled(*_det_scaled(e.terms), len(e.terms))
@@ -278,9 +276,8 @@ def _check_identities(knot, s: EssentialSurface, det, sigma_minors: int,
     coeffs, scale = det
     at_minus_one = abs(sum(coeffs[::2]) - sum(coeffs[1::2]))
     if at_minus_one != knot.alpha << scale:
-        from fractions import Fraction
         _fail("determinant identity |p(-1)| = alpha", knot, e,
-              f"got {Fraction(at_minus_one, 1 << scale)}")
+              f"got {poly_text([at_minus_one], 1 << scale)}")
     sigma = s.n_plus - s.n_minus
     if sigma_minors != sigma:
         _fail("minor recurrence signature = N+ - N-", knot, e,

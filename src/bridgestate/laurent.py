@@ -1,16 +1,34 @@
-"""Laurent polynomials over the rationals: the exact display type.
+"""Laurent polynomials: the one printing rule, and the exact view.
 
 The package computes in integers: a state polynomial is carried as the
 integer coefficients of 2**k times its canonical representative, and a
-state matrix as integer rows over one denominator.  ``LaurentPolynomial``
-is the exact view of such values, with stdlib ``fractions.Fraction``
-coefficients, built on demand for human output (``StatePolynomial.canonical``)
-and for failure messages.  No floating point is used anywhere in the
-package.  Laurent polynomials are stored densely, lowest degree first, with
-the ends trimmed to nonzero coefficients.
+state matrix as integer rows over one denominator.  ``poly_text`` prints
+such integers, for text output and failure messages; ``LaurentPolynomial``
+is their exact view, with ``fractions.Fraction`` coefficients, built on
+demand for library callers (``StatePolynomial.canonical``).  No floating
+point is used anywhere in the package.  Laurent polynomials are stored
+densely, lowest degree first, with the ends trimmed to nonzero coefficients.
 """
 
+from math import gcd, lcm
+
 from .values import Value
+
+
+def poly_text(coeffs, den: int = 1, low: int = 0) -> str:
+    """sum_i coeffs[i] / den * t**(low + i), for ints ``coeffs`` and
+    den >= 1, as in ``3/2 - 4*t + 3/2*t^2``: each coefficient reduced by
+    its gcd with den, zero terms left out, and "0" if all are zero."""
+    parts = []
+    for d, c in enumerate(coeffs, low):
+        if c:
+            g = gcd(c, den)
+            body = f"{abs(c) // g}" + (f"/{den // g}" if g != den else "")
+            if d:
+                tpow = "t" if d == 1 else f"t^{d}"
+                body = tpow if abs(c) == den else f"{body}*{tpow}"
+            parts.append(body if c > 0 else f"-{body}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class LaurentPolynomial(Value):
@@ -65,23 +83,9 @@ class LaurentPolynomial(Value):
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            d = self.min_degree + i
-            if d == 0:
-                body = str(abs(c))
-            else:
-                tpow = "t" if d == 1 else f"t^{d}"
-                body = tpow if abs(c) == 1 else f"{abs(c)}*{tpow}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        den = lcm(*[c.denominator for c in self.coeffs])
+        return poly_text([c.numerator * (den // c.denominator)
+                          for c in self.coeffs], den, self.min_degree)
 
 
 ZERO = LaurentPolynomial._of(0, ())  # normal as it is, so no Fraction needed

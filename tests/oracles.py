@@ -9,7 +9,9 @@ polynomial recurrence (run on packed big integers in the package) is rerun
 over them too, state matrices are built and signatures computed with dense
 ``Fraction`` arithmetic, the matrix moves are redone on dense integer rows,
 and signatures and slopes of expansions are counted from the signs of
-their terms, and signed digits are packed into one int by shifts.
+their terms, signed digits are packed into one int by shifts, and a
+polynomial's text is written from its ``Fraction`` coefficients
+(``laurent_text``).
 ``LaurentPolynomial`` serves only as the container results are compared
 in, and ``InvalidInputError`` as the error raised for inputs outside a
 helper's domain.
@@ -180,6 +182,29 @@ def canonical_representative(p: LaurentPolynomial) -> LaurentPolynomial:
 def poly_equivalent(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
     """True iff p = +-t^j * q for some integer j."""
     return canonical_representative(p) == canonical_representative(q)
+
+
+def laurent_text(p: LaurentPolynomial) -> str:
+    """``p`` in the package's text layout, ``3/2 - 4*t + 3/2*t^2``, written
+    term by term from its ``Fraction`` coefficients themselves: the
+    reference for ``poly_text``, which prints from integers."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        d = p.min_degree + i
+        if d == 0:
+            body = str(abs(c))
+        else:
+            tpow = "t" if d == 1 else f"t^{d}"
+            body = tpow if abs(c) == 1 else f"{abs(c)}*{tpow}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
 
 
 def fraction_recurrence_det(terms) -> LaurentPolynomial:

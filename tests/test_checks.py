@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +209,31 @@ def test_surface_checks_catch_a_wrong_determinant():
     with pytest.raises(ConsistencyError, match="determinant identity"):
         _check_identities(knot, s, det, sigma_minors, sigma_k=0,
                           sigma_k_minors=0)
+
+
+@pytest.mark.parametrize("det, identity, got", [
+    # 2**2 p = 3 - 8t + 3t^2, where the surface [2, 3] of K(5,2) has
+    # 6 - 16t + 6t^2: |p(-1)| = 14/4 instead of 5
+    (([3, -8, 3], 2), "determinant identity |p(-1)| = alpha",
+     Fraction(14, 4)),
+    # 3 - 7t + 3t^2: p(1) = -1/4 instead of 1, the ends still symmetric
+    (([3, -7, 3], 2), "p(1) by parity of k", Fraction(-1, 4)),
+    # 5 - 6t + 5t^2: p(1) = 1, but the leading coefficient is 5/4, not 6/4
+    (([5, -6, 5], 2), "leading coefficient |n1...nk| / 2^k",
+     Fraction(5, 4)),
+], ids=["p(-1)", "p(1)", "leading"])
+def test_a_rational_in_a_failure_prints_as_its_fraction(det, identity, got):
+    # the checks print these rationals from integers; the text must be the
+    # reduced fraction's
+    knot, e = make_knot(5, 2), Expansion((2, 3))
+    with pytest.raises(ConsistencyError) as failure:
+        if identity.startswith("determinant"):
+            _check_identities(knot, make_surface(e), det, 0, sigma_k=0,
+                              sigma_k_minors=0)
+        else:
+            _check_surface_fast(knot, e, det, 0)
+    assert str(failure.value) == (
+        f"{identity} failed for [2, 3] of K(5,2): got {got}")
 
 
 def test_surface_checks_catch_an_inconsistent_reference_signature():

@@ -133,13 +133,23 @@ class TestVerifyCommand:
                                                oracle_negated_above_size_8):
         code, _, err = run(capsys, "verify", "11", "1")
         assert code == 1
-        assert "recurrence = oracle determinant" in err
+        assert err == (
+            "consistency failure: recurrence = oracle determinant failed for "
+            "[-2, 2, -2, 2, -2, 2, -2, 2, -2, 2] of K(11,1): recurrence "
+            "1 - t + t^2 - t^3 + t^4 - t^5 + t^6 - t^7 + t^8 - t^9 + t^10, "
+            "oracle "
+            "-1 + t - t^2 + t^3 - t^4 + t^5 - t^6 + t^7 - t^8 + t^9 - t^10\n")
 
     def test_step_fault_above_depth_8_exits_1(
             self, capsys, step_determinant_off_beyond_depth_8):
         code, _, err = run(capsys, "verify", "11", "1")
         assert code == 1
-        assert "recurrence = oracle determinant" in err
+        assert err == (
+            "consistency failure: recurrence = oracle determinant failed for "
+            "[-2, 2, -2, 2, -2, 2, -2, 2, -2, 2] of K(11,1): recurrence "
+            "1 - t + t^2 + t^4 - 3*t^5 + t^6 + t^8 - t^9 + t^10, "
+            "oracle "
+            "1 - t + t^2 - t^3 + t^4 - t^5 + t^6 - t^7 + t^8 - t^9 + t^10\n")
 
     def test_signature_fault_above_size_8_exits_1(
             self, capsys, signature_off_by_one_above_size_8):
@@ -158,7 +168,12 @@ class TestVerifyCommand:
             self, capsys, report_polynomial_negated_above_size_8):
         code, _, err = run(capsys, "verify", "11", "1")
         assert code == 1
-        assert "reported polynomial = oracle class" in err
+        assert err == (
+            "consistency failure: reported polynomial = oracle class failed "
+            "for [-2, 2, -2, 2, -2, 2, -2, 2, -2, 2] of K(11,1): reported "
+            "-1 + t - t^2 + t^3 - t^4 + t^5 - t^6 + t^7 - t^8 + t^9 - t^10, "
+            "oracle "
+            "1 - t + t^2 - t^3 + t^4 - t^5 + t^6 - t^7 + t^8 - t^9 + t^10\n")
 
     def test_fast_check_fault_exits_1(self, capsys, fast_check_fault):
         # K(11,1) has an all-even surface with k = 10 and one with k = 1
@@ -171,7 +186,10 @@ class TestVerifyCommand:
             self, capsys, transformations_double_the_matrix):
         code, _, err = run(capsys, "verify", "11", "1")
         assert code == 1
-        assert "transformed matrix of [11] gave inequivalent polynomial" in err
+        assert err == (
+            "consistency failure: transformed matrix of [11] gave "
+            "inequivalent polynomial 11 - 11*t (expected class of "
+            "11/2 - 11/2*t)\n")
 
     def test_presentation_fault_exits_1(self, capsys,
                                         moves_swap_two_polynomials):
@@ -181,8 +199,10 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--max-alpha", "5")
         assert code == 1
         assert "pass" not in out
-        assert ("mirror_report(K(5,2)) = computed report failed for K(5,3): "
-                "terms [-3, 2] have ") in err
+        assert err == (
+            "consistency failure: mirror_report(K(5,2)) = computed report "
+            "failed for K(5,3): terms [-3, 2] have 1 - 3*t + t^2 moved, "
+            "3/2 - 2*t + 3/2*t^2 computed\n")
 
     def test_max_alpha_below_3_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--max-alpha", "2")

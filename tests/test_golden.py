@@ -37,6 +37,12 @@ def sha256(data: bytes) -> str:
      "96ad9ba79f4b3cbbbf6b4afe917f524267ed491451ed62bd5b8b1d52d488815c"),
     (["surfaces", "19", "7"],
      "45c24dd827515d49b56ffc0f9b79aaf5ac3c1c2dbc0e0884b06ac3a5879b225a"),
+    # the same two knots in text, each coefficient printed reduced over
+    # 2^k: up to 743 digits in the long one, 3,329 polynomials in the wide
+    (["invariants", "4925", "2463"],
+     "d196e8836aab08aaeff0ff0dfc6c5711fee10e06599a53a0daf65fb669ff97db"),
+    (["invariants", "1149851", "439204"],
+     "e6e7004e0f81c8237803f91b3eaea537c232af8a4541a2970906a89a34ec7e70"),
 ])
 def test_single_knot_output(capsys, argv, digest):
     assert main(argv) == 0

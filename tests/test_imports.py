@@ -19,8 +19,9 @@ import bridgestate
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bridgestate"
 
-# imported where they are used: fractions for display, failure messages
-# and Fraction input, and dataclasses and json not at all
+# imported where they are used: fractions only for Fraction input and the
+# exact views (.canonical, .entries, LaurentPolynomial), as text output and
+# failure messages print from integers; dataclasses and json not at all
 NOT_AT_START = ("dataclasses", "inspect", "fractions", "decimal", "json")
 
 
@@ -66,6 +67,14 @@ def test_surfaces_json_does_not_need_fractions():
     loaded = modules_after("from bridgestate.cli import main\n"
                            "assert main(['surfaces', '5', '2', '--json']) == 0")
     assert "fractions" not in loaded
+
+
+@pytest.mark.parametrize("command", ["invariants", "surfaces"])
+def test_text_output_does_not_need_fractions(command):
+    # the tables print every polynomial from its integers (poly_text)
+    loaded = modules_after("from bridgestate.cli import main\n"
+                           f"assert main([{command!r}, '5', '2']) == 0")
+    assert [m for m in ("fractions", "decimal") if m in loaded] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,9 +3,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bridgestate import InvalidInputError, LaurentPolynomial
-from oracles import dict_mul, frac, laurent, laurent_dict, random_laurent
+from bridgestate.laurent import poly_text
+from oracles import (
+    dict_mul,
+    frac,
+    laurent,
+    laurent_dict,
+    laurent_text,
+    random_laurent,
+)
 
 
 class TestFrac:
@@ -66,6 +75,32 @@ def test_str_rendering():
     assert str(laurent([])) == "0"
     assert str(laurent([Fraction(3, 2), -4, Fraction(3, 2)])) == "3/2 - 4*t + 3/2*t^2"
     assert str(laurent([1, -1], min_degree=-1)) == "t^-1 - 1"
+
+
+@st.composite
+def scaled_polynomials(draw):
+    """(coeffs, den, low) for poly_text: zeros anywhere, the coefficients
+    +-1 (+-den), integers over den and numerators not reduced by den."""
+    den = draw(st.integers(1, 12) | st.integers(1, 1 << 80))
+    coeff = (st.just(0) | st.sampled_from([den, -den])
+             | st.integers(-9, 9).map(lambda n: n * den)
+             | st.integers(-60, 60) | st.integers())
+    return (draw(st.lists(coeff, max_size=9)), den,
+            draw(st.integers(-5, 5)))
+
+
+@given(scaled_polynomials())
+def test_poly_text_matches_the_reference(scaled):
+    coeffs, den, low = scaled
+    poly = LaurentPolynomial(low, tuple(Fraction(c, den) for c in coeffs))
+    want = laurent_text(poly)
+    assert poly_text(coeffs, den, low) == want
+    assert str(poly) == want
+
+
+def test_poly_text_of_nothing_is_zero():
+    assert poly_text([]) == "0"
+    assert poly_text([0, 0], 4, -2) == "0"
 
 
 def test_construction_trims_and_coerces():

@@ -30,6 +30,8 @@ def test_full_report_of_seven_three():
 def test_state_polynomial_of_two_three():
     sp = state_polynomial(Expansion((2, 3)))
     assert sp.coeffs_2k == (6, -16, 6)
+    assert str(sp) == "3/2 - 4*t + 3/2*t^2"
+    assert sp.canonical.coeffs == (Fraction(3, 2), -4, Fraction(3, 2))
     assert str(sp.canonical) == "3/2 - 4*t + 3/2*t^2"
 
 
