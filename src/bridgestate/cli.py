@@ -11,14 +11,18 @@ Commands::
 Exit codes: 0 success, 1 a mathematical consistency check failed,
 2 invalid input or I/O failure.  ``surfaces`` and ``invariants`` read
 the streamed walk in every format; in JSON, and ``surfaces`` in CSV, they
-write each surface as the walk yields it, so when they exit 1 stdout
-keeps what they wrote before the failure.
+render each surface as the walk yields it.  Their output goes to stdout in
+blocks of about ``io.DEFAULT_BUFFER_SIZE`` characters or more, one write
+each even when stdout is unbuffered; when they exit 1, stdout holds
+everything rendered before the failure.
 """
 
 import argparse
 import contextlib
+import io
 import os
 import sys
+from itertools import chain
 
 from .census import (
     KNOT_CSV_HEADER,
@@ -43,54 +47,79 @@ def _add_format_flags(parser):
 def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
     count, surfaces = stream_surfaces(knot)
-    if args.json or args.csv:  # each surface is written as the walk yields it
-        sys.stdout.writelines(
+    if args.json or args.csv:  # each surface is rendered as the walk yields it
+        _write_blocks(
             surfaces_json(knot, surfaces, count) if args.json
             else surfaces_to_csv(knot, surfaces))
     else:  # the widest expansion sets a column, so the walk ends first
         surfaces = list(surfaces)
-        print(f"{knot}: {count} essential spanning surfaces")
-        width = max(len(str(s.expansion)) for s in surfaces)
-        for s in surfaces:
-            kind = "orientable" if s.orientable else "nonorientable"
-            print(
-                f"  {str(s.expansion):<{width}}  {kind:<13}  "
-                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}"
-            )
+        names = [str(s.expansion) for s in surfaces]
+        width = max(map(len, names))
+        _write_blocks(chain(
+            (f"{knot}: {count} essential spanning surfaces\n",),
+            (f"  {name:<{width}}  "
+             f"{'orientable' if s.orientable else 'nonorientable':<13}  "
+             f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}\n"
+             for name, s in zip(names, surfaces))))
     return 0
 
 
 def cmd_invariants(args) -> int:
     report = stream_report(make_knot(args.alpha, args.beta))
-    if args.json:  # each surface is written as the walk reports it
-        sys.stdout.writelines(report_json(report))
-        sys.stdout.write("\n")
+    if args.json:  # each surface is rendered as the walk reports it
+        _write_blocks(chain(report_json(report), ("\n",)))
     elif args.csv:
         for _ in report.surfaces:  # every check runs before the row is written
             pass
-        sys.stdout.writelines(
-            (KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
+        _write_blocks((KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
     else:  # the widest expansion sets a column, so the walk ends first
         surfaces = list(report.surfaces)
-        print(report.knot)
-        print(f"  determinant      {report.determinant}")
-        print(f"  signature        {report.signature}")
-        print(f"  genus2           {report.genus_twice}")
-        print(f"  crosscap_genus2  {report.nonorientable_genus_twice}")
-        print(f"  alexander        {report.alexander}")
-        print(f"  slopes           {list(report.slopes)}")
-        print(f"  surfaces ({report.surface_count}):")
-        width = max(len(str(r.surface.expansion)) for r in surfaces)
-        for r in surfaces:
-            s = r.surface
-            kind = "yes" if s.orientable else "no "
-            print(
-                f"    {str(s.expansion):<{width}}  orientable={kind}  "
-                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}  "
-                f"sigma={r.signature:>3}  slope={r.slope:>4}  "
-                f"poly: {r.polynomial}"
-            )
+        names = [str(r.surface.expansion) for r in surfaces]
+        width = max(map(len, names))
+        _write_blocks(chain(
+            (f"{report.knot}\n"
+             f"  determinant      {report.determinant}\n"
+             f"  signature        {report.signature}\n"
+             f"  genus2           {report.genus_twice}\n"
+             f"  crosscap_genus2  {report.nonorientable_genus_twice}\n"
+             f"  alexander        {report.alexander}\n"
+             f"  slopes           {list(report.slopes)}\n"
+             f"  surfaces ({report.surface_count}):\n",),
+            (f"    {name:<{width}}  "
+             f"orientable={'yes' if r.surface.orientable else 'no '}  "
+             f"genus2={r.surface.genus_twice}  N+={r.surface.n_plus}  "
+             f"N-={r.surface.n_minus}  sigma={r.signature:>3}  "
+             f"slope={r.slope:>4}  poly: {r.polynomial}\n"
+             for name, r in zip(names, surfaces))))
     return 0
+
+
+def _write_blocks(pieces):
+    """Write the pieces of a streamed output to stdout, joined in blocks of
+    at least ``io.DEFAULT_BUFFER_SIZE`` characters, so that an unbuffered
+    stdout makes one system call per block, not one per piece.  A piece
+    that long by itself (a JSON piece holds up to 256 integers of any
+    length) is written alone, after the text before it, and no written
+    piece is kept while the next is rendered: peak memory stays that of
+    writing piece by piece.  A ``ConsistencyError`` from the pieces
+    propagates after the pending text is written; after an ``OSError``
+    from a write, nothing more is written."""
+    block, size = [], 0
+    try:
+        for piece in pieces:
+            if len(piece) >= io.DEFAULT_BUFFER_SIZE and block:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+            block.append(piece)
+            size += len(piece)
+            if size >= io.DEFAULT_BUFFER_SIZE:
+                sys.stdout.write("".join(block))  # a lone piece is not copied
+                block, size = [], 0
+                del piece
+    except ConsistencyError:
+        sys.stdout.write("".join(block))
+        raise
+    sys.stdout.write("".join(block))
 
 
 def cmd_verify(args) -> int:

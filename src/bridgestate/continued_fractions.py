@@ -41,7 +41,7 @@ class Expansion(Value):
         self._init(terms, int(r))
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(n) for n in self.terms) + "]"
+        return str(list(self.terms))
 
 
 def _expand_target(p: int, q: int, step=None, state=None, path=()):

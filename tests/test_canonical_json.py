@@ -84,9 +84,12 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert err == "error: [Errno 32] Broken pipe\n"
 
 
-def run_into_closed_pipe(argv):
-    """Run the CLI, buffered, with stdout a pipe closed before it starts."""
+def run_into_closed_pipe(argv, unbuffered=""):
+    """Run the CLI with stdout a pipe closed before it starts, buffered
+    unless ``unbuffered`` is the value to give PYTHONUNBUFFERED."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -101,6 +104,15 @@ def test_stdout_closed_before_a_short_report_exits_2():
     # the whole report fits in stdout's buffer, so only the flush at the
     # end meets the closed pipe
     proc = run_into_closed_pipe(["invariants", "5", "2", "--json"])
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
+
+
+def test_unbuffered_stdout_closed_before_a_long_report_exits_2():
+    # about 1.9 MB, so many blocks: the first write meets the closed pipe,
+    # and no later write may fail again or chain a second error
+    proc = run_into_closed_pipe(["invariants", "4913", "2457", "--json"],
+                                unbuffered="1")
     assert proc.returncode == 2
     assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
 

@@ -1,6 +1,6 @@
 """Streamed ``invariants`` and ``surfaces``: their bytes against a report
 collected whole, the closing check against the summary of the expansion
-DAG, and the size of a JSON piece."""
+DAG, the size of a JSON piece and the number of writes to stdout."""
 
 import contextlib
 import io
@@ -18,6 +18,7 @@ from bridgestate.census import (
     surfaces_to_csv,
 )
 from bridgestate.cli import main
+from bridgestate.errors import ConsistencyError
 from bridgestate.invariants import (
     InvariantReport,
     full_report,
@@ -91,6 +92,50 @@ def test_streamed_deep_knots_equal_the_collected_ones(alpha, beta):
     assert run("surfaces", alpha, beta, "--csv") == (0, csv, "")
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command,alpha,beta,fmt", [
+    ("invariants", 1149851, 439204, "--json"),  # 3,329 surfaces
+    ("invariants", 4913, 2457, "--json"),  # 2,458 coefficients of ~740 digits
+    ("surfaces", 1149851, 439204, "--json"),
+    ("surfaces", 1149851, 439204, "--csv"),
+])
+def test_streamed_output_goes_out_in_blocks(command, alpha, beta, fmt):
+    # an unbuffered stdout makes one system call per write
+    collected = (collected_invariants if command == "invariants"
+                 else collected_surfaces)(alpha, beta)
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main([command, str(alpha), str(beta), fmt]) == 0
+    assert out.getvalue() == collected[fmt == "--csv"]
+    assert out.writes <= len(out.getvalue()) // io.DEFAULT_BUFFER_SIZE + 2
+
+
+class FullStdout(CountingStdout):
+    """A stdout whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        super().write(text)
+        raise OSError(28, "No space left on device")
+
+
+def test_no_write_follows_a_failed_one():
+    out, err = FullStdout(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["invariants", "1149851", "439204", "--json"])
+    assert (code, err.getvalue()) == (
+        2, "error: [Errno 28] No space left on device\n")
+    assert out.writes == 1
+
+
 def ints_in(piece: str) -> int:
     return len(re.findall(r"(?<![\w\"])-?\d+", piece))
 
@@ -104,6 +149,15 @@ def test_no_json_piece_of_the_long_knot_holds_more_than_256_ints():
     assert ints_in("".join(pieces)) > 2 * 2458
 
 
+def rendered_before_the_failure(pieces) -> str:
+    """The pieces a renderer yields before the walk raises."""
+    done = []
+    with pytest.raises(ConsistencyError):
+        for piece in pieces:
+            done.append(piece)
+    return "".join(done)
+
+
 @pytest.mark.parametrize("command", ["invariants", "surfaces"])
 @pytest.mark.parametrize("fmt", ["--json", "--csv",
                                  pytest.param(None, id="text")])
@@ -111,13 +165,18 @@ def test_a_walk_that_drops_a_leaf_exits_1(walk_drops_a_leaf, command, fmt):
     code, out, err = run(command, 19, 7, *([fmt] if fmt else []))
     assert code == 1
     assert "walk = expansion summary failed for K(19,7)" in err
-    # streamed JSON keeps what it wrote; the CSV of a report is one row,
-    # and a text table needs the widest expansion, so both are written
-    # after the walk
-    if fmt == "--json":
-        assert out.startswith("{") and not out.endswith("}\n")
-    elif command == "invariants" or fmt is None:
+    # streamed JSON, and the CSV of the surfaces, keep what was rendered
+    # before the failure; the CSV of a report is one row, and a text table
+    # needs the widest expansion, so both are written after the walk
+    if fmt is None or (command, fmt) == ("invariants", "--csv"):
         assert out == ""
+        return
+    knot = make_knot(19, 7)
+    count, surfaces = stream_surfaces(knot)
+    pieces = (report_json(stream_report(knot)) if command == "invariants"
+              else surfaces_json(knot, surfaces, count) if fmt == "--json"
+              else surfaces_to_csv(knot, surfaces))
+    assert out and out == rendered_before_the_failure(pieces)
 
 
 def test_the_seifert_surface_must_be_the_summarys_orientable_one(
