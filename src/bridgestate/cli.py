@@ -11,10 +11,10 @@ Commands::
 Exit codes: 0 success, 1 a mathematical consistency check failed,
 2 invalid input or I/O failure.  ``surfaces`` and ``invariants`` read
 the streamed walk in every format; in JSON, and ``surfaces`` in CSV, they
-render each surface as the walk yields it.  Their output goes to stdout in
-blocks of about ``io.DEFAULT_BUFFER_SIZE`` characters or more, one write
-each even when stdout is unbuffered; when they exit 1, stdout holds
-everything rendered before the failure.
+write each surface as the walk yields it, so when they exit 1 stdout
+holds what they wrote before the failure.  Every command writes stdout
+through a buffer, in blocks of ``io.DEFAULT_BUFFER_SIZE`` bytes, also when
+Python runs it unbuffered (``python -u``).
 """
 
 import argparse
@@ -22,7 +22,6 @@ import contextlib
 import io
 import os
 import sys
-from itertools import chain
 
 from .census import (
     KNOT_CSV_HEADER,
@@ -47,79 +46,56 @@ def _add_format_flags(parser):
 def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
     count, surfaces = stream_surfaces(knot)
-    if args.json or args.csv:  # each surface is rendered as the walk yields it
-        _write_blocks(
+    if args.json or args.csv:  # each surface is written as the walk yields it
+        sys.stdout.writelines(
             surfaces_json(knot, surfaces, count) if args.json
             else surfaces_to_csv(knot, surfaces))
     else:  # the widest expansion sets a column, so the walk ends first
         surfaces = list(surfaces)
         names = [str(s.expansion) for s in surfaces]
         width = max(map(len, names))
-        _write_blocks(chain(
-            (f"{knot}: {count} essential spanning surfaces\n",),
-            (f"  {name:<{width}}  "
-             f"{'orientable' if s.orientable else 'nonorientable':<13}  "
-             f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}\n"
-             for name, s in zip(names, surfaces))))
+        print(f"{knot}: {count} essential spanning surfaces")
+        for name, s in zip(names, surfaces):
+            kind = "orientable" if s.orientable else "nonorientable"
+            print(
+                f"  {name:<{width}}  {kind:<13}  "
+                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}"
+            )
     return 0
 
 
 def cmd_invariants(args) -> int:
     report = stream_report(make_knot(args.alpha, args.beta))
-    if args.json:  # each surface is rendered as the walk reports it
-        _write_blocks(chain(report_json(report), ("\n",)))
+    if args.json:  # each surface is written as the walk reports it
+        sys.stdout.writelines(report_json(report))
+        sys.stdout.write("\n")
     elif args.csv:
         for _ in report.surfaces:  # every check runs before the row is written
             pass
-        _write_blocks((KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
+        sys.stdout.writelines(
+            (KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
     else:  # the widest expansion sets a column, so the walk ends first
         surfaces = list(report.surfaces)
+        print(report.knot)
+        print(f"  determinant      {report.determinant}")
+        print(f"  signature        {report.signature}")
+        print(f"  genus2           {report.genus_twice}")
+        print(f"  crosscap_genus2  {report.nonorientable_genus_twice}")
+        print(f"  alexander        {report.alexander}")
+        print(f"  slopes           {list(report.slopes)}")
+        print(f"  surfaces ({report.surface_count}):")
         names = [str(r.surface.expansion) for r in surfaces]
         width = max(map(len, names))
-        _write_blocks(chain(
-            (f"{report.knot}\n"
-             f"  determinant      {report.determinant}\n"
-             f"  signature        {report.signature}\n"
-             f"  genus2           {report.genus_twice}\n"
-             f"  crosscap_genus2  {report.nonorientable_genus_twice}\n"
-             f"  alexander        {report.alexander}\n"
-             f"  slopes           {list(report.slopes)}\n"
-             f"  surfaces ({report.surface_count}):\n",),
-            (f"    {name:<{width}}  "
-             f"orientable={'yes' if r.surface.orientable else 'no '}  "
-             f"genus2={r.surface.genus_twice}  N+={r.surface.n_plus}  "
-             f"N-={r.surface.n_minus}  sigma={r.signature:>3}  "
-             f"slope={r.slope:>4}  poly: {r.polynomial}\n"
-             for name, r in zip(names, surfaces))))
+        for name, r in zip(names, surfaces):
+            s = r.surface
+            kind = "yes" if s.orientable else "no "
+            print(
+                f"    {name:<{width}}  orientable={kind}  "
+                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}  "
+                f"sigma={r.signature:>3}  slope={r.slope:>4}  "
+                f"poly: {r.polynomial}"
+            )
     return 0
-
-
-def _write_blocks(pieces):
-    """Write the pieces of a streamed output to stdout, joined in blocks of
-    at least ``io.DEFAULT_BUFFER_SIZE`` characters, so that an unbuffered
-    stdout makes one system call per block, not one per piece.  A piece
-    that long by itself (a JSON piece holds up to 256 integers of any
-    length) is written alone, after the text before it, and no written
-    piece is kept while the next is rendered: peak memory stays that of
-    writing piece by piece.  A ``ConsistencyError`` from the pieces
-    propagates after the pending text is written; after an ``OSError``
-    from a write, nothing more is written."""
-    block, size = [], 0
-    try:
-        for piece in pieces:
-            if len(piece) >= io.DEFAULT_BUFFER_SIZE and block:
-                sys.stdout.write("".join(block))
-                block, size = [], 0
-            block.append(piece)
-            size += len(piece)
-            if size >= io.DEFAULT_BUFFER_SIZE:
-                sys.stdout.write("".join(block))  # a lone piece is not copied
-                block, size = [], 0
-                del piece
-    except ConsistencyError:
-        sys.stdout.write("".join(block))
-        raise
-    sys.stdout.write("".join(block))
 
 
 def cmd_verify(args) -> int:
@@ -262,7 +238,8 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        status = args.func(args)
+        with _buffered_stdout():
+            status = args.func(args)
         sys.stdout.flush()  # a reader that has gone is an I/O failure too
         return status
     except InvalidInputError as exc:
@@ -276,6 +253,38 @@ def main(argv=None) -> int:
             _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+@contextlib.contextmanager
+def _buffered_stdout():
+    """Put an unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) behind
+    a buffer while a command runs.  Its text layer hands every write to the
+    raw file, one system call per piece of output, and ignores the count the
+    call returns: a write into a pipe whose reader goes away part-way is cut
+    short without an error.  A ``BufferedWriter`` gathers writes into blocks
+    of ``io.DEFAULT_BUFFER_SIZE`` bytes, passes a longer piece straight on,
+    writes the rest of a short write again and raises what that meets.
+    What it holds is written when the block ends, also when it ends with an
+    error; if that write fails, the buffer is closed with the raw file under
+    it and the error propagates."""
+    stdout = sys.stdout
+    raw = getattr(stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):  # buffered, or a stand-in
+        yield
+        return
+    text = io.TextIOWrapper(io.BufferedWriter(raw), encoding=stdout.encoding,
+                            errors=stdout.errors)
+    sys.stdout = text
+    try:
+        yield
+    finally:
+        sys.stdout = stdout
+        try:
+            text.detach().detach()  # writes what is pending, keeps raw open
+        except OSError:
+            with contextlib.suppress(OSError):
+                text.close()
+            raise
 
 
 def _discard_stdout():

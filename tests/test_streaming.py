@@ -3,6 +3,7 @@ collected whole, the closing check against the summary of the expansion
 DAG, the size of a JSON piece and the number of writes to stdout."""
 
 import contextlib
+import errno
 import io
 import json
 import re
@@ -92,48 +93,83 @@ def test_streamed_deep_knots_equal_the_collected_ones(alpha, beta):
     assert run("surfaces", alpha, beta, "--csv") == (0, csv, "")
 
 
-class CountingStdout(io.StringIO):
-    """A stdout that counts its ``write`` calls."""
+class RawStdout(io.RawIOBase):
+    """The file under the stdout of ``python -u``: it keeps the bytes it
+    takes and counts its ``write`` calls, one system call each."""
 
-    writes = 0
+    def __init__(self):
+        super().__init__()
+        self.data, self.writes = bytearray(), 0
 
-    def write(self, text):
+    def writable(self):
+        return True
+
+    def write(self, b):
         self.writes += 1
-        return super().write(text)
+        self.data += b
+        return len(b)
 
 
-@pytest.mark.parametrize("command,alpha,beta,fmt", [
+def run_unbuffered(raw, *argv) -> tuple:
+    """``run`` with stdout the text layer of ``python -u`` over ``raw``,
+    which hands every write straight to it."""
+    err = io.StringIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, raw.data.decode(), err.getvalue()
+
+
+STREAMED = pytest.mark.parametrize("command,alpha,beta,fmt", [
     ("invariants", 1149851, 439204, "--json"),  # 3,329 surfaces
     ("invariants", 4913, 2457, "--json"),  # 2,458 coefficients of ~740 digits
     ("surfaces", 1149851, 439204, "--json"),
     ("surfaces", 1149851, 439204, "--csv"),
 ])
+
+
+def collected(command, alpha, beta, fmt) -> str:
+    return (collected_invariants if command == "invariants"
+            else collected_surfaces)(alpha, beta)[fmt == "--csv"]
+
+
+@STREAMED
 def test_streamed_output_goes_out_in_blocks(command, alpha, beta, fmt):
-    # an unbuffered stdout makes one system call per write
-    collected = (collected_invariants if command == "invariants"
-                 else collected_surfaces)(alpha, beta)
-    out = CountingStdout()
-    with contextlib.redirect_stdout(out):
-        assert main([command, str(alpha), str(beta), fmt]) == 0
-    assert out.getvalue() == collected[fmt == "--csv"]
-    assert out.writes <= len(out.getvalue()) // io.DEFAULT_BUFFER_SIZE + 2
+    # written through, each piece would be a system call of its own; the
+    # buffer writes what it holds when the next piece does not fit, so any
+    # two writes in a row carry more than io.DEFAULT_BUFFER_SIZE bytes
+    raw = RawStdout()
+    expected = collected(command, alpha, beta, fmt)
+    assert run_unbuffered(raw, command, alpha, beta, fmt) == (0, expected, "")
+    assert raw.writes <= 2 * (len(raw.data) // io.DEFAULT_BUFFER_SIZE) + 2
 
 
-class FullStdout(CountingStdout):
-    """A stdout whose every write fails, as on a full disk."""
+class ReaderGoes(RawStdout):
+    """A pipe whose reader goes away once ``limit`` bytes are written: the
+    write that reaches the limit is taken in part, as a pipe may take a
+    write longer than the 4 KiB it writes whole, and every later write
+    fails."""
 
-    def write(self, text):
-        super().write(text)
-        raise OSError(28, "No space left on device")
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, b):
+        room = self.limit - len(self.data)
+        if room <= 0:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(b[:room])
 
 
-def test_no_write_follows_a_failed_one():
-    out, err = FullStdout(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["invariants", "1149851", "439204", "--json"])
-    assert (code, err.getvalue()) == (
-        2, "error: [Errno 28] No space left on device\n")
-    assert out.writes == 1
+@STREAMED
+def test_a_reader_gone_during_the_last_write_is_an_io_failure(
+        command, alpha, beta, fmt):
+    # the rest of a short write is written again, and meets the closed pipe
+    expected = collected(command, alpha, beta, fmt)
+    code, out, err = run_unbuffered(
+        ReaderGoes(len(expected) - 1), command, alpha, beta, fmt)
+    assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")
+    assert out == expected[:-1]
 
 
 def ints_in(piece: str) -> int:
@@ -177,6 +213,8 @@ def test_a_walk_that_drops_a_leaf_exits_1(walk_drops_a_leaf, command, fmt):
               else surfaces_json(knot, surfaces, count) if fmt == "--json"
               else surfaces_to_csv(knot, surfaces))
     assert out and out == rendered_before_the_failure(pieces)
+    # a buffer over an unbuffered stdout writes what it holds on the way out
+    assert run_unbuffered(RawStdout(), command, 19, 7, fmt) == (code, out, err)
 
 
 def test_the_seifert_surface_must_be_the_summarys_orientable_one(
