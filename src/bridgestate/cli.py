@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 a mathematical consistency check failed,
 the streamed walk in every format; in JSON, and ``surfaces`` in CSV, they
 write each surface as the walk yields it, so when they exit 1 stdout
 holds what they wrote before the failure.  Every command writes stdout
-through a buffer, in blocks of ``io.DEFAULT_BUFFER_SIZE`` bytes, also when
-Python runs it unbuffered (``python -u``).
+through a buffer; when Python runs unbuffered (``python -u``), the CLI
+adds one of ``io.DEFAULT_BUFFER_SIZE`` bytes.
 """
 
 import argparse

@@ -110,7 +110,7 @@ def test_stdout_closed_before_a_short_report_exits_2():
 
 def test_unbuffered_stdout_closed_before_a_long_report_exits_2():
     # about 1.9 MB, so many blocks: the first write meets the closed pipe,
-    # and no later write may fail again or chain a second error
+    # and what the buffer writes again on the way out adds no second error
     proc = run_into_closed_pipe(["invariants", "4913", "2457", "--json"],
                                 unbuffered="1")
     assert proc.returncode == 2
