@@ -1,12 +1,16 @@
 """Report serialization and the census sweep.
 
 This module owns the record schema: every record any command writes is
-rendered here, straight from the fields of the surfaces and reports.  A
+rendered here, straight from the fields of the surfaces and reports, as
+JSON, as CSV, or as the text tables of ``surfaces`` and ``invariants``.  A
 listed surface (the ``surfaces`` command) holds the combinatorial fields
 (terms, r, orientable, genus2, n_plus, n_minus), a reported surface adds
 its signature, slope and polynomial, and a knot record holds its report's
 values and surfaces.  JSON is written from one template per record kind,
 its keys in sorted order, and CSV rows in the column order of the headers.
+A text table's first column is the expansion, left-aligned to the widest
+one (``_text_column``), so a table, like the one-row CSV of
+``invariants --csv``, is written only after its walk has ended.
 
 Wire formats, fixed here and documented in the README:
 
@@ -221,6 +225,58 @@ def surfaces_to_csv(knot: TwoBridgeKnot, surfaces):
     head = f"{knot.alpha},{knot.beta},"
     for s in surfaces:
         yield f"{head}{_surface_fields(s)}\n"
+
+
+def report_csv(report: InvariantReport):
+    """Yield the CSV of ``report`` (``invariants --csv``): its header and
+    its row, once the report's surfaces are walked to their end, so every
+    check has run before anything is written."""
+    for _ in report.surfaces:
+        pass
+    yield f"{KNOT_CSV_HEADER}\n{knot_csv_row(report)}\n"
+
+
+def _text_column(records, expansion):
+    """Walk ``records`` to their end and pair each with its expansion,
+    left-aligned to the widest one: the first column of a text table.  The
+    widest expansion sets the column, so nothing is written before the
+    walk ends."""
+    records = list(records)
+    names = [str(expansion(r)) for r in records]
+    width = max(map(len, names))
+    return zip((f"{name:<{width}}" for name in names), records)
+
+
+def surfaces_text(knot: TwoBridgeKnot, surfaces, count: int):
+    """Yield the text table of the ``count`` surfaces of a knot (the
+    ``surfaces`` command), once ``surfaces`` is walked to its end."""
+    rows = _text_column(surfaces, operator.attrgetter("expansion"))
+    yield f"{knot}: {count} essential spanning surfaces\n"
+    for name, s in rows:
+        kind = "orientable" if s.orientable else "nonorientable"
+        yield (f"  {name}  {kind:<13}  genus2={s.genus_twice}  "
+               f"N+={s.n_plus}  N-={s.n_minus}\n")
+
+
+def report_text(report: InvariantReport):
+    """Yield the text table of a knot report (the ``invariants``
+    command), once its surfaces are walked to their end."""
+    rows = _text_column(report.surfaces,
+                        operator.attrgetter("surface.expansion"))
+    yield (f"{report.knot}\n"
+           f"  determinant      {report.determinant}\n"
+           f"  signature        {report.signature}\n"
+           f"  genus2           {report.genus_twice}\n"
+           f"  crosscap_genus2  {report.nonorientable_genus_twice}\n"
+           f"  alexander        {report.alexander}\n"
+           f"  slopes           {list(report.slopes)}\n"
+           f"  surfaces ({report.surface_count}):\n")
+    for name, r in rows:
+        s = r.surface
+        yield (f"    {name}  orientable={'yes' if s.orientable else 'no '}  "
+               f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}  "
+               f"sigma={r.signature:>3}  slope={r.slope:>4}  "
+               f"poly: {r.polynomial}\n")
 
 
 def render_knot(report: InvariantReport, as_json: bool,

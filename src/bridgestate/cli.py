@@ -9,12 +9,15 @@ Commands::
                        [--json|--csv] [--jobs J]
 
 Exit codes: 0 success, 1 a mathematical consistency check failed,
-2 invalid input or I/O failure.  ``surfaces`` and ``invariants`` read
-the streamed walk in every format; in JSON, and ``surfaces`` in CSV, they
-write each surface as the walk yields it, so when they exit 1 stdout
-holds what they wrote before the failure.  Every command writes stdout
-through a buffer; when Python runs unbuffered (``python -u``), the CLI
-adds one of ``io.DEFAULT_BUFFER_SIZE`` bytes.
+2 invalid input or I/O failure.  The CLI parses the arguments, dispatches
+to a command and buffers stdout; every record it writes is rendered in
+``census``.  ``surfaces`` and ``invariants`` read the streamed walk in
+every format and hand the renderer their format flag chose to one
+``writelines``; in JSON, and ``surfaces`` in CSV, each surface is written
+as the walk yields it, so when they exit 1 stdout holds what was written
+before the failure.  Every command writes stdout through a buffer; when
+Python runs unbuffered (``python -u``), the CLI adds one of
+``io.DEFAULT_BUFFER_SIZE`` bytes.
 """
 
 import argparse
@@ -22,13 +25,15 @@ import contextlib
 import io
 import os
 import sys
+from itertools import chain
 
 from .census import (
-    KNOT_CSV_HEADER,
     census_rows,
-    knot_csv_row,
+    report_csv,
     report_json,
+    report_text,
     surfaces_json,
+    surfaces_text,
     surfaces_to_csv,
 )
 from .checks import check_knot, check_negative_control, check_range
@@ -46,55 +51,18 @@ def _add_format_flags(parser):
 def cmd_surfaces(args) -> int:
     knot = make_knot(args.alpha, args.beta)
     count, surfaces = stream_surfaces(knot)
-    if args.json or args.csv:  # each surface is written as the walk yields it
-        sys.stdout.writelines(
-            surfaces_json(knot, surfaces, count) if args.json
-            else surfaces_to_csv(knot, surfaces))
-    else:  # the widest expansion sets a column, so the walk ends first
-        surfaces = list(surfaces)
-        names = [str(s.expansion) for s in surfaces]
-        width = max(map(len, names))
-        print(f"{knot}: {count} essential spanning surfaces")
-        for name, s in zip(names, surfaces):
-            kind = "orientable" if s.orientable else "nonorientable"
-            print(
-                f"  {name:<{width}}  {kind:<13}  "
-                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}"
-            )
+    sys.stdout.writelines(
+        surfaces_json(knot, surfaces, count) if args.json
+        else surfaces_to_csv(knot, surfaces) if args.csv
+        else surfaces_text(knot, surfaces, count))
     return 0
 
 
 def cmd_invariants(args) -> int:
     report = stream_report(make_knot(args.alpha, args.beta))
-    if args.json:  # each surface is written as the walk reports it
-        sys.stdout.writelines(report_json(report))
-        sys.stdout.write("\n")
-    elif args.csv:
-        for _ in report.surfaces:  # every check runs before the row is written
-            pass
-        sys.stdout.writelines(
-            (KNOT_CSV_HEADER + "\n", knot_csv_row(report) + "\n"))
-    else:  # the widest expansion sets a column, so the walk ends first
-        surfaces = list(report.surfaces)
-        print(report.knot)
-        print(f"  determinant      {report.determinant}")
-        print(f"  signature        {report.signature}")
-        print(f"  genus2           {report.genus_twice}")
-        print(f"  crosscap_genus2  {report.nonorientable_genus_twice}")
-        print(f"  alexander        {report.alexander}")
-        print(f"  slopes           {list(report.slopes)}")
-        print(f"  surfaces ({report.surface_count}):")
-        names = [str(r.surface.expansion) for r in surfaces]
-        width = max(map(len, names))
-        for name, r in zip(names, surfaces):
-            s = r.surface
-            kind = "yes" if s.orientable else "no "
-            print(
-                f"    {name:<{width}}  orientable={kind}  "
-                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}  "
-                f"sigma={r.signature:>3}  slope={r.slope:>4}  "
-                f"poly: {r.polynomial}"
-            )
+    sys.stdout.writelines(
+        chain(report_json(report), "\n") if args.json
+        else report_csv(report) if args.csv else report_text(report))
     return 0
 
 
@@ -127,7 +95,7 @@ def cmd_census(args) -> int:
         raise InvalidInputError("'-' (stdout) is only valid for --out")
     to_stdout = args.out == "-"
     if args.out_surfaces and not to_stdout and (
-        os.path.abspath(args.out) == os.path.abspath(args.out_surfaces)
+        os.path.realpath(args.out) == os.path.realpath(args.out_surfaces)
     ):
         raise InvalidInputError("--out and --out-surfaces must be different files")
     paths = [] if to_stdout else [args.out]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,6 +383,21 @@ class TestCensusCommand:
         assert code == 2
         assert "different files" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_file_through_a_symlink_exits_2(self, capsys, tmp_path):
+        # two names of one file: replacing both would turn the link into a
+        # regular file holding one table and leave the other in the target
+        target, link = tmp_path / "a.csv", tmp_path / "l.csv"
+        target.write_text("previous run\n")
+        link.symlink_to(target.name)
+        code, _, err = run(capsys, "census", "--max-alpha", "5",
+                           "--out", str(target), "--out-surfaces", str(link))
+        assert (code, err) == (
+            2, "error: --out and --out-surfaces must be different files\n")
+        assert link.is_symlink() and link.readlink() == Path("a.csv")
+        assert target.read_text() == "previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv",
+                                                              "l.csv"]
 
     def test_stdout_surface_file_exits_2_before_computing(
             self, capsys, tmp_path, monkeypatch):

@@ -14,8 +14,11 @@ from bridgestate.census import (
     KNOT_CSV_HEADER,
     PIECE_INTS,
     knot_csv_row,
+    report_csv,
     report_json,
+    report_text,
     surfaces_json,
+    surfaces_text,
     surfaces_to_csv,
 )
 from bridgestate.cli import main
@@ -77,6 +80,21 @@ def test_streamed_outputs_to_61_equal_the_collected_ones():
         count, surfaces = stream_surfaces(knot)
         assert "".join(surfaces_json(knot, surfaces, count)) == text
         assert "".join(surfaces_to_csv(knot, stream_surfaces(knot)[1])) == csv
+
+
+def test_text_and_csv_renderers_to_61_equal_the_commands():
+    # the renderers of a collected report and of surfaces listed whole
+    # against the streamed walks the commands render
+    for alpha, beta in iter_knots(61):
+        knot = make_knot(alpha, beta)
+        report = full_report(knot)
+        surfaces = essential_surfaces(knot)
+        assert run("invariants", alpha, beta) == (
+            0, "".join(report_text(report)), "")
+        assert run("invariants", alpha, beta, "--csv") == (
+            0, "".join(report_csv(report)), "")
+        assert run("surfaces", alpha, beta) == (
+            0, "".join(surfaces_text(knot, surfaces, len(surfaces))), "")
 
 
 @pytest.mark.parametrize("alpha,beta", [
