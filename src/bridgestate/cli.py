@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 a mathematical consistency check failed,
 2 invalid input or I/O failure.  The CLI parses the arguments, dispatches
 to a command and buffers stdout; every record it writes is rendered in
 ``census``.  ``surfaces`` and ``invariants`` read the streamed walk in
-every format and hand the renderer their format flag chose to one
+every format, and each passes the renderer its format flag picks to one
 ``writelines``; in JSON, and ``surfaces`` in CSV, each surface is written
 as the walk yields it, so when they exit 1 stdout holds what was written
 before the failure.  Every command writes stdout through a buffer; when
