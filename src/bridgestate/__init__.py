@@ -3,18 +3,14 @@
 A 2-bridge knot K(alpha, beta) has finitely many essential spanning
 surfaces, indexed by the continued fraction expansions of alpha/beta and
 alpha/(beta - alpha) with all quotients of absolute value at least 2.  This
-package enumerates them and computes, entirely in exact rational
-arithmetic: the state polynomial det(V - t*V^T) and state signature
-sigma(V + V^T) of every surface, boundary slopes as signature differences,
-and the knot's determinant, signature, Alexander polynomial, genus and
-crosscap number.
+package enumerates them and computes, exactly and in integers only: the
+state polynomial det(V - t*V^T) and state signature sigma(V + V^T) of
+every surface, boundary slopes as signature differences, and the knot's
+determinant, signature, Alexander polynomial, genus and crosscap number.
+Every name exported here is used by the package itself.
 """
 
-from .continued_fractions import (
-    Expansion,
-    enumerate_expansions,
-    surfaces_expansions,
-)
+from .continued_fractions import Expansion
 from .errors import BridgestateError, ConsistencyError, InvalidInputError
 from .invariants import (
     InvariantReport,
@@ -24,7 +20,6 @@ from .invariants import (
     state_polynomial,
     stream_report,
 )
-from .laurent import LaurentPolynomial
 from .state_matrices import (
     GLMatrix,
     StateMatrix,
@@ -32,8 +27,6 @@ from .state_matrices import (
     flip_orientation,
     gl_matrix,
     standard_state_matrix,
-    state_matrix,
-    symmetric_signature,
 )
 from .surfaces import (
     EssentialSurface,

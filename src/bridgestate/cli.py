@@ -125,21 +125,22 @@ def _replaced_on_success(paths):
     """Open a temporary file beside each target path and yield the list of
     them.  The targets are replaced by their temporary files only when the
     block succeeds; on any failure the temporary files are removed, so no
-    target is created or changed."""
-    temps = []
+    target is created or changed.  A symlink is written through: its
+    target, not the link, is replaced."""
+    targets, temps = [os.path.realpath(path) for path in paths], []
     try:
         with contextlib.ExitStack() as stack:
             files = []
-            for path in paths:
-                tmp = f"{path}.tmp{os.getpid()}"
+            for path, target in zip(paths, targets):
+                tmp = f"{target}.tmp{os.getpid()}"
                 try:
                     files.append(stack.enter_context(open(tmp, "x")))
                 except OSError as exc:  # name the target the user gave
                     raise OSError(exc.errno, exc.strerror, path) from None
                 temps.append(tmp)
             yield files
-        for path, tmp in zip(paths, temps):
-            os.replace(tmp, path)
+        for target, tmp in zip(targets, temps):
+            os.replace(tmp, target)
     finally:
         for tmp in temps:
             if os.path.exists(tmp):

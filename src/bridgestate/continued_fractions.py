@@ -156,27 +156,6 @@ def _expansion_summary(targets) -> dict:
     return total
 
 
-def enumerate_expansions(x) -> tuple:
-    """Every expansion whose value is exactly x, sorted lexicographically,
-    each tagged r = 0.
-
-    x is a rational (an int, a Fraction or a string such as '5/2') with
-    |x| > 1; the result is a finite, possibly multi-element tuple (e.g. 5/2
-    has the two expansions [2, 2] and [3, -2]).
-    """
-    from fractions import Fraction
-    if isinstance(x, float):  # its exact value is rarely the one meant
-        raise InvalidInputError(f"target {x!r} is a float, not a rational")
-    try:
-        x = Fraction(x)
-    except (TypeError, ValueError, ArithmeticError):
-        raise InvalidInputError(f"target {x!r} is not a rational") from None
-    if abs(x.numerator) <= x.denominator:
-        raise InvalidInputError(f"target {x} must have absolute value > 1")
-    return tuple(Expansion._of(terms, 0) for terms, _ in
-                 _expand_target(x.numerator, x.denominator))
-
-
 def _targets(knot) -> tuple:
     """The two (p, q) targets of a knot's expansions, in tag order r = 0, 1.
 
@@ -188,6 +167,8 @@ def _targets(knot) -> tuple:
     return (a, b), (-a, a - b)
 
 
+# no package code calls it: it stays for the benchmark's self-test
+# (perfbench/tests/test_perfbench.py), which imports it from here
 def surfaces_expansions(knot) -> tuple:
     """The expansions indexing the essential spanning surfaces of a knot:
     those of each ``_targets`` block, sorted lexicographically, r = 0 first.

@@ -61,7 +61,7 @@ from .continued_fractions import (
     _targets,
 )
 from .errors import ConsistencyError
-from .laurent import LaurentPolynomial, poly_text
+from .laurent import poly_text
 from .surfaces import (
     EssentialSurface,
     TwoBridgeKnot,
@@ -202,19 +202,13 @@ class StatePolynomial(Value):
     ``coeffs_2k`` holds the integer coefficients of 2**k times the canonical
     representative, lowest degree first: k + 1 of them, the first positive
     and the last nonzero, palindromic for even k and anti-palindromic for
-    odd k.  ``str`` prints it from those integers; ``canonical`` is the
-    same polynomial with exact Fraction coefficients, built on each access.
+    odd k.  ``str`` prints it from those integers.
     """
 
     __slots__ = ("k", "coeffs_2k")
 
     def __str__(self) -> str:
         return poly_text(self.coeffs_2k, 1 << self.k)
-
-    @property
-    def canonical(self) -> LaurentPolynomial:
-        from fractions import Fraction
-        return LaurentPolynomial(0, self.coeffs_2k) * Fraction(1, 1 << self.k)
 
 
 def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:

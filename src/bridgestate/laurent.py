@@ -1,13 +1,13 @@
-"""Laurent polynomials: the one printing rule, and the exact view.
+"""Laurent polynomials: the one printing rule.
 
 The package computes in integers: a state polynomial is carried as the
 integer coefficients of 2**k times its canonical representative, and a
 state matrix as integer rows over one denominator.  ``poly_text`` prints
-such integers, for text output and failure messages; ``LaurentPolynomial``
-is their exact view, with ``fractions.Fraction`` coefficients, built on
-demand for library callers (``StatePolynomial.canonical``).  No floating
-point is used anywhere in the package.  Laurent polynomials are stored
-densely, lowest degree first, with the ends trimmed to nonzero coefficients.
+such integers, for text output and failure messages.  No floating point
+is used anywhere in the package, and no package code builds a Fraction:
+``LaurentPolynomial``, a dense Laurent polynomial with ``Fraction``
+coefficients, lowest degree first and its ends trimmed to nonzero
+coefficients, is only the container the tests compare results in.
 """
 
 from math import gcd, lcm
@@ -31,6 +31,8 @@ def poly_text(coeffs, den: int = 1, low: int = 0) -> str:
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
+# no package code uses it: it stays because the benchmark's tracer
+# (perfbench/spans.py, Tracer.install) and the traced gates in CI patch it
 class LaurentPolynomial(Value):
     """A Laurent polynomial sum_i coeffs[i] * t**(min_degree + i).
 

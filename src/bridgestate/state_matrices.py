@@ -15,9 +15,9 @@ the nonzero entries x of the integer matrix den * V (0-based i, j), with den
 the lcm of the entry denominators.  den is minimal, so equal matrices
 compare equal: a state matrix has den 2 if some term is odd, else 1, and its
 V + V^T has den 1.  Only this module builds and eliminates matrices; it
-builds them in O(nonzeros) (a state matrix has at most 2k - 1).  ``scaled``,
-the dense int rows of den * V, and ``entries``, the exact Fraction rows of
-V, are views built on access.
+builds them in O(nonzeros) (a state matrix has at most 2k - 1), and never
+holds a Fraction.  ``scaled``, the dense int rows of den * V, is a view
+built on access.
 
 The moves take band numbers: 1-based, as in the n_i themselves.
 
@@ -35,7 +35,6 @@ by it.
 """
 
 import math
-from itertools import chain
 
 from .continued_fractions import Expansion
 from .errors import ConsistencyError, InvalidInputError
@@ -44,8 +43,8 @@ from .values import Value
 
 class _SparseMatrix(Value):
     """size x size rational matrix M as ``nonzeros``, the ((i, j), x) of
-    den * M with x != 0, den minimal; ``scaled[i][j]`` is the int and
-    ``entries[i][j]`` the Fraction at 0-based (i, j)."""
+    den * M with x != 0, den minimal; ``scaled[i][j]`` is the int of
+    den * M at 0-based (i, j)."""
 
     __slots__ = ("size", "den", "nonzeros")
 
@@ -53,12 +52,6 @@ class _SparseMatrix(Value):
     def scaled(self) -> tuple:
         nz, n = dict(self.nonzeros), range(self.size)
         return tuple(tuple(nz.get((i, j), 0) for j in n) for i in n)
-
-    @property
-    def entries(self) -> tuple:
-        from fractions import Fraction
-        den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.scaled)
 
 
 class StateMatrix(_SparseMatrix):
@@ -73,35 +66,12 @@ class GLMatrix(_SparseMatrix):
     __slots__ = ()
 
 
-def _scaled_nonzeros(rows, what: str) -> tuple:
-    """(size, den, {(i, j): x}) for the nonzero entries x of den * M, where
-    M, given as ``rows``, must be a square matrix of ints/Fractions and den
-    is the lcm of its entry denominators."""
-    rows = [tuple(row) for row in rows]
-    if any(len(row) != len(rows) for row in rows):
-        raise InvalidInputError(f"{what} must be square")
-    try:
-        den = math.lcm(*{x.denominator for x in chain.from_iterable(rows)})
-    except AttributeError:
-        raise InvalidInputError(
-            f"{what} entries must be ints or Fractions, got {rows!r}"
-        ) from None
-    return len(rows), den, {(i, j): x.numerator * (den // x.denominator)
-                            for i, row in enumerate(rows)
-                            for j, x in enumerate(row) if x}
-
-
-def state_matrix(rows) -> StateMatrix:
-    """Build a StateMatrix from any nested sequence of ints/Fractions."""
-    size, den, nonzeros = _scaled_nonzeros(rows, "state matrix")
-    return StateMatrix(size, den, frozenset(nonzeros.items()))
-
-
 def standard_state_matrix(e: Expansion) -> StateMatrix:
     """The canonical state matrix of an expansion.
 
-    >>> standard_state_matrix(Expansion((2, 3))).entries
-    ((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(-3, 2)))
+    >>> v = standard_state_matrix(Expansion((2, 3)))
+    >>> v.den, v.scaled
+    (2, ((2, 0), (2, -3)))
     """
     terms = e.terms
     if any(n % 2 for n in terms):
@@ -295,16 +265,6 @@ def _oracle_scaled(v: StateMatrix) -> tuple:
 
 # ---------------------------------------------------------------------------
 # signatures
-
-
-def symmetric_signature(rows) -> int:
-    """Signature of an arbitrary symmetric matrix of ints or Fractions,
-    scaled to integers by the lcm of the denominators and signed by
-    ``_sparse_signature``; any other matrix raises InvalidInputError."""
-    n, _, entries = _scaled_nonzeros(rows, "matrix")
-    if any(entries.get((j, i)) != x for (i, j), x in entries.items()):
-        raise InvalidInputError("matrix must be symmetric")
-    return _sparse_signature(n, entries.items())
 
 
 def _sparse_signature(n: int, nonzeros) -> int:

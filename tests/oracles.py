@@ -16,9 +16,10 @@ polynomial's text is written from its ``Fraction`` coefficients
 in, and ``InvalidInputError`` as the error raised for inputs outside a
 helper's domain.
 
-Two helpers are views, not references: ``state_polynomial_det`` and
+Some helpers are views, not references: ``state_polynomial_det`` and
 ``state_polynomial_oracle`` put the integer results of the package's
-recurrence and elimination oracle into that container, so the tests can
+recurrence and elimination oracle into that container, as ``canonical``
+and ``fraction_rows`` do a state polynomial and a matrix, so the tests can
 compare the two routes with each other and with the references above,
 exactly and up to the units +-t^j (``poly_equivalent``).  So are
 ``report_fields`` and ``surface_fields``, a report's and a surface's fields
@@ -33,14 +34,10 @@ import math
 import random
 from fractions import Fraction
 
-from bridgestate import (
-    Expansion,
-    InvalidInputError,
-    LaurentPolynomial,
-    make_surface,
-)
+from bridgestate import Expansion, InvalidInputError, make_surface
 from bridgestate.continued_fractions import iter_expansions
 from bridgestate.invariants import _det_scaled
+from bridgestate.laurent import LaurentPolynomial
 from bridgestate.state_matrices import _oracle_scaled
 
 
@@ -236,6 +233,18 @@ def state_polynomial_det(e: Expansion) -> LaurentPolynomial:
     return laurent([Fraction(c, 1 << scale) for c in coeffs])
 
 
+def canonical(sp) -> LaurentPolynomial:
+    """The ``StatePolynomial`` ``sp`` in that container: its ``coeffs_2k``
+    over 2**k."""
+    return laurent([Fraction(c, 1 << sp.k) for c in sp.coeffs_2k])
+
+
+def fraction_rows(m) -> tuple:
+    """The matrix ``m`` as rows of Fractions: its ``scaled`` rows over its
+    ``den``."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.scaled)
+
+
 def state_polynomial_oracle(v) -> LaurentPolynomial:
     """det(V - t*V^T) for the state matrix ``v``, from the package's
     elimination oracle, uncanonicalized: the oracle eliminates the integer
@@ -303,7 +312,7 @@ def characteristic_matrix(v) -> tuple:
     (-1)**(j+1) * (nj/2) * (1 - t) and off-diagonal pairs {1, -t};
     specializing t = -1 gives the Gordon-Litherland matrix V + V^T.
     """
-    ent = v.entries
+    ent = fraction_rows(v)
     return tuple(
         tuple(dict_add({0: a}, {1: -b}) for a, b in zip(row, trow))
         for row, trow in zip(ent, zip(*ent))

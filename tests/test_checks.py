@@ -10,9 +10,9 @@ from bridgestate import (
     InvalidInputError,
     make_knot,
     make_surface,
-    surfaces_expansions,
 )
 import bridgestate.checks as checks
+from bridgestate.continued_fractions import surfaces_expansions
 from bridgestate.checks import (
     _check_presentations,
     _check_surface_fast,
@@ -119,9 +119,9 @@ def test_check_knot_runs_invariance_checks_by_default_seed():
     assert stats.checks == 45
 
 
-def test_every_transformed_matrix_is_signed_by_symmetric_signature(
+def test_every_transformed_matrix_is_signed_by_the_sparse_signature(
         monkeypatch):
-    # the core of symmetric_signature, on the matrices gl_matrix builds
+    # on the nonzeros of the matrices gl_matrix builds
     real = checks._sparse_signature
     calls = 0
 

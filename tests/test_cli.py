@@ -399,6 +399,45 @@ class TestCensusCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv",
                                                               "l.csv"]
 
+    def test_symlinked_targets_are_written_through(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the links stay links and the files they name get the tables; a
+        # failed run leaves those files as they were
+        import bridgestate.census as census
+        from bridgestate import ConsistencyError
+
+        def census_into(where):
+            return run(capsys, "census", "--max-alpha", "9", "--out",
+                       str(where / "k"), "--out-surfaces", str(where / "s"))[0]
+
+        def tree():
+            return {p.relative_to(tmp_path).as_posix():
+                    p.readlink() if p.is_symlink() else p.read_bytes()
+                    for p in tmp_path.rglob("*") if not p.is_dir()}
+
+        real, links, direct = (tmp_path / d for d in ("real", "l", "direct"))
+        for d in (real, links, direct):
+            d.mkdir()
+        for name in ("k", "s"):
+            (real / name).write_text("previous run\n")
+            (links / name).symlink_to(Path("..", "real", name))
+        before = tree()
+
+        def fault(knot):
+            raise ConsistencyError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "full_report", fault)
+            assert census_into(links) == 1
+        assert tree() == before
+        assert census_into(links) == census_into(direct) == 0
+        after = tree()
+        assert {p: after[p] for p in before if p.startswith("l/")} == {
+            "l/k": Path("../real/k"), "l/s": Path("../real/s")}
+        assert after["real/k"] == after["direct/k"] != before["real/k"]
+        assert after["real/s"] == after["direct/s"] != before["real/s"]
+        assert sorted(after) == sorted([*before, "direct/k", "direct/s"])
+
     def test_stdout_surface_file_exits_2_before_computing(
             self, capsys, tmp_path, monkeypatch):
         # '-' means stdout for --out only; as --out-surfaces it would name

@@ -19,9 +19,9 @@ import bridgestate
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bridgestate"
 
-# imported where they are used: fractions only for Fraction input and the
-# exact views (.canonical, .entries, LaurentPolynomial), as text output and
-# failure messages print from integers; dataclasses and json not at all
+# imported where they are used: fractions only in the methods of
+# LaurentPolynomial, which no package code calls, as text output and failure
+# messages print from integers; dataclasses and json not at all
 NOT_AT_START = ("dataclasses", "inspect", "fractions", "decimal", "json")
 
 
@@ -93,6 +93,17 @@ def test_a_passing_verify_does_not_need_fractions():
     loaded = modules_after("from bridgestate.cli import main\n"
                            "assert main(['verify', '5', '2']) == 0")
     assert [m for m in ("fractions", "decimal") if m in loaded] == []
+
+
+def test_only_laurent_imports_fractions():
+    # the package builds no Fraction; LaurentPolynomial is the tests' container
+    importers = {path.name for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import)
+                 and "fractions" in [a.name for a in node.names]
+                 or isinstance(node, ast.ImportFrom) and not node.level
+                 and node.module == "fractions"}
+    assert importers == {"laurent.py"}
 
 
 def package_imports(source: str) -> set:

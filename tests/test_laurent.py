@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from bridgestate import InvalidInputError, LaurentPolynomial
-from bridgestate.laurent import poly_text
+from bridgestate import InvalidInputError
+from bridgestate.laurent import LaurentPolynomial, poly_text
 from oracles import (
     dict_mul,
     frac,

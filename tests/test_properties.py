@@ -16,14 +16,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bridgestate import (  # noqa: E402
     Expansion,
-    enumerate_expansions,
     flip_normal,
     flip_orientation,
     full_report,
     gl_matrix,
     make_knot,
     standard_state_matrix,
-    symmetric_signature,
 )
 from bridgestate.census import (  # noqa: E402
     KNOT_CSV_HEADER,
@@ -46,7 +44,10 @@ from bridgestate.invariants import (  # noqa: E402
     _surface_step,
     _unpack,
 )
-from bridgestate.state_matrices import permuted_state_matrix  # noqa: E402
+from bridgestate.state_matrices import (  # noqa: E402
+    _sparse_signature,
+    permuted_state_matrix,
+)
 from oracles import (  # noqa: E402
     _pack,
     brute_force_expansions,
@@ -141,10 +142,8 @@ def test_oracle_and_signature_survive_random_moves(data):
             v = permuted_state_matrix(v, data.draw(st.permutations(range(k))))
     assert poly_equivalent(state_polynomial_oracle(v), state_polynomial_det(e))
     gl = gl_matrix(v)
-    sig = symmetric_signature(gl.scaled)
-    # the Fraction-input and the int-input routes
-    assert symmetric_signature(gl.entries) == sig
-    assert sig == sign_count_signature(e.terms)
+    assert _sparse_signature(gl.size, gl.nonzeros) == sign_count_signature(
+        e.terms)
 
 
 @st.composite
@@ -163,7 +162,7 @@ def test_enumeration_matches_brute_force(p, data):
     x = Fraction(data.draw(st.sampled_from((p, -p)), label="sign"), q)
     # every term has |n| <= |x| + 1 and every step lowers the denominator,
     # so |p| + 1 bounds both the terms and the length
-    got = [e.terms for e in enumerate_expansions(x)]
+    got = [terms for terms, _ in _expand_target(x.numerator, x.denominator)]
     assert got == brute_force_expansions(x, p + 1, p + 1)
 
 

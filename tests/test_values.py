@@ -9,7 +9,6 @@ import pytest
 from bridgestate import (
     Expansion,
     GLMatrix,
-    LaurentPolynomial,
     StateMatrix,
     full_report,
     gl_matrix,
@@ -19,6 +18,7 @@ from bridgestate import (
     state_polynomial,
 )
 from bridgestate.checks import CheckStats
+from bridgestate.laurent import LaurentPolynomial
 
 TERMS = (2, 3)
 
