@@ -7,6 +7,7 @@ import pytest
 from bridgestate import (
     Expansion,
     InvalidInputError,
+    StateMatrix,
     flip_normal,
     flip_orientation,
     gl_matrix,
@@ -159,8 +160,7 @@ class TestScaledRepresentation:
     """``den`` and ``scaled`` against the Fraction rows and builders."""
 
     def test_den_is_minimal(self):
-        # of a standard matrix and of each move of it, its nonzeros those
-        # of den * V exactly
+        # of a standard matrix and of each move of it
         rng = random.Random(13)
         for _ in range(200):
             e = random_expansion(rng)
@@ -177,9 +177,26 @@ class TestScaledRepresentation:
                 assert m.den == math.lcm(*(x.denominator for row in rows
                                            for x in row))
                 assert all(type(x) is int and x for _, x in m.nonzeros)
-                assert m.nonzeros == {((i, j), x * m.den)
-                                      for i, row in enumerate(rows)
-                                      for j, x in enumerate(row) if x}
+
+    def test_round_trip_through_entries(self):
+        # a matrix rebuilt from its Fraction entries, over the least common
+        # denominator, equals it
+        rng = random.Random(14)
+        for _ in range(100):
+            e = random_expansion(rng)
+            k = len(e.terms)
+            v = standard_state_matrix(e)
+            moved = [v, flip_orientation(v, rng.randint(1, k))]
+            if k > 1:
+                moved.append(flip_normal(v, rng.randint(1, k - 1)))
+                moved.append(permuted_state_matrix(v, rng.sample(range(k), k)))
+            for m in moved:
+                rows = fraction_rows(m)
+                den = math.lcm(*(x.denominator for row in rows for x in row))
+                nonzeros = frozenset(
+                    ((i, j), int(x * den)) for i, row in enumerate(rows)
+                    for j, x in enumerate(row) if x)
+                assert StateMatrix(len(rows), den, nonzeros) == m
 
     def test_entries_match_fraction_builder_to_49(self):
         from oracles import fraction_state_matrix
