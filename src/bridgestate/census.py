@@ -9,8 +9,11 @@ its signature, slope and polynomial, and a knot record holds its report's
 values and surfaces.  JSON is written from one template per record kind,
 its keys in sorted order, and CSV rows in the column order of the headers.
 A text table's first column is the expansion, left-aligned to the widest
-one (``_text_column``), so a table, like the one-row CSV of
-``invariants --csv``, is written only after its walk has ended.
+one, whose width a walk that keeps nothing finds first (``_text_column``).
+So every single-knot output streams: the surfaces of a ``stream_report``
+and of ``stream_surfaces`` are generators, and each is written as the walk
+yields it and kept by none, except by the one-row CSV of
+``invariants --csv``, written once the walk has ended.
 
 Wire formats, fixed here and documented in the README:
 
@@ -30,10 +33,7 @@ Wire formats, fixed here and documented in the README:
   indentation: its bytes are those of ``json.dumps(obj, indent=2,
   sort_keys=True)``, so parsing and re-dumping a report reproduces it byte
   for byte.  They yield a report a surface record at a time, and a long int
-  list ``PIECE_INTS`` elements at a time; the surfaces of a
-  ``stream_report`` and of ``stream_surfaces`` are generators, so
-  ``invariants`` and ``surfaces`` write each surface as the walk yields it
-  and keep none.
+  list ``PIECE_INTS`` elements at a time.
 
 The census is one streaming pipeline over alpha blocks, the knots of one
 determinant in beta order.  K(alpha, beta) and K(alpha, beta') are the same
@@ -62,6 +62,7 @@ import operator
 import os
 from contextlib import ExitStack
 
+from .continued_fractions import _expand_target, _targets
 from .errors import ConsistencyError, InvalidInputError
 from .invariants import (
     InvariantReport,
@@ -236,33 +237,31 @@ def report_csv(report: InvariantReport):
     yield f"{KNOT_CSV_HEADER}\n{knot_csv_row(report)}\n"
 
 
-def _text_column(records, expansion):
-    """Walk ``records`` to their end and pair each with its expansion,
-    left-aligned to the widest one: the first column of a text table.  The
-    widest expansion sets the column, so nothing is written before the
-    walk ends."""
-    records = list(records)
-    names = [str(expansion(r)) for r in records]
-    width = max(map(len, names))
-    return zip((f"{name:<{width}}" for name in names), records)
+def _text_column(knot: TwoBridgeKnot) -> int:
+    """The width of the first column of a knot's text table, its widest
+    expansion, from one walk of its expansion trees that keeps nothing: an
+    expansion prints as its terms in brackets, joined by ", ", so each term
+    adds its digits and two.  Known before the first row, it lets a text
+    table stream like every other single-knot output."""
+    return max(width for p, q in _targets(knot) for _, width in
+               _expand_target(p, q, lambda w, j, n: w + len(str(n)) + 2, 0))
 
 
 def surfaces_text(knot: TwoBridgeKnot, surfaces, count: int):
     """Yield the text table of the ``count`` surfaces of a knot (the
-    ``surfaces`` command), once ``surfaces`` is walked to its end."""
-    rows = _text_column(surfaces, operator.attrgetter("expansion"))
+    ``surfaces`` command), each row as ``surfaces`` yields its surface."""
+    width = _text_column(knot)
     yield f"{knot}: {count} essential spanning surfaces\n"
-    for name, s in rows:
+    for s in surfaces:
         kind = "orientable" if s.orientable else "nonorientable"
-        yield (f"  {name}  {kind:<13}  genus2={s.genus_twice}  "
-               f"N+={s.n_plus}  N-={s.n_minus}\n")
+        yield (f"  {s.expansion!s:<{width}}  {kind:<13}  "
+               f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}\n")
 
 
 def report_text(report: InvariantReport):
     """Yield the text table of a knot report (the ``invariants``
-    command), once its surfaces are walked to their end."""
-    rows = _text_column(report.surfaces,
-                        operator.attrgetter("surface.expansion"))
+    command), each row as the report yields its surface."""
+    width = _text_column(report.knot)
     yield (f"{report.knot}\n"
            f"  determinant      {report.determinant}\n"
            f"  signature        {report.signature}\n"
@@ -271,9 +270,10 @@ def report_text(report: InvariantReport):
            f"  alexander        {report.alexander}\n"
            f"  slopes           {list(report.slopes)}\n"
            f"  surfaces ({report.surface_count}):\n")
-    for name, r in rows:
+    for r in report.surfaces:
         s = r.surface
-        yield (f"    {name}  orientable={'yes' if s.orientable else 'no '}  "
+        yield (f"    {s.expansion!s:<{width}}  "
+               f"orientable={'yes' if s.orientable else 'no '}  "
                f"genus2={s.genus_twice}  N+={s.n_plus}  N-={s.n_minus}  "
                f"sigma={r.signature:>3}  slope={r.slope:>4}  "
                f"poly: {r.polynomial}\n")

@@ -73,21 +73,9 @@ from .values import Value
 
 
 class CheckStats(Value):
-    """Tallies of a check run; unlike the other values, they change."""
+    """Tallies of a check run: the knots, surfaces and checks it ran."""
 
     __slots__ = ("knots", "surfaces", "checks")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, knots: int = 0, surfaces: int = 0, checks: int = 0):
-        self._init(knots, surfaces, checks)
-
-    def __iadd__(self, other):
-        self.knots += other.knots
-        self.surfaces += other.surfaces
-        self.checks += other.checks
-        return self
 
 
 def _check_surface_fast(knot, e, det: tuple, sigma: int) -> None:
@@ -235,37 +223,39 @@ def check_knot(knot, *, oracle: bool = False, invariance_samples: int = 0,
     ``invariance_samples`` random transformations drawn from
     ``random.Random(seed)``."""
     import random
-    return _check_knot(knot, oracle, invariance_samples,
-                       random.Random(seed))[0]
+    checks, report = _check_knot(knot, oracle, invariance_samples,
+                                 random.Random(seed))
+    return CheckStats(1, report.surface_count, checks)
 
 
 def _check_knot(knot, oracle: bool, invariance_samples: int,
                 rng: "random.Random") -> tuple:
-    """``check_knot``'s tallies and the ``InvariantReport`` they check: the
-    checks run on each surface as ``full_report``'s pass reports it, with
-    the determinant-recurrence result behind it."""
-    stats = CheckStats(knots=1)
+    """The number of checks ``check_knot`` runs and the ``InvariantReport``
+    they check: the checks run on each surface as ``full_report``'s pass
+    reports it, with the determinant-recurrence result behind it."""
+    checks = 0
 
     def checked(pairs):
+        nonlocal checks
         yield next(pairs)  # the Seifert surface, checked in its place
         for r, det in pairs:
             e = r.surface.expansion
             _check_surface_fast(knot, e, det, r.signature)
             # its six fast checks and the three identities its report pass
             # ran (|p(-1)| = alpha, minor signature and slope agreement)
-            stats.surfaces += 1
-            stats.checks += 9
+            checks += 9
             if oracle:
                 v = standard_state_matrix(e)
-                stats.checks += _check_surface_oracle(knot, e, det, v,
-                                                      r.polynomial)
+                checks += _check_surface_oracle(knot, e, det, v, r.polynomial)
                 if invariance_samples:
-                    stats.checks += check_transformation_invariance(
+                    checks += check_transformation_invariance(
                         e, rng, invariance_samples, det, base=v,
                         sigma=r.signature)
             yield r, det
 
-    return stats, _knot_report(knot, checked(_report_pass(knot)))
+    # built before ``checks`` is read: its walk counts them
+    report = _knot_report(knot, checked(_report_pass(knot)))
+    return checks, report
 
 
 def check_range(max_alpha: int, *, oracle: bool = False,
@@ -275,17 +265,18 @@ def check_range(max_alpha: int, *, oracle: bool = False,
     import random
     knots = iter_knots(max_alpha)
     rng = random.Random(seed)
-    stats = CheckStats()
-    stats.checks += check_negative_control()
+    count = surfaces = 0
+    checks = check_negative_control()
     pending = {}
     for alpha, beta in knots:
-        knot_stats, report = _check_knot(
+        knot_checks, report = _check_knot(
             make_knot(alpha, beta), oracle, invariance_samples, rng
         )
-        stats += knot_stats
         _check_presentations(report, pending)
-        stats.checks += 1
-    return stats
+        count += 1
+        surfaces += report.surface_count
+        checks += knot_checks + 1
+    return CheckStats(count, surfaces, checks)
 
 
 def _check_presentations(report, pending: dict) -> None:

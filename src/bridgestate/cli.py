@@ -13,11 +13,11 @@ Exit codes: 0 success, 1 a mathematical consistency check failed,
 to a command and buffers stdout; every record it writes is rendered in
 ``census``.  ``surfaces`` and ``invariants`` read the streamed walk in
 every format, and each passes the renderer its format flag picks to one
-``writelines``; in JSON, and ``surfaces`` in CSV, each surface is written
-as the walk yields it, so when they exit 1 stdout holds what was written
-before the failure.  Every command writes stdout through a buffer; when
-Python runs unbuffered (``python -u``), the CLI adds one of
-``io.DEFAULT_BUFFER_SIZE`` bytes.
+``writelines``.  Every single-knot output but the one-row
+``invariants --csv`` writes each surface as the walk yields it, so when it
+exits 1 stdout holds what was written before the failure.  Every command
+writes stdout through a buffer; when Python runs unbuffered
+(``python -u``), the CLI adds one of ``io.DEFAULT_BUFFER_SIZE`` bytes.
 """
 
 import argparse
@@ -76,10 +76,8 @@ def cmd_verify(args) -> int:
     if have_knot:
         knot = make_knot(args.alpha, args.beta)
         stats = check_knot(knot, oracle=True, invariance_samples=2)
-        stats.checks += check_negative_control()
-        print(
-            f"pass: {knot} - {stats.surfaces} surfaces, {stats.checks} checks"
-        )
+        checks = stats.checks + check_negative_control()
+        print(f"pass: {knot} - {stats.surfaces} surfaces, {checks} checks")
     else:
         stats = check_range(args.max_alpha, oracle=True,
                             invariance_samples=1)
@@ -157,22 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "surfaces", help="list the essential spanning surfaces of a knot"
-    )
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_surfaces)
-
-    p = sub.add_parser(
-        "invariants",
-        help="polynomials, signatures and slopes for one knot",
-    )
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_invariants)
+    for name, func, summary in (
+        ("surfaces", cmd_surfaces,
+         "list the essential spanning surfaces of a knot"),
+        ("invariants", cmd_invariants,
+         "polynomials, signatures and slopes for one knot"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("alpha", type=int)
+        p.add_argument("beta", type=int)
+        _add_format_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "verify",

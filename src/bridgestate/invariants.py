@@ -214,7 +214,7 @@ class StatePolynomial(Value):
 def _canonical_from_scaled(coeffs, scale: int, k: int) -> StatePolynomial:
     """StatePolynomial of a ``_det_scaled`` result, with its degree and
     2**k-integrality checked."""
-    if coeffs[-1] == 0 or len(coeffs) != k + 1:
+    if coeffs[0] == 0 or coeffs[-1] == 0 or len(coeffs) != k + 1:
         raise ConsistencyError(
             f"state polynomial of a k={k} expansion must have degree {k}"
         )

@@ -633,6 +633,24 @@ class TestScaledRepresentation:
         with pytest.raises(ConsistencyError, match="2\\^k-integrality"):
             inv.full_report(make_knot(5, 2))
 
+    def test_degree_check_catches_a_zero_constant_term(self, monkeypatch):
+        # the constant term moved onto t^2 keeps p(1) and p(-1), so the
+        # identities of the report pass hold for every surface with k >= 2;
+        # only the degree rule on the constant term can notice
+        import bridgestate.invariants as inv
+
+        real = inv._unpack
+
+        def moved(packed, bits, n):
+            digits = real(packed, bits, n)
+            if n > 2:
+                digits[0], digits[2] = 0, digits[2] + digits[0]
+            return digits
+
+        monkeypatch.setattr(inv, "_unpack", moved)
+        with pytest.raises(ConsistencyError, match="must have degree"):
+            inv.full_report(make_knot(13, 5))
+
 
 class TestInvariance:
     def test_random_transformations(self):

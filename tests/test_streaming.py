@@ -216,23 +216,28 @@ def rendered_before_the_failure(pieces) -> str:
 @pytest.mark.parametrize("fmt", ["--json", "--csv",
                                  pytest.param(None, id="text")])
 def test_a_walk_that_drops_a_leaf_exits_1(walk_drops_a_leaf, command, fmt):
-    code, out, err = run(command, 19, 7, *([fmt] if fmt else []))
+    args = (command, 19, 7, *([fmt] if fmt else []))
+    code, out, err = run(*args)
     assert code == 1
     assert "walk = expansion summary failed for K(19,7)" in err
-    # streamed JSON, and the CSV of the surfaces, keep what was rendered
-    # before the failure; the CSV of a report is one row, and a text table
-    # needs the widest expansion, so both are written after the walk
-    if fmt is None or (command, fmt) == ("invariants", "--csv"):
+    # every streamed output keeps what was rendered before the failure;
+    # the CSV of a report is one row, written after the walk
+    if (command, fmt) == ("invariants", "--csv"):
         assert out == ""
         return
     knot = make_knot(19, 7)
     count, surfaces = stream_surfaces(knot)
-    pieces = (report_json(stream_report(knot)) if command == "invariants"
-              else surfaces_json(knot, surfaces, count) if fmt == "--json"
-              else surfaces_to_csv(knot, surfaces))
+    report = stream_report(knot)
+    pieces = {
+        ("invariants", "--json"): report_json(report),
+        ("invariants", None): report_text(report),
+        ("surfaces", "--json"): surfaces_json(knot, surfaces, count),
+        ("surfaces", "--csv"): surfaces_to_csv(knot, surfaces),
+        ("surfaces", None): surfaces_text(knot, surfaces, count),
+    }[command, fmt]
     assert out and out == rendered_before_the_failure(pieces)
     # a buffer over an unbuffered stdout writes what it holds on the way out
-    assert run_unbuffered(RawStdout(), command, 19, 7, fmt) == (code, out, err)
+    assert run_unbuffered(RawStdout(), *args) == (code, out, err)
 
 
 def test_the_seifert_surface_must_be_the_summarys_orientable_one(
