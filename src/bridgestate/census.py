@@ -40,11 +40,11 @@ determinant in beta order.  K(alpha, beta) and K(alpha, beta') are the same
 knot exactly when beta' = beta**(+-1) mod alpha, and K(alpha, alpha - beta)
 is its mirror image (Schubert), so a block splits into orbits {beta,
 beta^-1, alpha - beta, alpha - beta^-1} of two or four presentations.
-``full_report`` runs once per orbit, on its least beta; each other
-member's report is built by the report pass of its own knot, given the
-state polynomials, which do not depend on the presentation, moved from
-that report along a move ``invariants._orbit`` lists
-(``invariants._moved_polys``).  Every report, computed or built, must
+The orbit sweep of ``invariants._orbit_sweep`` walks a block: ``full_report``
+runs once per orbit, on its least beta; each other member's report is
+built by the report pass of its own knot, given the state polynomials,
+which do not depend on the presentation, moved from that report along the
+first move the sweep hands it.  Every report, computed or built, must
 have exactly one zero slope.  Each knot's rows are rendered in the
 requested format (``render_knot``) as soon as its report is ready.  On
 one job the blocks run in turn and each knot's pieces are written as they
@@ -68,8 +68,7 @@ from .invariants import (
     InvariantReport,
     StatePolynomial,
     _knot_report,
-    _moved_polys,
-    _orbit,
+    _orbit_sweep,
     _report_pass,
     full_report,
 )
@@ -304,16 +303,12 @@ def _knot_pieces(alpha: int, betas, as_json: bool, with_surfaces: bool):
     """Yield (knot piece, surface piece, surface count) of K(alpha, beta)
     for each beta of the ascending ``betas``, computing the report of the
     least beta of each orbit and building the others' from their own walks
-    with its polynomials (see the module docstring)."""
-    pending = {}  # beta: the polynomials moved from its orbit's least beta
-    for beta in betas:
-        knot = TwoBridgeKnot._of(alpha, beta)
-        if beta in pending:
-            report = _knot_report(knot, _report_pass(knot, pending.pop(beta)))
-        else:
-            report = full_report(knot)
-            pending.update((b, _moved_polys(report, *moves[0][1:]))
-                           for b, moves in _orbit(knot).items())
+    with its polynomials (``invariants._orbit_sweep``)."""
+    def report_of(knot, moved):
+        return (full_report(knot) if moved is None else
+                _knot_report(knot, _report_pass(knot, moved[0][1])))
+
+    for report in _orbit_sweep(((alpha, beta) for beta in betas), report_of):
         slopes = report.slopes
         if slopes.count(0) != 1:
             raise ConsistencyError(

@@ -36,14 +36,15 @@ writing p for the uncanonicalized determinant det(V - t*V^T):
 
 Across presentations, K(alpha, beta^-1 mod alpha) is the same knot as
 K(alpha, beta) and K(alpha, alpha - beta) its mirror image, so a surface
-keeps its state polynomial: the {terms: polynomial} of the report computed
-for each must be what every move ``_orbit`` lists to it gives from the
-report of the least beta of its orbit (``_moved_polys``), the census's
-moves among them.  The census builds the report of such a member by the
-report pass of its own knot, given those polynomials, so its other fields
-come from the same walk as here.  The negative control checks, on integer
-lists too, that the oracle tells a symmetric almost-state matrix from a
-state matrix.
+keeps its state polynomial: ``verify`` walks the presentations through the
+census's orbit sweep (``invariants._orbit_sweep``), and the {terms:
+polynomial} of the report computed for each member but an orbit's least
+beta must be what every move the sweep hands it gives from the report of
+that least beta, the census's moves among them.  The census builds the
+report of such a member by the report pass of its own knot, given those
+polynomials, so its other fields come from the same walk as here.  The
+negative control checks, on integer lists too, that the oracle tells a
+symmetric almost-state matrix from a state matrix.
 """
 
 from .continued_fractions import Expansion
@@ -52,8 +53,7 @@ from .invariants import (
     _det_scaled,  # unused here; perfbench's tracer rebinds it in this module
     _fail,
     _knot_report,
-    _moved_polys,
-    _orbit,
+    _orbit_sweep,
     _report_pass,
     state_polynomial,
 )
@@ -68,7 +68,7 @@ from .state_matrices import (
     permuted_state_matrix,
     standard_state_matrix,
 )
-from .surfaces import iter_knots, make_knot
+from .surfaces import iter_knots
 from .values import Value
 
 
@@ -261,41 +261,34 @@ def _check_knot(knot, oracle: bool, invariance_samples: int,
 def check_range(max_alpha: int, *, oracle: bool = False,
                 invariance_samples: int = 0, seed: int = 0) -> CheckStats:
     """Sweep every knot with determinant up to max_alpha (>= 3, checked
-    first) and check that each knot's presentations agree."""
+    first) and check that each knot's presentations agree: the report of
+    every member of an orbit but its least beta is compared with the
+    moves ``invariants._orbit_sweep`` gives to it."""
     import random
     knots = iter_knots(max_alpha)
     rng = random.Random(seed)
-    count = surfaces = 0
     checks = check_negative_control()
-    pending = {}
-    for alpha, beta in knots:
-        knot_checks, report = _check_knot(
-            make_knot(alpha, beta), oracle, invariance_samples, rng
-        )
-        _check_presentations(report, pending)
-        count += 1
-        surfaces += report.surface_count
-        checks += knot_checks + 1
-    return CheckStats(count, surfaces, checks)
+
+    def checked(knot, moved):
+        nonlocal checks
+        ran, report = _check_knot(knot, oracle, invariance_samples, rng)
+        if moved is not None:
+            _check_presentations(report, moved)
+        checks += ran + 1
+        return report
+
+    sizes = [report.surface_count for report in _orbit_sweep(knots, checked)]
+    return CheckStats(len(sizes), sum(sizes), checks)
 
 
-def _check_presentations(report, pending: dict) -> None:
+def _check_presentations(report, moves: list) -> None:
     """Check ``report``, computed for its own presentation, against each
-    move that ``pending`` holds for its beta: the {terms: polynomial} of
-    its surfaces must be what the move gives from the report of the least
-    beta of its orbit (``_moved_polys``).  That report (an orbit lies in
-    one alpha block, met in ascending beta) adds the polynomials of every
-    move ``_orbit`` lists from it, both of them where two reach one beta,
-    each with the move's name."""
+    of the ``moves`` (name, {terms: polynomial}) that ``_orbit`` gives to
+    it from the report of the least beta of its orbit: the polynomials of
+    its surfaces must be what the move gives."""
     knot = report.knot
-    if knot.beta not in pending:
-        pending.update(
-            (b, [(name, _moved_polys(report, reverse, mirror))
-                 for name, reverse, mirror in moves])
-            for b, moves in _orbit(knot).items())
-        return
     want = {r.surface.expansion.terms: r.polynomial for r in report.surfaces}
-    for name, got in pending.pop(knot.beta):
+    for name, got in moves:
         if got == want:
             continue
         # the first terms that differ, in report order

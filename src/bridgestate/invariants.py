@@ -9,7 +9,8 @@ iterator, for the ``invariants`` command.  Given the state polynomials of
 a computed report, moved to another presentation of the same knot or of
 its mirror image along a move ``_orbit`` lists (``_moved_polys``), the
 same report pass builds that presentation's report from its own walk,
-without the determinant recurrence.
+without the determinant recurrence.  ``census`` and ``verify`` meet the
+presentations of each orbit in one sweep (``_orbit_sweep``).
 
 Conventions, fixed once here:
 
@@ -52,6 +53,8 @@ command builds a Fraction.  The second routes that ``checks`` runs, the
 elimination oracle and the sparse signature, live in ``state_matrices``,
 and this module imports nothing from it.
 """
+
+from itertools import groupby
 
 from .continued_fractions import (
     Expansion,
@@ -312,10 +315,11 @@ def stream_report(knot: TwoBridgeKnot) -> InvariantReport:
     seifert, _ = next(pairs)
     g2, sigma_k = seifert.surface.genus_twice, seifert.signature
     orientable = {key: n for key, n in summary.items() if key[2]}
-    if orientable != {(g2, sigma_k, 1): 1}:
+    if orientable != {(g2, sigma_k, 1): 1} or g2 % 2:
         raise ConsistencyError(
-            f"Seifert surface = orientable surface of the summary failed for "
-            f"{knot}: got {(g2, sigma_k)}, the summary has {orientable}")
+            f"Seifert surface = orientable surface of the summary, of even "
+            f"genus2, failed for {knot}: got {(g2, sigma_k)}, the summary "
+            f"has {orientable}")
     return InvariantReport._of(
         knot, walk_checked(knot, (r for r, _ in pairs), summary), knot.alpha,
         sigma_k, seifert.polynomial, g2,
@@ -452,21 +456,49 @@ def _moved_polys(report: InvariantReport, reverse: bool,
     return moved
 
 
-def _orbit(knot: TwoBridgeKnot) -> dict:
-    """The moves from ``knot`` to the other members of its orbit {beta,
-    beta^-1, alpha - beta, alpha - beta^-1}: {beta': [(name, reverse,
-    mirror), ...]}, the name as a failure message gives the move, and
-    (reverse, mirror) as ``_moved_polys`` takes them.  When beta**2 = 1 mod
-    alpha, beta^-1 is beta: the mirror alone.  When beta**2 = -1, beta^-1
-    is alpha - beta, which the mirror and the inverse move both reach, the
-    mirror first."""
+def _orbit(report: InvariantReport) -> dict:
+    """The moves from the knot of ``report`` to the other members of its
+    orbit {beta, beta^-1, alpha - beta, alpha - beta^-1}: {beta': [(name,
+    {terms: polynomial}), ...]}, the name as a failure message gives the
+    move, and the polynomials as ``_moved_polys`` moves them.  When
+    beta**2 = 1 mod alpha, beta^-1 is beta: the mirror alone.  When
+    beta**2 = -1, beta^-1 is alpha - beta, which the mirror and the inverse
+    move both reach, the mirror first."""
+    knot = report.knot
     alpha, beta = knot.alpha, knot.beta
     inverse = pow(beta, -1, alpha)
-    moves = {alpha - beta: [(f"mirror_report({knot})", False, True)]}
+    moves = {alpha - beta: [(f"mirror_report({knot})",
+                             _moved_polys(report, False, True))]}
     if inverse != beta:
         moves.setdefault(inverse, []).append(
-            (f"inverse_report({knot})", True, False))
+            (f"inverse_report({knot})", _moved_polys(report, True, False)))
         if inverse != alpha - beta:
             moves[alpha - inverse] = [
-                (f"mirror_report(inverse_report({knot}))", True, True)]
+                (f"mirror_report(inverse_report({knot}))",
+                 _moved_polys(report, True, True))]
     return moves
+
+
+def _orbit_sweep(knots, report_of):
+    """Yield ``report_of(knot, moved)`` for each K(alpha, beta) of
+    ``knots``, valid (alpha, beta) pairs in (alpha, beta) order.  An orbit
+    lies in one alpha block and is met from its least beta, for which
+    ``moved`` is None and ``report_of`` must return the report of the
+    knot; for each other member, ``moved`` is the list of moves ``_orbit``
+    gives to it from that report, and every move must reach its member
+    before the block ends."""
+    for alpha, block in groupby(knots, lambda knot: knot[0]):
+        pending = {}  # beta: the moves to it from its orbit's least beta
+        for _, beta in block:
+            moved = pending.pop(beta, None)
+            # the pairs are valid: built without the constructor's checks
+            result = report_of(TwoBridgeKnot._of(alpha, beta), moved)
+            if moved is None:
+                pending.update(_orbit(result))
+            yield result
+        if pending:
+            beta, ((name, _), *_) = next(iter(pending.items()))
+            raise ConsistencyError(
+                f"orbit = presentations failed for {name}: it moves to "
+                f"K({alpha},{beta}), which the sweep of alpha = {alpha} "
+                f"does not reach")

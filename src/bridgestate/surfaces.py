@@ -22,7 +22,26 @@ from .values import Value
 
 
 class TwoBridgeKnot(Value):
+    """K(alpha, beta), checked: integers, alpha odd and at least 3,
+    0 < beta < alpha and gcd(alpha, beta) = 1.  ``make_knot`` reduces beta
+    mod alpha first; the walks and sweeps, whose pairs are valid by
+    construction, build knots with ``_of``."""
+
     __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int):
+        alpha, beta = _checked_alpha(alpha, beta)
+        if beta % alpha == 0:
+            raise InvalidInputError("beta must not be divisible by alpha")
+        if not 0 < beta < alpha:
+            raise InvalidInputError(
+                f"beta must be in (0, {alpha}), got {beta}")
+        if math.gcd(alpha, beta) != 1:
+            raise InvalidInputError(
+                f"alpha and beta must be coprime, got gcd({alpha},{beta}) = "
+                f"{math.gcd(alpha, beta)}"
+            )
+        self._init(alpha, beta)
 
     def __str__(self) -> str:
         return f"K({self.alpha},{self.beta})"
@@ -39,8 +58,8 @@ class EssentialSurface(Value):
     __slots__ = ("expansion", "orientable", "genus_twice", "n_plus", "n_minus")
 
 
-def make_knot(alpha: int, beta: int) -> TwoBridgeKnot:
-    """Validated knot, with beta reduced mod alpha into (0, alpha)."""
+def _checked_alpha(alpha, beta) -> tuple:
+    """(alpha, beta) as ints, with alpha odd and at least 3."""
     try:
         alpha, beta = operator.index(alpha), operator.index(beta)
     except TypeError:
@@ -52,15 +71,13 @@ def make_knot(alpha: int, beta: int) -> TwoBridgeKnot:
         raise InvalidInputError(
             f"alpha must be odd, got {alpha} (even alpha is a 2-bridge link)"
         )
-    beta %= alpha
-    if beta == 0:
-        raise InvalidInputError("beta must not be divisible by alpha")
-    if math.gcd(alpha, beta) != 1:
-        raise InvalidInputError(
-            f"alpha and beta must be coprime, got gcd({alpha},{beta}) = "
-            f"{math.gcd(alpha, beta)}"
-        )
-    return TwoBridgeKnot(alpha, beta)
+    return alpha, beta
+
+
+def make_knot(alpha: int, beta: int) -> TwoBridgeKnot:
+    """Validated knot, with beta reduced mod alpha into (0, alpha)."""
+    alpha, beta = _checked_alpha(alpha, beta)
+    return TwoBridgeKnot(alpha, beta % alpha)
 
 
 def iter_knots(max_alpha: int):

@@ -241,15 +241,14 @@ def report_pass_fault(monkeypatch):
 
 @pytest.fixture
 def mirror_drops_a_nonorientable_surface(monkeypatch):
-    """Make every move with the mirror, in ``bridgestate.census`` and
-    ``bridgestate.checks`` (``verify``), drop the polynomial of the first
-    nonorientable surface without which the report keeps its crosscap
-    number and its slope set: the knot-level values and the output's slope
-    column stay as they were."""
-    import bridgestate.census as census
-    import bridgestate.checks as checks
+    """Make every move with the mirror that ``bridgestate.invariants``
+    lists for an orbit (``census`` and ``verify``) drop the polynomial of
+    the first nonorientable surface without which the report keeps its
+    crosscap number and its slope set: the knot-level values and the
+    output's slope column stay as they were."""
+    import bridgestate.invariants as inv
 
-    real = census._moved_polys
+    real = inv._moved_polys
 
     def faulty(report, reverse, mirror):
         moved = real(report, reverse, mirror)
@@ -269,19 +268,17 @@ def mirror_drops_a_nonorientable_surface(monkeypatch):
                 break
         return moved
 
-    for module in (census, checks):
-        monkeypatch.setattr(module, "_moved_polys", faulty)
+    monkeypatch.setattr(inv, "_moved_polys", faulty)
 
 
 @pytest.fixture
 def inverse_without_negation_for_even_k(monkeypatch):
-    """Make every move with the inverse skip negating the reversed terms of
-    surfaces with an even number k of bands, in ``bridgestate.census`` and
-    ``bridgestate.checks`` (``verify``)."""
-    import bridgestate.census as census
-    import bridgestate.checks as checks
+    """Make every move with the inverse that ``bridgestate.invariants``
+    lists for an orbit (``census`` and ``verify``) skip negating the
+    reversed terms of surfaces with an even number k of bands."""
+    import bridgestate.invariants as inv
 
-    real = census._moved_polys
+    real = inv._moved_polys
 
     def faulty(report, reverse, mirror):
         moved = real(report, reverse, mirror)
@@ -290,19 +287,19 @@ def inverse_without_negation_for_even_k(monkeypatch):
         return {terms if len(terms) & 1 else tuple(-n for n in terms): poly
                 for terms, poly in moved.items()}
 
-    for module in (census, checks):
-        monkeypatch.setattr(module, "_moved_polys", faulty)
+    monkeypatch.setattr(inv, "_moved_polys", faulty)
 
 
 @pytest.fixture
 def moves_swap_two_polynomials(monkeypatch):
-    """Make every move that ``verify`` compares swap the polynomials of the
-    first two moved surfaces with the same number of bands: both keep the
-    degree, |p(-1)| = alpha and a positive constant term, so only the
-    comparison with the computed report sees it."""
-    import bridgestate.checks as checks
+    """Make every move that ``bridgestate.invariants`` lists for an orbit
+    swap the polynomials of the first two moved surfaces with the same
+    number of bands: both keep the degree, |p(-1)| = alpha and a positive
+    constant term, so only ``verify``'s comparison with the computed report
+    sees it."""
+    import bridgestate.invariants as inv
 
-    real = checks._moved_polys
+    real = inv._moved_polys
 
     def faulty(report, reverse, mirror):
         moved = real(report, reverse, mirror)
@@ -314,4 +311,4 @@ def moves_swap_two_polynomials(monkeypatch):
                 break
         return moved
 
-    monkeypatch.setattr(checks, "_moved_polys", faulty)
+    monkeypatch.setattr(inv, "_moved_polys", faulty)

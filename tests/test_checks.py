@@ -66,7 +66,9 @@ def test_check_range_detects_disagreeing_presentations(
 
 def test_presentation_check_names_the_maps_and_the_field(monkeypatch):
     # the field is the polynomial of the first terms that differ
-    real = checks._moved_polys
+    import bridgestate.invariants as inv
+
+    real = inv._moved_polys
 
     def faulty(report, reverse, mirror):
         moved = real(report, reverse, mirror)
@@ -74,17 +76,16 @@ def test_presentation_check_names_the_maps_and_the_field(monkeypatch):
             moved = dict.fromkeys(moved, report.alexander)
         return moved
 
-    monkeypatch.setattr(checks, "_moved_polys", faulty)
+    monkeypatch.setattr(inv, "_moved_polys", faulty)
     # {2, 3, 4, 5} mod 7 is the first orbit of four: K(7,3) is reached
     # from K(7,2) through the inverse and then the mirror move
-    pending = {}
-    _check_presentations(full_report(make_knot(7, 2)), pending)
-    assert sorted(pending) == [3, 4, 5]
+    moves = inv._orbit(full_report(make_knot(7, 2)))
+    assert sorted(moves) == [3, 4, 5]
     with pytest.raises(ConsistencyError, match=re.escape(
             "mirror_report(inverse_report(K(7,2))) = computed report failed "
             "for K(7,3): terms [2, 3] have 2 - 3*t + 2*t^2 moved, "
             "3/2 - 4*t + 3/2*t^2 computed")):
-        _check_presentations(full_report(make_knot(7, 3)), pending)
+        _check_presentations(full_report(make_knot(7, 3)), moves[3])
 
 
 def test_random_expansions_are_valid():

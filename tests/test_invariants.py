@@ -710,15 +710,22 @@ def reports_to_99():
     return {knot: full_report(make_knot(*knot)) for knot in iter_knots(99)}
 
 
-def moved_report(report, beta, reverse, mirror):
-    """The report of K(alpha, beta) as the census builds it: by its own
-    report pass, given the polynomials the move (``reverse``, ``mirror``)
-    of ``_moved_polys`` takes to it from ``report``."""
+def built_report(knot, polys):
+    """The report of ``knot`` as the census builds it: by its own report
+    pass, given the moved polynomials ``polys``."""
     import bridgestate.invariants as inv
 
-    knot = make_knot(report.knot.alpha, beta)
-    return inv._knot_report(knot, inv._report_pass(
-        knot, inv._moved_polys(report, reverse, mirror)))
+    return inv._knot_report(knot, inv._report_pass(knot, polys))
+
+
+def moved_report(report, beta, reverse, mirror):
+    """The report of K(alpha, beta) built from the polynomials the move
+    (``reverse``, ``mirror``) of ``_moved_polys`` takes to it from
+    ``report``."""
+    import bridgestate.invariants as inv
+
+    return built_report(make_knot(report.knot.alpha, beta),
+                        inv._moved_polys(report, reverse, mirror))
 
 
 class TestPresentationMaps:
@@ -728,9 +735,9 @@ class TestPresentationMaps:
         # r tags included
         two_member = {1: 0, -1: 0}
         for (alpha, beta), report in reports_to_99.items():
-            for target, moves in _orbit(report.knot).items():
-                for _, reverse, mirror in moves:
-                    derived = moved_report(report, target, reverse, mirror)
+            for target, moves in _orbit(report).items():
+                for _, polys in moves:
+                    derived = built_report(make_knot(alpha, target), polys)
                     assert derived.knot == make_knot(alpha, target)
                     assert derived == reports_to_99[alpha, target]
             for unit in two_member:
@@ -780,6 +787,36 @@ class TestPresentationMaps:
         with pytest.raises(ConsistencyError, match=re.escape(identity)):
             moved_report(reports_to_99[7, 2], 5, False, True)
 
+    @pytest.mark.parametrize("command", ["census", "verify"])
+    @pytest.mark.parametrize("max_alpha", [9, 11])
+    def test_every_move_must_reach_its_member(self, monkeypatch, command,
+                                              max_alpha):
+        # the orbit of K(9,2) gains a move to K(9,3), which is no knot: the
+        # sweep fails when the block of alpha = 9 ends, before the next
+        # block or after the last knot
+        import io
+
+        import bridgestate.invariants as inv
+        from bridgestate.census import census_rows
+        from bridgestate.checks import check_range
+
+        real = inv._orbit
+
+        def faulty(report):
+            moves = real(report)
+            if report.knot == make_knot(9, 2):
+                moves[3] = moves[7]
+            return moves
+
+        monkeypatch.setattr(inv, "_orbit", faulty)
+        run = {"census": lambda: census_rows(max_alpha, (io.StringIO(),)),
+               "verify": lambda: check_range(max_alpha)}[command]
+        with pytest.raises(ConsistencyError, match=re.escape(
+                "orbit = presentations failed for mirror_report(K(9,2)): it "
+                "moves to K(9,3), which the sweep of alpha = 9 does not "
+                "reach")):
+            run()
+
     def test_a_moved_build_folds_one_walk_of_minor_steps(self, monkeypatch):
         # siblings share their prefix's steps and the Seifert path is
         # folded once: for every move at alpha <= 35, building the report
@@ -799,14 +836,15 @@ class TestPresentationMaps:
         moves = 0
         for alpha, beta in iter_knots(35):
             report = full_report(make_knot(alpha, beta))
-            for target, orbit_moves in _orbit(report.knot).items():
+            for target, orbit_moves in _orbit(report).items():
+                knot = make_knot(alpha, target)
                 calls.clear()
-                full_report(make_knot(alpha, target))
+                full_report(knot)
                 steps = calls["_surface_step"]
                 assert steps > 0
-                for _, reverse, mirror in orbit_moves:
+                for _, polys in orbit_moves:
                     calls.clear()
-                    moved_report(report, target, reverse, mirror)
+                    built_report(knot, polys)
                     assert calls == {"_minor_step": steps}
                     moves += 1
         assert moves == 674

@@ -255,3 +255,40 @@ def test_the_seifert_surface_must_be_the_summarys_orientable_one(
     code, out, err = run("invariants", 5, 2, "--json")
     assert code == 1 and out == ""
     assert "Seifert surface = orientable surface of the summary" in err
+
+
+def test_the_seifert_surface_must_have_even_genus2(monkeypatch,
+                                                   report_pass_fault):
+    # the Seifert surface of K(5,2), in both of its places, becomes that
+    # of [2, -2, 2], orientable of genus2 3 and signature 3, and the
+    # summary's orientable key moves to match: only the parity of genus2
+    # is left to see it
+    import bridgestate.invariants as inv
+    from bridgestate import Expansion, SurfaceReport, make_surface
+
+    odd = make_surface(Expansion((2, -2, 2)))
+    seifert = []  # the first report of the pass that runs
+
+    def fault(i, r):
+        if i == 0:
+            seifert[:] = [r]
+        if r is seifert[0]:
+            return SurfaceReport(odd, r.polynomial, 3, 0)
+        return r
+
+    real = inv._expansion_summary
+
+    def faulty(targets):
+        return {(3, 3, 1) if key[2] else key: n
+                for key, n in real(targets).items()}
+
+    report_pass_fault(fault)
+    monkeypatch.setattr(inv, "_expansion_summary", faulty)
+    knot = make_knot(5, 2)
+    with pytest.raises(ConsistencyError, match="of even genus2"):
+        full_report(knot)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "Seifert surface = orientable surface of the summary, of even "
+            "genus2, failed for K(5,2): got (3, 3)")):
+        for _ in stream_report(knot).surfaces:
+            pass

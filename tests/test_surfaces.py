@@ -8,6 +8,7 @@ from bridgestate import (
     Expansion,
     InvalidInputError,
     SurfaceReport,
+    TwoBridgeKnot,
     full_report,
     make_knot,
     make_surface,
@@ -49,6 +50,30 @@ class TestMakeKnot:
     def test_non_integers_rejected(self, alpha, beta, bad):
         with pytest.raises(InvalidInputError, match=f"integers.*{bad}"):
             make_knot(alpha, beta)
+
+
+class TestKnotConstructor:
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (9, 3, "alpha and beta must be coprime, got gcd(9,3) = 3"),
+        (5, 7, "beta must be in (0, 5), got 7"),
+        (5, -2, "beta must be in (0, 5), got -2"),
+        (1, 1, "alpha must be at least 3, got 1"),
+        (8, 3, "alpha must be odd, got 8 (even alpha is a 2-bridge link)"),
+    ])
+    def test_rejects_what_no_report_can_take(self, alpha, beta, message):
+        # unchecked, each of them took full_report to a ZeroDivisionError
+        # or, for K(8,3), to a ConsistencyError, the class of a bug
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            TwoBridgeKnot(alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (7, 14), (5.0, 2), ("5", 2), (7, 0)])
+    def test_rejects_what_make_knot_rejects(self, alpha, beta):
+        with pytest.raises(InvalidInputError) as want:
+            make_knot(alpha, beta)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                str(want.value))):
+            TwoBridgeKnot(alpha, beta)
 
 
 class TestSignCounts:
